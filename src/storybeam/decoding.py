@@ -18,6 +18,7 @@ identical results, byte for byte once serialized.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -43,9 +44,9 @@ class DecodeConfig:
     def __post_init__(self):
         if self.beam_width < 1:
             raise ValueError(f"beam_width must be >= 1, got {self.beam_width}")
-        if not self.diversity_strength >= 0:
+        if not (math.isfinite(self.diversity_strength) and self.diversity_strength >= 0):
             raise ValueError(
-                f"diversity_strength must be >= 0, got {self.diversity_strength}")
+                f"diversity_strength must be finite and >= 0, got {self.diversity_strength}")
         if self.max_len < 1:
             raise ValueError(f"max_len must be >= 1, got {self.max_len}")
         if self.num_segments < 1:
@@ -126,8 +127,8 @@ def _expand_traced(beam: Beam, scores_per_hypothesis: Sequence[np.ndarray],
                    ) -> tuple[Beam, StepTrace]:
     if beam_width < 1:
         raise ValueError(f"beam_width must be >= 1, got {beam_width}")
-    if not strength >= 0:
-        raise ValueError(f"diversity strength must be >= 0, got {strength}")
+    if not (math.isfinite(strength) and strength >= 0):
+        raise ValueError(f"diversity strength must be finite and >= 0, got {strength}")
     vocab_size = len(penalty)
     unfinished = [(i, h) for i, h in enumerate(beam) if not h.finished]
     finished = [(i, h) for i, h in enumerate(beam) if h.finished]
@@ -295,6 +296,8 @@ _STRUCTURAL_TOKENS = (PAD_TOKEN, BOS_TOKEN, EOS_TOKEN)
 
 
 def _fmt(value: float) -> str:
+    if not math.isfinite(value):
+        raise ValueError(f"cannot serialize non-finite score {value}: JSON has no nan/inf")
     return format(value, ".9g")
 
 
@@ -308,7 +311,8 @@ def story_to_json(result: StoryResult, vocab: Vocabulary) -> str:
     The layout is stable so identical decodes produce byte-identical
     files. ``story`` is the readable concatenation of all segments with
     structural tokens dropped (``<unk>`` is kept: it marks a real
-    emission).
+    emission). Raises ``ValueError`` on a non-finite score rather than
+    writing invalid JSON.
     """
     segment_objs = []
     story_words: list[str] = []

@@ -12,7 +12,6 @@ import time
 from contextlib import contextmanager
 
 import numpy as np
-import pytest
 
 from storybeam.cli import main
 from storybeam.decoding import DecodeConfig, beam_search, expand_and_select, inter_sentence_dbs
@@ -43,15 +42,6 @@ def criterion(number: int, label: str):
         print(f"criterion {number} ({label}): FAIL")
         raise
     print(f"criterion {number} ({label}): PASS")
-
-
-@pytest.fixture(scope="module", autouse=True)
-def warm_up_jit():
-    # compile the selection kernel outside any timed region
-    table = make_table(["a", "<eos>"], [0.5, 0.5])
-    config = DecodeConfig(beam_width=2, diversity_strength=0.0,
-                          max_len=2, num_segments=1)
-    beam_search(table, "warm", table.vocab, config)
 
 
 def derepetition_fixture() -> ValidatingScorer:

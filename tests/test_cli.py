@@ -95,6 +95,36 @@ class TestDecode:
                      "--out", str(tmp_path / "s.json")])
         assert code == 2
 
+    @pytest.mark.parametrize("lam", ["inf", "nan"])
+    def test_non_finite_lambda_rejected(self, table_path, tmp_path, capsys, lam):
+        out = tmp_path / "s.json"
+        code = main(["decode", "--model", str(table_path),
+                     "--conditions", "c1", "c2", "--beam-width", "2",
+                     "--max-len", "3", "--lambda", lam, "--out", str(out)])
+        assert code == 2
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_out_succeeds_beside_stale_tmp_directory(self, table_path, tmp_path):
+        out = tmp_path / "out.json"
+        (tmp_path / "out.json.tmp").mkdir()
+        code = main(["decode", "--model", str(table_path), "--conditions", "c1",
+                     "--beam-width", "1", "--max-len", "2", "--out", str(out)])
+        assert code == 0
+        assert json.loads(out.read_text(encoding="utf-8"))["segments"]
+        assert out.stat().st_mode == table_path.stat().st_mode
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "out.json", "out.json.tmp", "table.yaml"]
+
+    def test_failed_write_leaves_no_temp_file(self, table_path, tmp_path):
+        out = tmp_path / "taken"
+        out.mkdir()  # os.replace cannot overwrite a directory with a file
+        code = main(["decode", "--model", str(table_path), "--conditions", "c1",
+                     "--beam-width", "1", "--max-len", "2", "--out", str(out)])
+        assert code == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["table.yaml", "taken"]
+        assert not any(out.iterdir())
+
     def test_unknown_penalty_rejected(self, table_path, tmp_path):
         code = main(["decode", "--model", str(table_path),
                      "--conditions", "c1", "--penalty", "cosine",

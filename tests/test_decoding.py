@@ -1,6 +1,7 @@
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -38,6 +39,8 @@ class TestDecodeConfig:
         {"diversity_strength": -0.5},
         {"max_len": 0},
         {"num_segments": 0},
+        {"diversity_strength": math.inf},
+        {"diversity_strength": math.nan},
     ])
     def test_invalid_bounds_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -96,8 +99,9 @@ class TestExpandAndSelect:
         penalty = zero_penalty(len(skewed_table.vocab))
         with pytest.raises(ValueError, match="beam_width"):
             expand_and_select(Beam((Hypothesis(),)), [scores], penalty, 0.0, 0)
-        with pytest.raises(ValueError, match="strength"):
-            expand_and_select(Beam((Hypothesis(),)), [scores], penalty, -1.0, 1)
+        for strength in (-1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="strength"):
+                expand_and_select(Beam((Hypothesis(),)), [scores], penalty, strength, 1)
 
     def test_finished_hypotheses_compete_not_expand(self, skewed_table):
         vocab = skewed_table.vocab
@@ -337,6 +341,20 @@ class TestStoryJson:
         # nine significant digits
         assert '"raw_score": -1.38629436,' in text
         assert text.endswith("\n")
+
+    @pytest.mark.parametrize("field, value", [
+        ("aug_score", math.nan), ("aug_score", math.inf), ("raw_score", -math.inf),
+        ("step_penalties", (0.0, math.nan)),
+    ])
+    def test_non_finite_score_refused(self, skewed_table, field, value):
+        vocab = skewed_table.vocab
+        config = DecodeConfig(beam_width=1, diversity_strength=2.0,
+                              max_len=2, num_segments=1)
+        story = inter_sentence_dbs(skewed_table, ["img1"], vocab, config)
+        segment = story.segments[0]
+        broken = replace(segment, best=replace(segment.best, **{field: value}))
+        with pytest.raises(ValueError, match="non-finite"):
+            story_to_json(replace(story, segments=(broken,)), vocab)
 
     def test_validating_scorer_sees_every_step(self, skewed_table):
         wrapped = ValidatingScorer(skewed_table)

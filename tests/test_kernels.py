@@ -1,49 +1,45 @@
-"""The numba and numpy selection kernels must agree bit for bit."""
+"""The selection kernel: its total order, and exact agreement with the
+brute-force oracle on inputs built to force score ties."""
 
-import os
-import subprocess
-import sys
+import math
 
 import numpy as np
 import pytest
 
 from storybeam import kernels
+from storybeam.corpus import EOS_ID, NUM_SPECIALS
+from storybeam.decoding import Beam, Hypothesis, expand_and_select
+from storybeam.oracle import exhaustive_step_select
+
+from conftest import assert_beams_identical
+
+VOCAB_SIZE = 7  # <eos>, <unk> and three regular tokens are generable
 
 
-def random_case(rng: np.random.Generator):
-    vocab_size = int(rng.integers(4, 10))
-    n_unfinished = int(rng.integers(0, 4))
-    n_carry = int(rng.integers(0, 3))
-    if n_unfinished + n_carry == 0:
-        n_unfinished = 1
-    base = -rng.random(n_unfinished) * 4
-    logprobs = np.log(rng.dirichlet(np.ones(vocab_size - 2), size=n_unfinished))
-    full = np.full((n_unfinished, vocab_size), -np.inf)
-    full[:, 2:] = logprobs
-    # occasional exact zero-probability entries
-    if n_unfinished and rng.random() < 0.3:
-        full[rng.integers(n_unfinished), rng.integers(2, vocab_size)] = -np.inf
+def hypothesis(token: int, score: float, finished: bool = False) -> Hypothesis:
+    return Hypothesis(tokens=(token,), raw_score=score, aug_score=score,
+                      finished=finished, step_logprobs=(score,),
+                      step_penalties=(0.0,))
+
+
+def uniform_row(vocab_size: int = VOCAB_SIZE) -> np.ndarray:
+    row = np.full(vocab_size, -np.inf)
+    row[EOS_ID:] = math.log(1 / (vocab_size - EOS_ID))
+    return row
+
+
+def flat_penalty(kind: str, vocab_size: int = VOCAB_SIZE) -> np.ndarray:
     penalty = np.zeros(vocab_size)
-    penalty[4:] = -rng.integers(0, 4, size=max(0, vocab_size - 4)).astype(float)
-    strength = float(rng.choice([0.0, 0.5, 2.0]))
-    positions = rng.permutation(n_unfinished + n_carry)
-    unfinished_idx = np.sort(positions[:n_unfinished]).astype(np.int64)
-    carry_idx = np.sort(positions[n_unfinished:]).astype(np.int64)
-    carry_scores = -rng.random(n_carry) * 6
-    beam_width = int(rng.integers(1, 8))
-    return (base, full, penalty, strength, unfinished_idx,
-            carry_scores, carry_idx, beam_width)
+    if kind == "equal":
+        penalty[NUM_SPECIALS:] = -1.0
+    return penalty
 
 
-@pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba unavailable")
-def test_numba_matches_numpy_exactly():
-    rng = np.random.default_rng(1234)
-    for _ in range(400):
-        case = random_case(rng)
-        got = kernels.select_top_candidates_numba(*case)
-        want = kernels.select_top_candidates_numpy(*case)
-        for g, w in zip(got, want):
-            assert g.tolist() == w.tolist()
+def assert_matches_oracle(beam, rows, penalty, strength, width) -> Beam:
+    got = expand_and_select(beam, rows, penalty, strength, width)
+    want = exhaustive_step_select(beam, rows, penalty, strength, width)
+    assert_beams_identical(got, want)
+    return got
 
 
 def test_numpy_path_orders_by_score_then_token_then_beam():
@@ -51,7 +47,7 @@ def test_numpy_path_orders_by_score_then_token_then_beam():
     logprobs = np.full((1, 6), -np.inf)
     logprobs[0, 2:] = np.log(1 / 4)  # four-way tie
     penalty = np.zeros(6)
-    beams, tokens, scores = kernels.select_top_candidates_numpy(
+    beams, tokens, scores = kernels.select_top_candidates(
         base, logprobs, penalty, 0.0,
         np.array([0], dtype=np.int64), np.empty(0), np.empty(0, dtype=np.int64), 10)
     assert tokens.tolist() == [2, 3, 4, 5]
@@ -84,19 +80,97 @@ def test_beam_width_larger_than_candidates_returns_everything():
     assert len(tokens) == 3
 
 
-def test_set_backend_validates_name():
-    with pytest.raises(ValueError, match="unknown backend"):
-        kernels.set_backend("cuda")
-    previous = kernels.active_backend()
-    kernels.set_backend("numpy")
-    assert kernels.active_backend() == "numpy"
-    kernels.set_backend(previous)
+@pytest.mark.parametrize("n_hyps", [2, 3])
+@pytest.mark.parametrize("penalty_kind", ["zero", "equal"])
+@pytest.mark.parametrize("strength", [0.0, 2.0])
+def test_uniform_rows_tie_across_hypotheses(n_hyps, penalty_kind, strength):
+    beam = Beam(tuple(hypothesis(4 + i, -1.0) for i in range(n_hyps)))
+    rows = [uniform_row() for _ in range(n_hyps)]
+    penalty = flat_penalty(penalty_kind)
+    all_tied = penalty_kind == "zero" or strength == 0.0
+    # every candidate ties: token ascending, then beam position
+    order = [(t, b) for t in range(EOS_ID, VOCAB_SIZE) for b in range(n_hyps)]
+    for width in range(1, len(order) + 1):
+        got = assert_matches_oracle(beam, rows, penalty, strength, width)
+        if all_tied:
+            # hypothesis i carries token 4 + i, so tokens[0] names the parent
+            assert [(h.tokens[1], h.tokens[0] - 4) for h in got] == order[:width]
 
 
-def test_env_flag_selects_numpy_backend():
-    env = dict(os.environ, STORYBEAM_NO_NUMBA="1")
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "from storybeam import kernels; print(kernels.active_backend())"],
-        capture_output=True, text=True, env=env, check=True)
-    assert out.stdout.strip() == "numpy"
+@pytest.mark.parametrize("penalty_kind", ["zero", "equal"])
+def test_carryovers_tie_with_expansions(penalty_kind):
+    strength = 1.5
+    penalty = flat_penalty(penalty_kind)
+    row = uniform_row()
+    parent = -0.5
+    # a carryover at exactly the score of an expanded <eos> and of an
+    # expanded regular token, computed with the kernel's operation order
+    tied_eos = (parent + row[EOS_ID]) + strength * penalty[EOS_ID]
+    tied_regular = (parent + row[NUM_SPECIALS]) + strength * penalty[NUM_SPECIALS]
+    scores = sorted({tied_eos, tied_regular}, reverse=True)
+    finished = [hypothesis(EOS_ID, s, finished=True) for s in scores for _ in range(2)]
+    beam = Beam((hypothesis(4, parent), hypothesis(5, parent), *finished))
+    rows = [row, row]
+    total = 2 * (VOCAB_SIZE - EOS_ID) + len(finished)
+    for width in range(1, total + 1):
+        assert_matches_oracle(beam, rows, penalty, strength, width)
+    got = expand_and_select(beam, rows, penalty, strength, total)
+    tied = [len(h.tokens) for h in got if h.aug_score == scores[0]]
+    # carryovers (one token) rank ahead of the expansions (two) they tie with
+    assert tied == [1, 1] + [2] * (len(tied) - 2) and len(tied) > 2
+
+
+@pytest.mark.parametrize("width", [13, 14, 50])
+def test_beam_wider_than_candidate_set(width):
+    beam = Beam((hypothesis(4, -1.0), hypothesis(5, -1.0),
+                 hypothesis(EOS_ID, -2.0, finished=True),
+                 hypothesis(EOS_ID, -2.0, finished=True)))
+    rows = [uniform_row(), uniform_row()]
+    got = assert_matches_oracle(beam, rows, flat_penalty("equal"), 1.0, width)
+    assert len(got) == 2 * (VOCAB_SIZE - EOS_ID) + 2
+
+
+def test_negative_infinity_rows_tie_at_the_bottom():
+    partial = uniform_row()
+    partial[[3, 5]] = -np.inf
+    only_eos = np.full(VOCAB_SIZE, -np.inf)
+    only_eos[EOS_ID] = 0.0
+    beam = Beam((hypothesis(4, -1.0), hypothesis(5, -1.0), hypothesis(6, -1.0),
+                 hypothesis(EOS_ID, -np.inf, finished=True)))
+    rows = [partial, only_eos, uniform_row()]
+    total = 3 * (VOCAB_SIZE - EOS_ID) + 1
+    for strength in (0.0, 2.0):
+        for width in range(1, total + 2):
+            got = assert_matches_oracle(beam, rows, flat_penalty("equal"),
+                                        strength, width)
+        assert sum(h.aug_score == -np.inf for h in got) == 7
+
+
+def test_quantized_random_steps_match_oracle():
+    # scores drawn from a small lattice so most candidates tie with another
+    rng = np.random.default_rng(97)
+    levels = np.log([1.0, 0.5, 0.25])
+    for _ in range(300):
+        vocab_size = int(rng.integers(5, 9))
+        n_unfinished = int(rng.integers(0, 4))
+        n_finished = int(rng.integers(0, 3))
+        if n_unfinished + n_finished == 0:
+            n_unfinished = 1
+        hyps = [hypothesis(4, float(rng.choice(levels)))
+                for _ in range(n_unfinished)]
+        hyps += [hypothesis(EOS_ID, float(rng.choice(levels)) + float(rng.choice(levels)),
+                            finished=True)
+                 for _ in range(n_finished)]
+        hyps.sort(key=lambda h: h.aug_score, reverse=True)
+        beam = Beam(tuple(hyps))
+        rows = []
+        for _ in range(n_unfinished):
+            row = np.full(vocab_size, -np.inf)
+            row[EOS_ID:] = rng.choice(np.append(levels, -np.inf),
+                                      size=vocab_size - EOS_ID)
+            rows.append(row)
+        penalty = np.zeros(vocab_size)
+        penalty[NUM_SPECIALS:] = -rng.integers(0, 2, size=vocab_size - NUM_SPECIALS)
+        strength = float(rng.choice([0.0, 1.0, 2.0]))
+        width = int(rng.integers(1, 12))
+        assert_matches_oracle(beam, rows, penalty, strength, width)
