@@ -148,20 +148,30 @@ def _cmd_decode(args: argparse.Namespace) -> int:
     if args.batch is not None:
         if not args.out:
             raise ValueError("--batch requires --out to name an output directory")
-        stories = [line.split() for line
-                   in Path(args.batch).read_text(encoding="utf-8").splitlines()
-                   if line.split()]
+        lines = Path(args.batch).read_text(encoding="utf-8").splitlines()
+        stories = [(line_no, line.split())
+                   for line_no, line in enumerate(lines, start=1) if line.split()]
         if not stories:
             raise ValueError(f"batch file {args.batch} contains no stories")
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
 
-        def run(index_conditions: tuple[int, list[str]]) -> None:
-            index, conditions = index_conditions
+        def run(index: int, conditions: list[str]) -> None:
             _atomic_write(out_dir / f"story_{index:04d}.json", decode_one(conditions))
 
         with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            list(pool.map(run, enumerate(stories)))
+            futures = [pool.submit(run, index, conditions)
+                       for index, (_, conditions) in enumerate(stories)]
+        # every story is attempted; failures are reported in line order
+        failed = 0
+        for (line_no, _), future in zip(stories, futures):
+            try:
+                future.result()
+            except (ValueError, OSError) as exc:
+                print(f"batch line {line_no}: {exc}", file=sys.stderr)
+                failed += 1
+        if failed:
+            raise ValueError(f"{failed} of {len(stories)} stories failed")
         print(f"decoded {len(stories)} stories into {out_dir}")
         return EXIT_OK
 

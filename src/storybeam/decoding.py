@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -232,6 +233,15 @@ def beam_search(scorer: Scorer, condition: Condition, vocab: Vocabulary,
         raise ValueError("condition must be a non-empty string")
     beam_width = config.beam_width
     strength = config.diversity_strength
+    # a hypothesis collects at most max_len penalty contributions; their total
+    # must stay finite or the kernel's score sums overflow to -inf
+    steps = min(config.max_len, sys.float_info.max)  # an int may exceed float range
+    with np.errstate(over="ignore"):
+        worst_total = steps * (strength * penalty)
+    if not np.isfinite(worst_total).all():
+        raise ValueError(
+            f"diversity strength {strength} overflows this segment's penalty "
+            f"total over {config.max_len} steps")
 
     beam = Beam((Hypothesis(),))
     pool: list[Hypothesis] = []

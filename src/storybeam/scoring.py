@@ -39,6 +39,11 @@ from .corpus import (
     Vocabulary,
 )
 
+# libyaml's classes parse and emit the same documents several times faster;
+# the pure-Python pair is the fallback where PyYAML was built without libyaml
+YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+YAML_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+
 LOGSUMEXP_TOLERANCE = 1e-9
 ROW_SUM_TOLERANCE = 1e-6
 
@@ -168,7 +173,8 @@ def ngram_to_dict(model: NGramModel) -> dict:
 
 def dump_ngram(model: NGramModel) -> str:
     """Serialize to YAML; deterministic, loads back to identical scores."""
-    return yaml.safe_dump(ngram_to_dict(model), sort_keys=False, allow_unicode=True)
+    return yaml.dump(ngram_to_dict(model), Dumper=YAML_DUMPER,
+                     sort_keys=False, allow_unicode=True)
 
 
 def _vocab_from_listing(tokens: list) -> Vocabulary:
@@ -333,8 +339,10 @@ def load_table_scorer(text: str) -> TableScorer:
 
 def _parse_yaml(text: str) -> dict:
     try:
-        doc = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
+        doc = yaml.load(text, Loader=YAML_LOADER)
+    except (yaml.YAMLError, UnicodeEncodeError) as exc:
+        # libyaml encodes the text to UTF-8 first, so a lone surrogate fails
+        # there instead of in the pure reader's character check
         raise ValueError(f"malformed model document: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValueError("model document must be a key-value mapping")

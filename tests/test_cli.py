@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -105,6 +106,19 @@ class TestDecode:
         assert "finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_overflowing_lambda_rejected_without_warning(self, table_path, tmp_path,
+                                                         capsys):
+        out = tmp_path / "s.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["decode", "--model", str(table_path),
+                         "--conditions", "c1", "c2", "--beam-width", "2",
+                         "--max-len", "3", "--lambda", "1e308", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "overflows" in err and "Warning" not in err
+        assert not out.exists()
+
     def test_out_succeeds_beside_stale_tmp_directory(self, table_path, tmp_path):
         out = tmp_path / "out.json"
         (tmp_path / "out.json.tmp").mkdir()
@@ -198,6 +212,27 @@ class TestDecode:
                      "--max-len", "2", "--out", str(single)]) == 0
         assert first == single.read_bytes()
         assert (out_dir / "story_0001.json").exists()
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_batch_writes_good_stories_and_reports_bad_lines(
+            self, table_path, tmp_path, capsys, jobs):
+        # at --lambda 1e308 a one-segment story decodes, a two-segment one overflows
+        batch = tmp_path / "batch.txt"
+        batch.write_text("c1 c2\n\nc1\nc3 c4\n", encoding="utf-8")
+        out_dir = tmp_path / "stories"
+        args = ["--beam-width", "2", "--max-len", "3", "--lambda", "1e308"]
+        code = main(["decode", "--model", str(table_path), "--batch", str(batch),
+                     "--jobs", jobs, "--out", str(out_dir)] + args)
+        assert code == 2
+        err_lines = capsys.readouterr().err.splitlines()
+        assert [line.split(":")[0] for line in err_lines[:2]] == [
+            "batch line 1", "batch line 4"]
+        assert "2 of 3 stories failed" in err_lines[2]
+        assert sorted(p.name for p in out_dir.iterdir()) == ["story_0001.json"]
+        single = tmp_path / "single.json"
+        assert main(["decode", "--model", str(table_path), "--conditions", "c1",
+                     "--out", str(single)] + args) == 0
+        assert (out_dir / "story_0001.json").read_bytes() == single.read_bytes()
 
     def test_batch_requires_out_directory(self, table_path, tmp_path):
         batch = tmp_path / "batch.txt"

@@ -1,10 +1,13 @@
 import json
 import math
+import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from storybeam.corpus import EOS_ID
 from storybeam.decoding import (
@@ -282,6 +285,57 @@ class TestInterSentenceDbs:
         with pytest.raises(ValueError, match="<= 0"):
             inter_sentence_dbs(skewed_table, ["c1", "c2"], skewed_table.vocab,
                                config, penalty_fn=rogue)
+
+    # 1e308 overflows a single contribution; 1e307 only the ten-step total
+    @pytest.mark.parametrize("listed, probs, strength, max_len", [
+        (["a", "b", "<eos>"], [0.5, 0.3, 0.2], 1e308, 3),
+        (["a", "<eos>"], [0.9, 0.1], 1e307, 10),
+    ])
+    def test_overflowing_penalty_rejected_without_warning(
+            self, listed, probs, strength, max_len):
+        table = make_table(listed, probs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            one = DecodeConfig(beam_width=2, diversity_strength=strength,
+                               max_len=max_len, num_segments=1)
+            inter_sentence_dbs(table, ["c1"], table.vocab, one)
+            two = replace(one, num_segments=2)
+            with pytest.raises(ValueError, match="overflows"):
+                inter_sentence_dbs(table, ["c1", "c2"], table.vocab, two)
+
+    def test_overflow_check_takes_max_len_beyond_float_range(self):
+        # "a" then "<eos>": every segment ends after two steps
+        table = make_table(["a", "<eos>"], [1.0, 0.0],
+                           rows=[{"context": ["a"], "probs": [0.0, 1.0]}])
+        config = DecodeConfig(beam_width=1, diversity_strength=0.0,
+                              max_len=10**400, num_segments=2)
+        story = inter_sentence_dbs(table, ["c1", "c2"], table.vocab, config)
+        assert story.segments[1].best.tokens == story.segments[0].best.tokens
+        with pytest.raises(ValueError, match="overflows"):
+            inter_sentence_dbs(table, ["c1", "c2"], table.vocab,
+                               replace(config, diversity_strength=2.0))
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           strength=st.sampled_from(
+               [0.0, 1e-300, 2.0, 1e300, 1e306, 1e307, 5e307, sys.float_info.max]),
+           beam_width=st.integers(1, 4), max_len=st.integers(1, 6))
+    def test_extreme_strengths_decode_to_valid_json_or_reject(
+            self, seed, strength, beam_width, max_len):
+        conditions = ["c1", "c2", "c3"]
+        scorer = random_table_scorer(np.random.default_rng(seed),
+                                     conditions=tuple(conditions))
+        config = DecodeConfig(beam_width=beam_width, diversity_strength=strength,
+                              max_len=max_len, num_segments=len(conditions))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                story = inter_sentence_dbs(scorer, conditions, scorer.vocab, config)
+            except ValueError as exc:
+                assert "overflows" in str(exc)
+                return
+            doc = json.loads(story_to_json(story, scorer.vocab))
+        assert len(doc["segments"]) == len(conditions)
 
     def test_aug_equals_raw_without_overlap_and_drops_with_it(self):
         table = make_table(["a", "b", "<eos>"], [0.9, 0.05, 0.05])

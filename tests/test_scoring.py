@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, strategies as st
 
+from storybeam import scoring
 from storybeam.corpus import BOS_ID, EOS_ID, PAD_ID, UNK_ID, Corpus, build_vocabulary
 from storybeam.scoring import (
     NGramModel,
@@ -17,6 +19,27 @@ from storybeam.scoring import (
 )
 
 from conftest import make_table, random_table_scorer
+
+needs_libyaml = pytest.mark.skipif(
+    not yaml.__with_libyaml__, reason="PyYAML is built without libyaml")
+
+YAML_PAIRS = {
+    "pure": ("SafeLoader", "SafeDumper"),
+    "libyaml": ("CSafeLoader", "CSafeDumper"),
+}
+
+
+def use_yaml_pair(monkeypatch, name: str) -> None:
+    """Make model loading and saving use one PyYAML loader/dumper pair."""
+    loader, dumper = YAML_PAIRS[name]
+    monkeypatch.setattr(scoring, "YAML_LOADER", getattr(yaml, loader))
+    monkeypatch.setattr(scoring, "YAML_DUMPER", getattr(yaml, dumper))
+
+
+@pytest.fixture(params=["pure", pytest.param("libyaml", marks=needs_libyaml)])
+def yaml_pair(request, monkeypatch) -> str:
+    use_yaml_pair(monkeypatch, request.param)
+    return request.param
 
 
 class TestTableScorer:
@@ -102,9 +125,12 @@ class TestTableLoading:
         with pytest.raises(ValueError, match="probabilities"):
             make_table(["a", "b", "<eos>"], [0.5, 0.5])
 
-    def test_malformed_yaml_rejected(self):
+    # a lone surrogate fails libyaml's UTF-8 encoding, not a YAML check
+    @pytest.mark.parametrize("text", ["vocab: [a\n  broken", "a: \ud800\n"],
+                             ids=["unclosed", "surrogate"])
+    def test_malformed_yaml_rejected(self, yaml_pair, text):
         with pytest.raises(ValueError, match="malformed"):
-            load_table_scorer("vocab: [a\n  broken")
+            load_table_scorer(text)
 
     def test_near_one_row_sum_is_renormalized(self):
         # within the 1e-6 acceptance window; scores must still be exact
@@ -201,7 +227,7 @@ class TestNGram:
 
 
 class TestNGramSerialization:
-    def test_round_trip_scores_and_bytes(self):
+    def test_round_trip_scores_and_bytes(self, yaml_pair):
         corpus = tiny_corpus("the cat sat", "the cat ran", "a cat")
         vocab = build_vocabulary(corpus, min_count=1)
         model = train_ngram(corpus, vocab, order=2, alpha=0.5)
@@ -213,7 +239,7 @@ class TestNGramSerialization:
             assert (loaded.score_step("x", prefix).tobytes()
                     == model.score_step("x", prefix).tobytes())
 
-    def test_loader_dispatches_on_document_kind(self):
+    def test_loader_dispatches_on_document_kind(self, yaml_pair):
         corpus = tiny_corpus("a b")
         vocab = build_vocabulary(corpus, min_count=1)
         ngram_text = dump_ngram(train_ngram(corpus, vocab, 1, 1.0))
@@ -222,6 +248,58 @@ class TestNGramSerialization:
         assert load_scorer(table_text).vocab.non_special_tokens == ("a",)
         with pytest.raises(ValueError, match="neither"):
             load_scorer("foo: bar\n")
+
+    @needs_libyaml
+    def test_bmp_model_identical_under_both_yaml_pairs(self, monkeypatch):
+        corpus = tiny_corpus("the café sat", "日本 the cat", "café 日本 ran")
+        vocab = build_vocabulary(corpus, min_count=1)
+        model = train_ngram(corpus, vocab, order=2, alpha=0.5)
+        texts = {}
+        for name in YAML_PAIRS:
+            use_yaml_pair(monkeypatch, name)
+            texts[name] = dump_ngram(model)
+        assert texts["pure"] == texts["libyaml"]
+        assert "日本" in texts["pure"]
+        cafe = vocab.token_to_id("café")
+        for name in YAML_PAIRS:
+            use_yaml_pair(monkeypatch, name)
+            loaded = load_ngram(texts["pure"])
+            assert loaded.vocab == vocab
+            for prefix in ([], [cafe]):
+                assert (loaded.score_step("x", prefix).tobytes()
+                        == model.score_step("x", prefix).tobytes())
+
+    # the pure emitter writes U+0085 raw, and reading folds it into a space
+    @needs_libyaml
+    def test_next_line_token_round_trips(self):
+        corpus = Corpus(sentences=(("a\x85b", "c"), ("c",)))
+        vocab = build_vocabulary(corpus, min_count=1)
+        model = train_ngram(corpus, vocab, order=2, alpha=1.0)
+        text = dump_ngram(model)
+        loaded = load_ngram(text)
+        assert loaded.vocab == vocab
+        assert loaded.counts == model.counts
+        assert dump_ngram(loaded) == text
+
+    @needs_libyaml
+    def test_astral_token_written_escaped_and_loads_under_both_loaders(
+            self, monkeypatch):
+        corpus = tiny_corpus("\U0001F600 cat", "cat \U0001F600 \U0001F600")
+        vocab = build_vocabulary(corpus, min_count=1)
+        model = train_ngram(corpus, vocab, order=2, alpha=0.5)
+        text = dump_ngram(model)
+        assert '"\\U0001F600"' in text
+        assert "\U0001F600" not in text
+        smile = vocab.token_to_id("\U0001F600")
+        for name in YAML_PAIRS:
+            use_yaml_pair(monkeypatch, name)
+            loaded = load_ngram(text)
+            assert loaded.vocab == vocab
+            for prefix in ([], [smile]):
+                assert (loaded.score_step("x", prefix).tobytes()
+                        == model.score_step("x", prefix).tobytes())
+        monkeypatch.undo()
+        assert dump_ngram(load_ngram(text)) == text
 
     def test_corrupt_model_documents_rejected(self):
         with pytest.raises(ValueError, match="missing field"):
