@@ -156,18 +156,23 @@ def _cmd_decode(args: argparse.Namespace) -> int:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
 
+        def story_path(index: int) -> Path:
+            return out_dir / f"story_{index:04d}.json"
+
         def run(index: int, conditions: list[str]) -> None:
-            _atomic_write(out_dir / f"story_{index:04d}.json", decode_one(conditions))
+            _atomic_write(story_path(index), decode_one(conditions))
 
         with ThreadPoolExecutor(max_workers=args.jobs) as pool:
             futures = [pool.submit(run, index, conditions)
                        for index, (_, conditions) in enumerate(stories)]
-        # every story is attempted; failures are reported in line order
+        # every story is attempted; failures are reported in line order, and a
+        # failed story leaves no file behind, not even one from an earlier run
         failed = 0
-        for (line_no, _), future in zip(stories, futures):
+        for index, ((line_no, _), future) in enumerate(zip(stories, futures)):
             try:
                 future.result()
             except (ValueError, OSError) as exc:
+                story_path(index).unlink(missing_ok=True)
                 print(f"batch line {line_no}: {exc}", file=sys.stderr)
                 failed += 1
         if failed:

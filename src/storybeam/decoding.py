@@ -21,7 +21,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -97,23 +97,15 @@ class Beam:
 
 @dataclass(frozen=True)
 class StepTrace:
-    """What one expansion step considered and kept.
-
-    Carried-over finished hypotheses appear with token -1 and zero
-    logprob/penalty entries.
-    """
+    """What one expansion step considered: expansions plus carried-over finishers."""
 
     candidate_count: int
-    selected_tokens: tuple[int, ...]
-    selected_logprobs: tuple[float, ...]
-    selected_penalties: tuple[float, ...]
 
 
 @dataclass(frozen=True)
 class SegmentResult:
     condition: str
     best: Hypothesis
-    all_finished: tuple[Hypothesis, ...]
     trace: tuple[StepTrace, ...]
 
 
@@ -175,16 +167,7 @@ def _expand_traced(beam: Beam, scores_per_hypothesis: Sequence[np.ndarray],
             step_penalties=parent.step_penalties + (contribution,),
         ))
     n_generable = vocab_size - FIRST_GENERABLE_ID
-    trace = StepTrace(
-        candidate_count=len(unfinished) * n_generable + len(finished),
-        selected_tokens=tuple(int(t) for t in sel_token),
-        selected_logprobs=tuple(
-            h.step_logprobs[-1] if t != CARRYOVER_TOKEN else 0.0
-            for h, t in zip(kept, sel_token)),
-        selected_penalties=tuple(
-            h.step_penalties[-1] if t != CARRYOVER_TOKEN else 0.0
-            for h, t in zip(kept, sel_token)),
-    )
+    trace = StepTrace(candidate_count=len(unfinished) * n_generable + len(finished))
     return Beam(tuple(kept)), trace
 
 
@@ -204,11 +187,13 @@ def expand_and_select(beam: Beam, scores_per_hypothesis: Sequence[np.ndarray],
     return new_beam
 
 
-def _merge_finished(pool: list[Hypothesis], new: list[Hypothesis],
-                    beam_width: int) -> list[Hypothesis]:
-    # stable sort keeps earlier-finished hypotheses ahead on score ties
-    merged = sorted(pool + new, key=lambda h: h.aug_score, reverse=True)
-    return merged[:beam_width]
+def _better_finisher(best: Hypothesis | None, finishers: Iterable[Hypothesis]
+                     ) -> Hypothesis | None:
+    # strict ">" keeps the earlier finisher on ties
+    for h in finishers:
+        if best is None or h.aug_score > best.aug_score:
+            best = h
+    return best
 
 
 def beam_search(scorer: Scorer, condition: Condition, vocab: Vocabulary,
@@ -217,14 +202,15 @@ def beam_search(scorer: Scorer, condition: Condition, vocab: Vocabulary,
     """Decode one segment under a frozen penalty vector.
 
     Starts from a single empty hypothesis (scorers see the BOS context
-    implicitly), runs up to ``max_len`` selection steps, and collects
-    hypotheses into a finished pool when they emit EOS. The search stops
-    early once every kept hypothesis is finished, or once the pool holds
-    ``beam_width`` finished hypotheses none of which any unfinished
-    continuation could still beat (scores only ever decrease). Unfinished
-    hypotheses surviving all ``max_len`` steps are force-finished at
-    their current score. Returns the best finished hypothesis by
-    augmented score along with the whole pool and a per-step trace.
+    implicitly) and runs up to ``max_len`` selection steps, keeping the
+    best finished hypothesis by augmented score; on ties the one that
+    finished first, then the one ranked first in the beam, wins. The
+    search stops early once every kept hypothesis is finished, or once no
+    unfinished hypothesis scores above the best finished one: scores
+    never increase, so no continuation could still beat it. Unfinished
+    hypotheses left after ``max_len`` steps are force-finished at their
+    current score and compete under the same rule. Returns the best
+    hypothesis and a per-step trace with one entry per step run.
     """
     if penalty is None:
         penalty = zero_penalty(len(vocab))
@@ -244,29 +230,21 @@ def beam_search(scorer: Scorer, condition: Condition, vocab: Vocabulary,
             f"total over {config.max_len} steps")
 
     beam = Beam((Hypothesis(),))
-    pool: list[Hypothesis] = []
+    best: Hypothesis | None = None
     trace: list[StepTrace] = []
-    for step in range(config.max_len):
+    for _ in range(config.max_len):
         unfinished = [h for h in beam if not h.finished]
-        if not unfinished:
-            break
-        best_possible = max(h.aug_score for h in unfinished)
-        if len(pool) == beam_width and best_possible <= pool[-1].aug_score:
+        # the beam is sorted best-first, so unfinished[0] is the best live score
+        if not unfinished or (best is not None
+                              and unfinished[0].aug_score <= best.aug_score):
             break
         scores = [scorer.score_step(condition, h.tokens) for h in unfinished]
         beam, step_trace = _expand_traced(beam, scores, penalty, strength, beam_width)
         trace.append(step_trace)
-        newly = [h for h in beam if h.finished and len(h.tokens) == step + 1]
-        if newly:
-            pool = _merge_finished(pool, newly, beam_width)
-    else:
-        leftover = [h for h in beam if not h.finished]
-        if leftover:
-            forced = [replace(h, finished=True) for h in leftover]
-            pool = _merge_finished(pool, forced, beam_width)
-
-    return SegmentResult(condition=condition, best=pool[0],
-                         all_finished=tuple(pool), trace=tuple(trace))
+        best = _better_finisher(best, (h for h in beam if h.finished))
+    best = _better_finisher(
+        best, (replace(h, finished=True) for h in beam if not h.finished))
+    return SegmentResult(condition=condition, best=best, trace=tuple(trace))
 
 
 def inter_sentence_dbs(scorer: Scorer, conditions: Sequence[Condition],
@@ -291,7 +269,6 @@ def inter_sentence_dbs(scorer: Scorer, conditions: Sequence[Condition],
             penalty = zero_penalty(len(vocab))
         else:
             penalty = penalty_fn([seg.best.tokens for seg in segments], vocab)
-            validate_penalty(penalty, len(vocab))
         segments.append(beam_search(scorer, condition, vocab, config, penalty))
     story_tokens: tuple[int, ...] = ()
     for seg in segments:

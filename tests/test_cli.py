@@ -234,6 +234,21 @@ class TestDecode:
                      "--out", str(single)] + args) == 0
         assert (out_dir / "story_0001.json").read_bytes() == single.read_bytes()
 
+    def test_failed_story_removes_earlier_runs_file(self, table_path, tmp_path, capsys):
+        batch = tmp_path / "batch.txt"
+        out_dir = tmp_path / "stories"
+        args = ["decode", "--model", str(table_path), "--batch", str(batch),
+                "--out", str(out_dir), "--beam-width", "2", "--max-len", "3",
+                "--lambda", "1e308"]
+        batch.write_text("c1\nc2\n", encoding="utf-8")
+        assert main(args) == 0
+        first = (out_dir / "story_0000.json").read_bytes()
+        batch.write_text("c1\nc2 c3\n", encoding="utf-8")
+        assert main(args) == 2
+        assert "batch line 2" in capsys.readouterr().err
+        assert sorted(p.name for p in out_dir.iterdir()) == ["story_0000.json"]
+        assert (out_dir / "story_0000.json").read_bytes() == first
+
     def test_batch_requires_out_directory(self, table_path, tmp_path):
         batch = tmp_path / "batch.txt"
         batch.write_text("c1 c2\n", encoding="utf-8")

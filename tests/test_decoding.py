@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from storybeam.corpus import EOS_ID
+from storybeam.corpus import EOS_ID, NUM_SPECIALS
 from storybeam.decoding import (
     Beam,
     DecodeConfig,
@@ -23,7 +23,7 @@ from storybeam.diversity import hamming_diversity, zero_penalty
 from storybeam.oracle import exhaustive_best
 from storybeam.scoring import ValidatingScorer
 
-from conftest import make_table, random_table_scorer
+from conftest import assert_beams_identical, make_table, random_table_scorer
 
 LN = math.log
 
@@ -160,22 +160,52 @@ class TestBeamSearch:
         penalty = hamming_diversity([[4, 4, 5]], vocab)
         config = DecodeConfig(beam_width=3, diversity_strength=2.0,
                               max_len=4, num_segments=1)
-        result = beam_search(scorer, "c", vocab, config, penalty)
-        for hyp in result.all_finished:
-            assert hyp.raw_score == pytest.approx(sum(hyp.step_logprobs), abs=1e-9)
-            assert hyp.aug_score == pytest.approx(
-                hyp.raw_score + sum(hyp.step_penalties), abs=1e-9)
+        best = beam_search(scorer, "c", vocab, config, penalty).best
+        assert len(best.step_logprobs) == len(best.step_penalties) == len(best.tokens)
+        assert best.raw_score == pytest.approx(sum(best.step_logprobs), abs=1e-9)
+        assert best.aug_score == pytest.approx(
+            best.raw_score + sum(best.step_penalties), abs=1e-9)
 
-    def test_finished_pool_sorted_and_best_is_first(self):
-        rng = np.random.default_rng(11)
-        scorer = random_table_scorer(rng, max_regular=3)
-        config = DecodeConfig(beam_width=4, diversity_strength=0.0,
-                              max_len=3, num_segments=1)
-        result = beam_search(scorer, "c", scorer.vocab, config)
-        scores = [h.aug_score for h in result.all_finished]
-        assert scores == sorted(scores, reverse=True)
-        assert result.best is result.all_finished[0]
-        assert all(h.finished for h in result.all_finished)
+
+def reference_best(scorer, condition, config, penalty) -> Hypothesis:
+    """Every ``max_len`` step with no early stop; the first finisher of top score wins."""
+    beam = Beam((Hypothesis(),))
+    finishers: list[Hypothesis] = []
+    for step in range(config.max_len):
+        unfinished = [h for h in beam if not h.finished]
+        scores = [scorer.score_step(condition, h.tokens) for h in unfinished]
+        beam = expand_and_select(beam, scores, penalty, config.diversity_strength,
+                                 config.beam_width)
+        finishers += [h for h in beam if h.finished and len(h.tokens) == step + 1]
+    finishers += [replace(h, finished=True) for h in beam if not h.finished]
+    return max(finishers, key=lambda h: h.aug_score)  # max keeps the first on ties
+
+
+class TestRunningBest:
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), beam_width=st.integers(1, 4),
+           max_len=st.integers(1, 6), strength=st.floats(0.0, 3.0))
+    def test_matches_full_length_reference(self, seed, beam_width, max_len, strength):
+        rng = np.random.default_rng(seed)
+        scorer = random_table_scorer(rng, conditions=("c",))
+        vocab = scorer.vocab
+        penalty = zero_penalty(len(vocab))
+        penalty[NUM_SPECIALS:] = -rng.integers(0, 3, size=len(vocab) - NUM_SPECIALS)
+        config = DecodeConfig(beam_width=beam_width, diversity_strength=strength,
+                              max_len=max_len, num_segments=1)
+        result = beam_search(scorer, "c", vocab, config, penalty)
+        want = reference_best(scorer, "c", config, penalty)
+        assert_beams_identical(Beam((result.best,)), Beam((want,)))
+        assert len(result.trace) <= max_len
+
+    def test_runaway_max_len_stops_once_best_is_unbeatable(self, skewed_table):
+        # <eos> finishes at step 1 and nothing live can beat it after step 3
+        config = DecodeConfig(beam_width=3, max_len=2000, num_segments=2)
+        story = inter_sentence_dbs(skewed_table, ["c1", "c2"], skewed_table.vocab,
+                                   config)
+        for seg in story.segments:
+            assert len(seg.trace) == 3
+            assert skewed_table.vocab.decode(seg.best.tokens) == ["<eos>"]
 
 
 class TestEarlyTermination:
@@ -184,9 +214,9 @@ class TestEarlyTermination:
         """Worked three-way fixture driving the stop-bound code path.
 
         Step 1 keeps {a, b, <eos>}; step 2 bumps the finished <eos> out
-        of the beam (the pool must retain it); step 3 finishes two
-        hypotheses, filling the pool while one live hypothesis survives
-        below the pool's worst score, which triggers the early stop.
+        of the beam (the running best must retain it); step 3 finishes
+        two tied hypotheses while one live hypothesis survives below
+        them, which triggers the early stop.
         """
         rows = [
             {"context": ["a", "a"], "probs": [0.05, 0.05, 0.9]},
@@ -197,22 +227,16 @@ class TestEarlyTermination:
         ]
         return make_table(["a", "b", "<eos>"], [0.5, 0.3, 0.2], rows)
 
-    def test_stops_once_pool_unbeatable(self, branching_table):
+    def test_stops_once_best_unbeatable(self, branching_table):
         vocab = branching_table.vocab
         config = DecodeConfig(beam_width=3, diversity_strength=0.0,
                               max_len=10, num_segments=1)
         result = beam_search(branching_table, "c", vocab, config)
         assert len(result.trace) == 3  # stopped long before max_len
+        # a a <eos> ties a b <eos> and ranks first in the beam
         assert vocab.decode(result.best.tokens) == ["a", "a", "<eos>"]
-        want = [
-            LN(0.5) + LN(0.45) + LN(0.9),   # a a <eos>
-            LN(0.5) + LN(0.45) + LN(0.9),   # a b <eos> (tie, finished later)
-            LN(0.2),                        # bare <eos>, bumped from the beam
-        ]
-        got = [h.aug_score for h in result.all_finished]
-        assert got == pytest.approx(want, abs=1e-12)
-        assert vocab.decode(result.all_finished[1].tokens) == ["a", "b", "<eos>"]
-        assert vocab.decode(result.all_finished[2].tokens) == ["<eos>"]
+        assert result.best.aug_score == pytest.approx(
+            LN(0.5) + LN(0.45) + LN(0.9), abs=1e-12)
 
     def test_stops_when_all_hypotheses_finish(self):
         table = make_table(["a", "<eos>"], [0.05, 0.95])
