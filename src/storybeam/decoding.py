@@ -13,6 +13,10 @@ Determinism is part of the contract: candidate selection follows a
 strict total order (augmented score descending, token id ascending,
 incoming beam position ascending), so identical inputs always produce
 identical results, byte for byte once serialized.
+
+A beam holds only live hypotheses that can still win. After each step
+the finishers update the segment's single running best, and the next
+beam keeps the unfinished hypotheses scoring strictly above it.
 """
 
 from __future__ import annotations
@@ -29,9 +33,6 @@ from .corpus import BOS_TOKEN, EOS_ID, EOS_TOKEN, FIRST_GENERABLE_ID, PAD_TOKEN,
 from .diversity import PenaltyFn, hamming_diversity, validate_penalty, zero_penalty
 from .kernels import select_top_candidates
 from .scoring import Condition, Scorer
-
-CARRYOVER_TOKEN = -1  # tie-break sentinel for finished hypotheses kept in the beam
-
 
 @dataclass(frozen=True)
 class DecodeConfig:
@@ -97,7 +98,7 @@ class Beam:
 
 @dataclass(frozen=True)
 class StepTrace:
-    """What one expansion step considered: expansions plus carried-over finishers."""
+    """What one expansion step considered: every (hypothesis, generable token) pair."""
 
     candidate_count: int
 
@@ -115,48 +116,44 @@ class StoryResult:
     story_tokens: tuple[int, ...]
 
 
-def _expand_traced(beam: Beam, scores_per_hypothesis: Sequence[np.ndarray],
-                   penalty: np.ndarray, strength: float, beam_width: int
-                   ) -> tuple[Beam, StepTrace]:
+def expand_and_select(beam: Beam, scores_per_hypothesis: Sequence[np.ndarray],
+                      penalty: np.ndarray, strength: float, beam_width: int) -> Beam:
+    """One selection step: expand every hypothesis of the beam and keep the top B.
+
+    ``scores_per_hypothesis`` must align with the beam's hypotheses in
+    order, and every hypothesis must be unfinished: a finished one has
+    nothing left to expand. Each candidate scores ``hypothesis aug +
+    logprob + strength * penalty[token]``; PAD and BOS are never
+    candidates.
+    """
     if beam_width < 1:
         raise ValueError(f"beam_width must be >= 1, got {beam_width}")
     if not (math.isfinite(strength) and strength >= 0):
         raise ValueError(f"diversity strength must be finite and >= 0, got {strength}")
+    validate_penalty(penalty, len(penalty))
     vocab_size = len(penalty)
-    unfinished = [(i, h) for i, h in enumerate(beam) if not h.finished]
-    finished = [(i, h) for i, h in enumerate(beam) if h.finished]
-    if len(scores_per_hypothesis) != len(unfinished):
+    if any(h.finished for h in beam):
+        raise ValueError("finished hypotheses cannot be expanded")
+    if len(scores_per_hypothesis) != len(beam):
         raise ValueError(
-            f"got {len(scores_per_hypothesis)} score vectors for "
-            f"{len(unfinished)} unfinished hypotheses")
+            f"got {len(scores_per_hypothesis)} score vectors for {len(beam)} hypotheses")
     for scores in scores_per_hypothesis:
         if scores.shape != (vocab_size,):
             raise ValueError(
                 f"step scores have shape {scores.shape}, expected ({vocab_size},)")
 
-    if unfinished:
-        matrix = np.stack([np.asarray(s, dtype=np.float64)
-                           for s in scores_per_hypothesis])
-    else:
-        matrix = np.zeros((0, vocab_size), dtype=np.float64)
-    base_aug = np.array([h.aug_score for _, h in unfinished], dtype=np.float64)
-    unfinished_idx = np.array([i for i, _ in unfinished], dtype=np.int64)
-    carry_scores = np.array([h.aug_score for _, h in finished], dtype=np.float64)
-    carry_idx = np.array([i for i, _ in finished], dtype=np.int64)
-
+    matrix = np.array(scores_per_hypothesis, dtype=np.float64).reshape(
+        len(beam), vocab_size)
+    base_aug = np.array([h.aug_score for h in beam], dtype=np.float64)
     sel_beam, sel_token, sel_aug = select_top_candidates(
-        base_aug, matrix, penalty, float(strength),
-        unfinished_idx, carry_scores, carry_idx, int(beam_width))
+        base_aug, matrix, penalty, float(strength), np.arange(len(beam), dtype=np.int64),
+        np.empty(0), np.empty(0, dtype=np.int64), int(beam_width))
 
-    row_of = {int(i): row for row, (i, _) in enumerate(unfinished)}
     kept = []
     for beam_pos, token, aug in zip(sel_beam, sel_token, sel_aug):
         beam_pos, token = int(beam_pos), int(token)
         parent = beam[beam_pos]
-        if token == CARRYOVER_TOKEN:
-            kept.append(parent)
-            continue
-        logprob = float(matrix[row_of[beam_pos], token])
+        logprob = float(matrix[beam_pos, token])
         contribution = float(strength) * float(penalty[token])
         kept.append(Hypothesis(
             tokens=parent.tokens + (token,),
@@ -166,25 +163,7 @@ def _expand_traced(beam: Beam, scores_per_hypothesis: Sequence[np.ndarray],
             step_logprobs=parent.step_logprobs + (logprob,),
             step_penalties=parent.step_penalties + (contribution,),
         ))
-    n_generable = vocab_size - FIRST_GENERABLE_ID
-    trace = StepTrace(candidate_count=len(unfinished) * n_generable + len(finished))
-    return Beam(tuple(kept)), trace
-
-
-def expand_and_select(beam: Beam, scores_per_hypothesis: Sequence[np.ndarray],
-                      penalty: np.ndarray, strength: float, beam_width: int) -> Beam:
-    """One selection step: expand unfinished hypotheses and keep the top B.
-
-    ``scores_per_hypothesis`` must align with the beam's unfinished
-    hypotheses in order. Finished hypotheses are not expanded but compete
-    for slots at their existing augmented score. Each expansion candidate
-    scores ``hypothesis aug + logprob + strength * penalty[token]``; PAD
-    and BOS are never candidates.
-    """
-    validate_penalty(penalty, len(penalty))
-    new_beam, _ = _expand_traced(beam, scores_per_hypothesis, penalty,
-                                 strength, beam_width)
-    return new_beam
+    return Beam(tuple(kept))
 
 
 def _better_finisher(best: Hypothesis | None, finishers: Iterable[Hypothesis]
@@ -204,13 +183,14 @@ def beam_search(scorer: Scorer, condition: Condition, vocab: Vocabulary,
     Starts from a single empty hypothesis (scorers see the BOS context
     implicitly) and runs up to ``max_len`` selection steps, keeping the
     best finished hypothesis by augmented score; on ties the one that
-    finished first, then the one ranked first in the beam, wins. The
-    search stops early once every kept hypothesis is finished, or once no
-    unfinished hypothesis scores above the best finished one: scores
-    never increase, so no continuation could still beat it. Unfinished
-    hypotheses left after ``max_len`` steps are force-finished at their
-    current score and compete under the same rule. Returns the best
-    hypothesis and a per-step trace with one entry per step run.
+    finished first, then the one ranked first in the beam, wins. After
+    each step the next beam keeps only the unfinished hypotheses scoring
+    strictly above that best (all of them while nothing has finished):
+    scores never increase, so no other continuation could still beat it.
+    The search stops once the beam is empty or ``max_len`` steps have
+    run. Hypotheses left after ``max_len`` steps are force-finished at
+    their current score and compete under the same rule. Returns the
+    best hypothesis and a per-step trace with one entry per step run.
     """
     if penalty is None:
         penalty = zero_penalty(len(vocab))
@@ -232,18 +212,16 @@ def beam_search(scorer: Scorer, condition: Condition, vocab: Vocabulary,
     beam = Beam((Hypothesis(),))
     best: Hypothesis | None = None
     trace: list[StepTrace] = []
-    for _ in range(config.max_len):
-        unfinished = [h for h in beam if not h.finished]
-        # the beam is sorted best-first, so unfinished[0] is the best live score
-        if not unfinished or (best is not None
-                              and unfinished[0].aug_score <= best.aug_score):
-            break
-        scores = [scorer.score_step(condition, h.tokens) for h in unfinished]
-        beam, step_trace = _expand_traced(beam, scores, penalty, strength, beam_width)
-        trace.append(step_trace)
+    n_generable = len(vocab) - FIRST_GENERABLE_ID
+    while beam and len(trace) < config.max_len:
+        trace.append(StepTrace(candidate_count=len(beam) * n_generable))
+        scores = [scorer.score_step(condition, h.tokens) for h in beam]
+        beam = expand_and_select(beam, scores, penalty, strength, beam_width)
         best = _better_finisher(best, (h for h in beam if h.finished))
-    best = _better_finisher(
-        best, (replace(h, finished=True) for h in beam if not h.finished))
+        # scores never increase, so only a live hypothesis above best can still win
+        beam = Beam(tuple(h for h in beam if not h.finished
+                          and (best is None or h.aug_score > best.aug_score)))
+    best = _better_finisher(best, (replace(h, finished=True) for h in beam))
     return SegmentResult(condition=condition, best=best, trace=tuple(trace))
 
 

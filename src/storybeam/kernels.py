@@ -1,8 +1,8 @@
 """Candidate scoring and top-B selection: the decoder's inner loop.
 
 At every step the beam expands into ``unfinished x generable-token``
-candidates (plus finished carryovers), each scored as ``hypothesis
-score + token log-probability + strength * penalty``. The best
+candidates (plus any finished carryovers passed in), each scored as
+``hypothesis score + token log-probability + strength * penalty``. The best
 ``beam_width`` survive under a strict total order: score descending,
 then token id ascending, then incoming beam position ascending, with
 carryovers using token -1 so they win score ties. The whole candidate
@@ -17,6 +17,9 @@ import numpy as np
 from .corpus import FIRST_GENERABLE_ID
 
 
+# The decoder's beams hold only live hypotheses, so it always passes empty
+# carry_scores/carry_idx. The parameters stay because the benchmark's
+# tracing wrapper (perfbench/tracing.py) forwards all eight arguments.
 def select_top_candidates(base_aug: np.ndarray, logprobs: np.ndarray,
                           penalty: np.ndarray, strength: float,
                           unfinished_idx: np.ndarray, carry_scores: np.ndarray,

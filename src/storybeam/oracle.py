@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import EOS_ID, FIRST_GENERABLE_ID, Vocabulary
-from .decoding import Beam, CARRYOVER_TOKEN, Hypothesis
+from .decoding import Beam, Hypothesis
 from .diversity import validate_penalty
 from .scoring import Condition, Scorer
 
@@ -34,25 +34,25 @@ def exhaustive_step_select(beam: Beam, scores_per_hypothesis: Sequence[np.ndarra
                            beam_width: int) -> Beam:
     """Reference for ``expand_and_select``: materialize and sort everything.
 
-    Builds every (hypothesis, token) candidate plus finished carryovers,
-    sorts the whole list under the selection order (score descending,
-    token ascending, beam position ascending, carryovers as token -1),
-    and keeps the top ``beam_width``. Must match the engine exactly,
-    including order.
+    Builds every (hypothesis, token) candidate, sorts the whole list
+    under the selection order (score descending, token ascending, beam
+    position ascending), and keeps the top ``beam_width``. Rejects a
+    finished hypothesis like the engine does. Must match the engine
+    exactly, including order.
     """
     if beam_width < 1:
         raise ValueError(f"beam_width must be >= 1, got {beam_width}")
     if not strength >= 0:
         raise ValueError(f"diversity strength must be >= 0, got {strength}")
     vocab_size = len(penalty)
-    unfinished = [(i, h) for i, h in enumerate(beam) if not h.finished]
-    if len(scores_per_hypothesis) != len(unfinished):
+    if any(h.finished for h in beam):
+        raise ValueError("finished hypotheses cannot be expanded")
+    if len(scores_per_hypothesis) != len(beam):
         raise ValueError(
-            f"got {len(scores_per_hypothesis)} score vectors for "
-            f"{len(unfinished)} unfinished hypotheses")
+            f"got {len(scores_per_hypothesis)} score vectors for {len(beam)} hypotheses")
 
     candidates: list[tuple[float, int, int, Hypothesis]] = []
-    for (pos, parent), scores in zip(unfinished, scores_per_hypothesis):
+    for pos, (parent, scores) in enumerate(zip(beam, scores_per_hypothesis)):
         for token in range(FIRST_GENERABLE_ID, vocab_size):
             logprob = float(scores[token])
             contribution = strength * float(penalty[token])
@@ -66,9 +66,6 @@ def exhaustive_step_select(beam: Beam, scores_per_hypothesis: Sequence[np.ndarra
                 step_penalties=parent.step_penalties + (contribution,),
             )
             candidates.append((aug, token, pos, extended))
-    for pos, parent in enumerate(beam):
-        if parent.finished:
-            candidates.append((parent.aug_score, CARRYOVER_TOKEN, pos, parent))
 
     candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
     return Beam(tuple(c[3] for c in candidates[:beam_width]))

@@ -116,6 +116,15 @@ class NGramModel:
     counts: dict[tuple[int, ...], dict[int, int]] = field(default_factory=dict)
     totals: dict[tuple[int, ...], int] = field(default_factory=dict)
 
+    def __post_init__(self):
+        # score_step divides by total + alpha * (V - 2); an infinite term
+        # turns every score into nan or -inf
+        generable = len(self.vocab) - FIRST_GENERABLE_ID
+        if not math.isfinite(self.alpha * generable):
+            raise ValueError(
+                f"alpha must keep alpha * {generable} generable tokens finite, "
+                f"got {self.alpha}")
+
     def context_for(self, prefix: Sequence[int]) -> tuple[int, ...]:
         if self.order == 1:
             return ()
@@ -177,8 +186,22 @@ def dump_ngram(model: NGramModel) -> str:
                      sort_keys=False, allow_unicode=True)
 
 
+def _is_token_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(t, str) for t in value)
+
+
+def _is_finite_number(value) -> bool:
+    """True for an int or float, not a bool, that is finite as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond float range
+        return False
+
+
 def _vocab_from_listing(tokens: list) -> Vocabulary:
-    if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+    if not _is_token_list(tokens):
         raise ValueError("vocab must be a list of token strings")
     if tuple(tokens[:NUM_SPECIALS]) != SPECIAL_TOKENS:
         raise ValueError(f"model vocab must start with the special tokens {SPECIAL_TOKENS}")
@@ -195,19 +218,26 @@ def ngram_from_dict(doc: dict) -> NGramModel:
         triples = doc["counts"]
     except KeyError as missing:
         raise ValueError(f"n-gram model document is missing field {missing}") from None
-    if not isinstance(order, int) or order < 1:
+    if isinstance(order, bool) or not isinstance(order, int) or order < 1:
         raise ValueError(f"order must be an integer >= 1, got {order!r}")
-    if not isinstance(alpha, (int, float)) or not alpha > 0:
-        raise ValueError(f"alpha must be > 0, got {alpha!r}")
+    if not (_is_finite_number(alpha) and alpha > 0):
+        raise ValueError(f"alpha must be a finite number > 0, got {alpha!r}")
     vocab = _vocab_from_listing(vocab_tokens)
+    if not isinstance(triples, list):
+        raise ValueError(
+            f"counts must be a list of [context, token, count], got {type(triples).__name__}")
     counts: dict[tuple[int, ...], dict[int, int]] = {}
     totals: dict[tuple[int, ...], int] = {}
     for entry in triples:
         if not (isinstance(entry, list) and len(entry) == 3):
             raise ValueError(f"count entry must be [context, token, count], got {entry!r}")
         context_tokens, token, count = entry
-        if not isinstance(count, int) or count < 0:
+        if isinstance(count, bool) or not isinstance(count, int) or count < 0:
             raise ValueError(f"count must be a non-negative integer, got {count!r}")
+        if not (_is_token_list(context_tokens) and isinstance(token, str)):
+            raise ValueError(
+                f"count entry needs a list of context tokens and a token string, "
+                f"got {entry!r}")
         if len(context_tokens) != order - 1:
             raise ValueError(
                 f"context {context_tokens!r} has length {len(context_tokens)}, "
@@ -273,8 +303,8 @@ class TableScorer:
 
 
 def _expand_row(probs: list, listed_ids: list[int], vocab_size: int, label: str) -> np.ndarray:
-    if not isinstance(probs, list) or not all(isinstance(p, (int, float)) for p in probs):
-        raise ValueError(f"{label}: probabilities must be a list of numbers")
+    if not isinstance(probs, list) or not all(_is_finite_number(p) for p in probs):
+        raise ValueError(f"{label}: probabilities must be a list of finite numbers")
     if len(probs) != len(listed_ids):
         raise ValueError(
             f"{label}: got {len(probs)} probabilities for {len(listed_ids)} vocab tokens"
@@ -311,15 +341,21 @@ def table_from_dict(doc: dict) -> TableScorer:
     listed_ids = [vocab.token_to_id(t) for t in listed]
     vocab_size = len(vocab)
     default_log_row = _expand_row(default_probs, listed_ids, vocab_size, "default_row")
+    rows = [] if doc.get("rows") is None else doc["rows"]
+    if not isinstance(rows, list):
+        raise ValueError(f"rows must be a list of row mappings, got {type(rows).__name__}")
     rules = []
-    for i, raw in enumerate(doc.get("rows") or []):
+    for i, raw in enumerate(rows):
         label = f"rows[{i}]"
         if not isinstance(raw, dict) or "probs" not in raw:
             raise ValueError(f"{label}: each row needs at least a probs field")
         condition = raw.get("condition")
         if condition is not None and (not isinstance(condition, str) or not condition):
             raise ValueError(f"{label}: condition must be a non-empty string or null")
-        context_tokens = raw.get("context") or []
+        context_tokens = [] if raw.get("context") is None else raw["context"]
+        if not _is_token_list(context_tokens):
+            raise ValueError(
+                f"{label}: context must be a list of token strings, got {context_tokens!r}")
         for tok in context_tokens:
             if tok not in vocab:
                 raise ValueError(f"{label}: unknown context token {tok!r}")

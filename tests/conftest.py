@@ -35,16 +35,25 @@ _WORDS = ("ant", "bee", "cat", "dog", "elk", "fox")
 
 
 def random_table_scorer(rng: np.random.Generator, max_regular: int = 4,
-                        conditions: tuple[str, ...] = (), max_rows: int = 3
-                        ) -> TableScorer:
-    """Random but valid table scorer; rows may dispatch on conditions."""
+                        conditions: tuple[str, ...] = (), max_rows: int = 3,
+                        lattice: bool = False) -> TableScorer:
+    """Random but valid table scorer; rows may dispatch on conditions.
+
+    With ``lattice`` every probability is drawn from {0, .25, .5, 1} before
+    normalizing, so scores tie often and zero entries give ``-inf`` rows.
+    """
     n_regular = int(rng.integers(1, max_regular + 1))
     listed = list(_WORDS[:n_regular]) + ["<eos>"]
     if rng.random() < 0.3:
         listed.append("<unk>")
 
     def random_probs() -> list[float]:
-        raw = rng.random(len(listed)) + 1e-3
+        if lattice:
+            raw = rng.choice([0.0, 0.25, 0.5, 1.0], size=len(listed))
+            if not raw.any():
+                raw[-1] = 1.0
+        else:
+            raw = rng.random(len(listed)) + 1e-3
         raw /= raw.sum()
         return [float(p) for p in raw]
 
@@ -63,7 +72,10 @@ def random_table_scorer(rng: np.random.Generator, max_regular: int = 4,
 
 
 def random_step_case(rng: np.random.Generator):
-    """A random one-step selection problem: beam, step scores, penalty."""
+    """A random one-step selection problem: beam, step scores, penalty.
+
+    Every hypothesis is unfinished: a selection step expands the whole beam.
+    """
     vocab_size = int(rng.integers(4, 9))
     n_hyps = int(rng.integers(1, 4))
     hypotheses = []
@@ -72,16 +84,14 @@ def random_step_case(rng: np.random.Generator):
         tokens = tuple(int(t) for t in rng.integers(2, vocab_size, size=length))
         logprobs = tuple(float(-x) for x in rng.random(length))
         penalties = tuple(float(-x) for x in rng.random(length))
-        finished = bool(tokens and rng.random() < 0.3)
         raw = sum(logprobs)
         hypotheses.append(Hypothesis(
             tokens=tokens, raw_score=raw, aug_score=raw + sum(penalties),
-            finished=finished, step_logprobs=logprobs, step_penalties=penalties))
+            step_logprobs=logprobs, step_penalties=penalties))
     hypotheses.sort(key=lambda h: h.aug_score, reverse=True)
     beam = Beam(tuple(hypotheses))
-    n_unfinished = sum(not h.finished for h in beam)
     scores = []
-    for _ in range(n_unfinished):
+    for _ in range(len(beam)):
         row = np.full(vocab_size, -np.inf)
         row[2:] = np.log(rng.dirichlet(np.ones(vocab_size - 2)))
         scores.append(row)

@@ -67,6 +67,16 @@ class TestTrainLm:
                      "--out", str(tmp_path / "m.yaml")])
         assert code == 2
 
+    @pytest.mark.parametrize("alpha", ["inf", "1e308"])
+    def test_non_finite_or_overflowing_alpha_rejected(self, corpus_path, tmp_path,
+                                                      capsys, alpha):
+        out = tmp_path / "m.yaml"
+        code = main(["train-lm", str(corpus_path), "--alpha", alpha,
+                     "--min-count", "1", "--out", str(out)])
+        assert code == 2
+        assert "alpha" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestDecode:
     def test_zero_lambda_repeats_five_segments(self, table_path, tmp_path):
@@ -144,6 +154,13 @@ class TestDecode:
                      "--conditions", "c1", "--penalty", "cosine",
                      "--out", str(tmp_path / "s.json")])
         assert code == 2
+
+    def test_malformed_model_document_rejected(self, tmp_path, capsys):
+        model = tmp_path / "table.yaml"
+        model.write_text(TABLE_YAML + "rows: 5\n", encoding="utf-8")
+        code = main(["decode", "--model", str(model), "--conditions", "c1"])
+        assert code == 2
+        assert "rows must be a list" in capsys.readouterr().err
 
     def test_missing_model_file(self, tmp_path):
         code = main(["decode", "--model", str(tmp_path / "ghost.yaml"),

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from storybeam.corpus import EOS_ID, NUM_SPECIALS
+from storybeam.corpus import EOS_ID, FIRST_GENERABLE_ID, NUM_SPECIALS
 from storybeam.decoding import (
     Beam,
     DecodeConfig,
@@ -20,7 +20,7 @@ from storybeam.decoding import (
     story_to_json,
 )
 from storybeam.diversity import hamming_diversity, zero_penalty
-from storybeam.oracle import exhaustive_best
+from storybeam.oracle import exhaustive_best, exhaustive_step_select
 from storybeam.scoring import ValidatingScorer
 
 from conftest import assert_beams_identical, make_table, random_table_scorer
@@ -106,7 +106,7 @@ class TestExpandAndSelect:
             with pytest.raises(ValueError, match="strength"):
                 expand_and_select(Beam((Hypothesis(),)), [scores], penalty, strength, 1)
 
-    def test_finished_hypotheses_compete_not_expand(self, skewed_table):
+    def test_finished_hypothesis_rejected(self, skewed_table):
         vocab = skewed_table.vocab
         finished = Hypothesis(tokens=(EOS_ID,), raw_score=-0.1, aug_score=-0.1,
                               finished=True, step_logprobs=(-0.1,),
@@ -115,9 +115,9 @@ class TestExpandAndSelect:
                           step_logprobs=(-0.5,), step_penalties=(0.0,))
         beam = Beam((finished, live))
         scores = skewed_table.score_step("img", live.tokens)
-        out = expand_and_select(beam, [scores], zero_penalty(len(vocab)), 0.0, 2)
-        assert out[0] is finished  # carried over unchanged, wins on score
-        assert len(out[1].tokens) == 2
+        for select in (expand_and_select, exhaustive_step_select):
+            with pytest.raises(ValueError, match="finished"):
+                select(beam, [scores, scores], zero_penalty(len(vocab)), 0.0, 2)
 
 
 class TestBeamSearch:
@@ -167,36 +167,78 @@ class TestBeamSearch:
             best.raw_score + sum(best.step_penalties), abs=1e-9)
 
 
-def reference_best(scorer, condition, config, penalty) -> Hypothesis:
-    """Every ``max_len`` step with no early stop; the first finisher of top score wins."""
+def carryover_step(beam, scores_per_unfinished, penalty, strength, beam_width) -> Beam:
+    """Brute-force selection where finished hypotheses compete for slots as token -1."""
+    candidates = []
+    rows = iter(scores_per_unfinished)
+    for pos, parent in enumerate(beam):
+        if parent.finished:
+            candidates.append((parent.aug_score, -1, pos, parent))
+            continue
+        row = next(rows)
+        for token in range(FIRST_GENERABLE_ID, len(penalty)):
+            logprob = float(row[token])
+            contribution = strength * float(penalty[token])
+            aug = (parent.aug_score + logprob) + contribution
+            candidates.append((aug, token, pos, Hypothesis(
+                tokens=parent.tokens + (token,),
+                raw_score=parent.raw_score + logprob,
+                aug_score=aug,
+                finished=token == EOS_ID,
+                step_logprobs=parent.step_logprobs + (logprob,),
+                step_penalties=parent.step_penalties + (contribution,))))
+    candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
+    return Beam(tuple(c[3] for c in candidates[:beam_width]))
+
+
+def reference_best(scorer, condition, config, penalty) -> tuple[Hypothesis, int]:
+    """Search whose beam carries finished hypotheses; returns (best, steps run).
+
+    It stops once nothing in the beam is unfinished or the best unfinished
+    hypothesis scores no higher than the best finisher. A finisher
+    replaces the best only on a strictly higher score.
+    """
+    def better(best, h):
+        return best is None or h.aug_score > best.aug_score
+
     beam = Beam((Hypothesis(),))
-    finishers: list[Hypothesis] = []
-    for step in range(config.max_len):
+    best = None
+    steps = 0
+    while steps < config.max_len:
         unfinished = [h for h in beam if not h.finished]
+        if not unfinished or not better(best, unfinished[0]):
+            break
         scores = [scorer.score_step(condition, h.tokens) for h in unfinished]
-        beam = expand_and_select(beam, scores, penalty, config.diversity_strength,
-                                 config.beam_width)
-        finishers += [h for h in beam if h.finished and len(h.tokens) == step + 1]
-    finishers += [replace(h, finished=True) for h in beam if not h.finished]
-    return max(finishers, key=lambda h: h.aug_score)  # max keeps the first on ties
+        beam = carryover_step(beam, scores, penalty, config.diversity_strength,
+                              config.beam_width)
+        steps += 1
+        for h in beam:
+            if h.finished and better(best, h):
+                best = h
+    for h in beam:
+        if not h.finished and better(best, h):
+            best = replace(h, finished=True)
+    return best, steps
 
 
 class TestRunningBest:
-    @settings(max_examples=150, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), beam_width=st.integers(1, 4),
-           max_len=st.integers(1, 6), strength=st.floats(0.0, 3.0))
-    def test_matches_full_length_reference(self, seed, beam_width, max_len, strength):
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), lattice=st.booleans(),
+           beam_width=st.integers(1, 4), max_len=st.integers(1, 6),
+           strength=st.floats(0.0, 3.0))
+    def test_matches_carryover_reference(self, seed, lattice, beam_width, max_len,
+                                         strength):
         rng = np.random.default_rng(seed)
-        scorer = random_table_scorer(rng, conditions=("c",))
+        scorer = random_table_scorer(rng, conditions=("c",), lattice=lattice)
         vocab = scorer.vocab
         penalty = zero_penalty(len(vocab))
         penalty[NUM_SPECIALS:] = -rng.integers(0, 3, size=len(vocab) - NUM_SPECIALS)
         config = DecodeConfig(beam_width=beam_width, diversity_strength=strength,
                               max_len=max_len, num_segments=1)
         result = beam_search(scorer, "c", vocab, config, penalty)
-        want = reference_best(scorer, "c", config, penalty)
+        want, steps = reference_best(scorer, "c", config, penalty)
         assert_beams_identical(Beam((result.best,)), Beam((want,)))
-        assert len(result.trace) <= max_len
+        assert len(result.trace) == steps
 
     def test_runaway_max_len_stops_once_best_is_unbeatable(self, skewed_table):
         # <eos> finishes at step 1 and nothing live can beat it after step 3

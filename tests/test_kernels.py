@@ -16,10 +16,9 @@ from conftest import assert_beams_identical
 VOCAB_SIZE = 7  # <eos>, <unk> and three regular tokens are generable
 
 
-def hypothesis(token: int, score: float, finished: bool = False) -> Hypothesis:
+def hypothesis(token: int, score: float) -> Hypothesis:
     return Hypothesis(tokens=(token,), raw_score=score, aug_score=score,
-                      finished=finished, step_logprobs=(score,),
-                      step_penalties=(0.0,))
+                      step_logprobs=(score,), step_penalties=(0.0,))
 
 
 def uniform_row(vocab_size: int = VOCAB_SIZE) -> np.ndarray:
@@ -97,37 +96,12 @@ def test_uniform_rows_tie_across_hypotheses(n_hyps, penalty_kind, strength):
             assert [(h.tokens[1], h.tokens[0] - 4) for h in got] == order[:width]
 
 
-@pytest.mark.parametrize("penalty_kind", ["zero", "equal"])
-def test_carryovers_tie_with_expansions(penalty_kind):
-    strength = 1.5
-    penalty = flat_penalty(penalty_kind)
-    row = uniform_row()
-    parent = -0.5
-    # a carryover at exactly the score of an expanded <eos> and of an
-    # expanded regular token, computed with the kernel's operation order
-    tied_eos = (parent + row[EOS_ID]) + strength * penalty[EOS_ID]
-    tied_regular = (parent + row[NUM_SPECIALS]) + strength * penalty[NUM_SPECIALS]
-    scores = sorted({tied_eos, tied_regular}, reverse=True)
-    finished = [hypothesis(EOS_ID, s, finished=True) for s in scores for _ in range(2)]
-    beam = Beam((hypothesis(4, parent), hypothesis(5, parent), *finished))
-    rows = [row, row]
-    total = 2 * (VOCAB_SIZE - EOS_ID) + len(finished)
-    for width in range(1, total + 1):
-        assert_matches_oracle(beam, rows, penalty, strength, width)
-    got = expand_and_select(beam, rows, penalty, strength, total)
-    tied = [len(h.tokens) for h in got if h.aug_score == scores[0]]
-    # carryovers (one token) rank ahead of the expansions (two) they tie with
-    assert tied == [1, 1] + [2] * (len(tied) - 2) and len(tied) > 2
-
-
 @pytest.mark.parametrize("width", [13, 14, 50])
 def test_beam_wider_than_candidate_set(width):
-    beam = Beam((hypothesis(4, -1.0), hypothesis(5, -1.0),
-                 hypothesis(EOS_ID, -2.0, finished=True),
-                 hypothesis(EOS_ID, -2.0, finished=True)))
+    beam = Beam((hypothesis(4, -1.0), hypothesis(5, -1.0)))
     rows = [uniform_row(), uniform_row()]
     got = assert_matches_oracle(beam, rows, flat_penalty("equal"), 1.0, width)
-    assert len(got) == 2 * (VOCAB_SIZE - EOS_ID) + 2
+    assert len(got) == 2 * (VOCAB_SIZE - EOS_ID)
 
 
 def test_negative_infinity_rows_tie_at_the_bottom():
@@ -135,15 +109,14 @@ def test_negative_infinity_rows_tie_at_the_bottom():
     partial[[3, 5]] = -np.inf
     only_eos = np.full(VOCAB_SIZE, -np.inf)
     only_eos[EOS_ID] = 0.0
-    beam = Beam((hypothesis(4, -1.0), hypothesis(5, -1.0), hypothesis(6, -1.0),
-                 hypothesis(EOS_ID, -np.inf, finished=True)))
+    beam = Beam((hypothesis(4, -1.0), hypothesis(5, -1.0), hypothesis(6, -1.0)))
     rows = [partial, only_eos, uniform_row()]
-    total = 3 * (VOCAB_SIZE - EOS_ID) + 1
+    total = 3 * (VOCAB_SIZE - EOS_ID)
     for strength in (0.0, 2.0):
         for width in range(1, total + 2):
             got = assert_matches_oracle(beam, rows, flat_penalty("equal"),
                                         strength, width)
-        assert sum(h.aug_score == -np.inf for h in got) == 7
+        assert sum(h.aug_score == -np.inf for h in got) == 6
 
 
 def test_quantized_random_steps_match_oracle():
@@ -152,19 +125,12 @@ def test_quantized_random_steps_match_oracle():
     levels = np.log([1.0, 0.5, 0.25])
     for _ in range(300):
         vocab_size = int(rng.integers(5, 9))
-        n_unfinished = int(rng.integers(0, 4))
-        n_finished = int(rng.integers(0, 3))
-        if n_unfinished + n_finished == 0:
-            n_unfinished = 1
-        hyps = [hypothesis(4, float(rng.choice(levels)))
-                for _ in range(n_unfinished)]
-        hyps += [hypothesis(EOS_ID, float(rng.choice(levels)) + float(rng.choice(levels)),
-                            finished=True)
-                 for _ in range(n_finished)]
+        n_hyps = int(rng.integers(1, 4))
+        hyps = [hypothesis(4, float(rng.choice(levels))) for _ in range(n_hyps)]
         hyps.sort(key=lambda h: h.aug_score, reverse=True)
         beam = Beam(tuple(hyps))
         rows = []
-        for _ in range(n_unfinished):
+        for _ in range(n_hyps):
             row = np.full(vocab_size, -np.inf)
             row[EOS_ID:] = rng.choice(np.append(levels, -np.inf),
                                       size=vocab_size - EOS_ID)

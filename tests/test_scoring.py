@@ -125,6 +125,23 @@ class TestTableLoading:
         with pytest.raises(ValueError, match="probabilities"):
             make_table(["a", "b", "<eos>"], [0.5, 0.5])
 
+    # nan passed the row-sum check, as abs(nan - 1) > tolerance is False
+    @pytest.mark.parametrize("default_row", [
+        "[true, false]", "[.nan, 1.0]", "[.inf, 1.0]", "[1" + "0" * 400 + ", 0]"],
+        ids=["bool", "nan", "inf", "int-beyond-float"])
+    def test_non_finite_or_bool_probability_rejected(self, default_row):
+        with pytest.raises(ValueError, match="finite numbers"):
+            load_table_scorer(f"vocab: [a, <eos>]\ndefault_row: {default_row}\n")
+
+    @pytest.mark.parametrize("rows, match", [
+        ("5", "rows must be a list"),
+        ("[{context: 5, probs: [0.5, 0.5]}]", "context must be a list"),
+        ("[{context: a, probs: [0.5, 0.5]}]", "context must be a list"),
+    ], ids=["rows-int", "context-int", "context-string"])
+    def test_malformed_rows_rejected(self, rows, match):
+        with pytest.raises(ValueError, match=match):
+            load_table_scorer(f"vocab: [a, <eos>]\ndefault_row: [0.5, 0.5]\nrows: {rows}\n")
+
     # a lone surrogate fails libyaml's UTF-8 encoding, not a YAML check
     @pytest.mark.parametrize("text", ["vocab: [a\n  broken", "a: \ud800\n"],
                              ids=["unclosed", "surrogate"])
@@ -200,8 +217,10 @@ class TestNGram:
         vocab = build_vocabulary(corpus, min_count=1)
         with pytest.raises(ValueError, match="order"):
             train_ngram(corpus, vocab, order=0, alpha=1.0)
-        with pytest.raises(ValueError, match="alpha"):
-            train_ngram(corpus, vocab, order=1, alpha=0.0)
+        # inf and an alpha whose alpha * (V - 2) overflows would score nan or -inf
+        for alpha in (0.0, math.inf, 1e308):
+            with pytest.raises(ValueError, match="alpha"):
+                train_ngram(corpus, vocab, order=1, alpha=alpha)
 
     @given(st.integers(min_value=1, max_value=3), st.data())
     def test_scores_depend_only_on_context_window(self, order, data):
@@ -310,6 +329,20 @@ class TestNGramSerialization:
             load_ngram("order: 1\nalpha: 1.0\n"
                        "vocab: ['<pad>','<bos>','<eos>','<unk>', a]\n"
                        "counts: [[[], zebra, 1]]\n")
+        vocab = "vocab: ['<pad>','<bos>','<eos>','<unk>', a, b]\n"
+        for fields, match in [
+            ("order: 2\nalpha: 1.0\ncounts: 5\n", "counts must be a list"),
+            ("order: 2\nalpha: 1.0\ncounts: [[5, a, 1]]\n", "context tokens"),
+            ("order: 2\nalpha: 1.0\ncounts: [[[a], [a], 1]]\n", "token string"),
+            ("order: 3\nalpha: 1.0\ncounts: [[ab, a, 1]]\n", "context tokens"),
+            ("order: 2\nalpha: 1.0\ncounts: [[[a], a, true]]\n", "count"),
+            ("order: true\nalpha: 1.0\ncounts: []\n", "order"),
+            ("order: 1\nalpha: true\ncounts: []\n", "alpha"),
+            ("order: 1\nalpha: .inf\ncounts: []\n", "alpha"),
+            ("order: 1\nalpha: 1.0e+308\ncounts: []\n", "alpha"),
+        ]:
+            with pytest.raises(ValueError, match=match):
+                load_ngram(fields + vocab)
 
 
 class TestValidatingScorer:
