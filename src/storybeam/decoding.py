@@ -124,7 +124,8 @@ def expand_and_select(beam: Beam, scores_per_hypothesis: Sequence[np.ndarray],
     order, and every hypothesis must be unfinished: a finished one has
     nothing left to expand. Each candidate scores ``hypothesis aug +
     logprob + strength * penalty[token]``; PAD and BOS are never
-    candidates.
+    candidates. A NaN step score has no place in the total order and
+    raises ``ValueError``.
     """
     if beam_width < 1:
         raise ValueError(f"beam_width must be >= 1, got {beam_width}")
@@ -144,6 +145,8 @@ def expand_and_select(beam: Beam, scores_per_hypothesis: Sequence[np.ndarray],
 
     matrix = np.array(scores_per_hypothesis, dtype=np.float64).reshape(
         len(beam), vocab_size)
+    if np.isnan(matrix).any():
+        raise ValueError("step scores contain NaN")
     base_aug = np.array([h.aug_score for h in beam], dtype=np.float64)
     sel_beam, sel_token, sel_aug = select_top_candidates(
         base_aug, matrix, penalty, float(strength), np.arange(len(beam), dtype=np.int64),

@@ -1,13 +1,12 @@
 """Candidate scoring and top-B selection: the decoder's inner loop.
 
-At every step the beam expands into ``unfinished x generable-token``
-candidates (plus any finished carryovers passed in), each scored as
-``hypothesis score + token log-probability + strength * penalty``. The best
-``beam_width`` survive under a strict total order: score descending,
-then token id ascending, then incoming beam position ascending, with
-carryovers using token -1 so they win score ties. The whole candidate
-set is built with numpy and ranked by one ``np.lexsort`` over those
-three keys, so identical inputs always select identical candidates.
+At every step the beam expands into ``hypothesis x generable-token``
+candidates, each scored as ``hypothesis score + token log-probability +
+strength * penalty[token]``. The best ``beam_width`` survive under a
+strict total order: score descending, then token id ascending, then beam
+position ascending. Laid out token-major (all rows of one token together,
+tokens ascending), the flat candidate order is that tie-break order, so
+one stable sort on score selects identical candidates for identical inputs.
 """
 
 from __future__ import annotations
@@ -17,38 +16,26 @@ import numpy as np
 from .corpus import FIRST_GENERABLE_ID
 
 
-# The decoder's beams hold only live hypotheses, so it always passes empty
-# carry_scores/carry_idx. The parameters stay because the benchmark's
-# tracing wrapper (perfbench/tracing.py) forwards all eight arguments.
 def select_top_candidates(base_aug: np.ndarray, logprobs: np.ndarray,
                           penalty: np.ndarray, strength: float,
                           unfinished_idx: np.ndarray, carry_scores: np.ndarray,
                           carry_idx: np.ndarray, beam_width: int
                           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Return (beam positions, token ids, scores) of the kept candidates.
+    """Return (beam positions, token ids, scores) of the kept candidates, best first.
 
-    Token id -1 marks a finished hypothesis carried over unchanged.
-    Results are ordered best-first under the strict total order described
-    in the module docstring.
+    ``unfinished_idx``, ``carry_scores`` and ``carry_idx`` are kept only for
+    the signature the benchmark's tracing wrapper (``perfbench/tracing.py``)
+    forwards; anything but ``arange(n_rows)`` and two empty arrays raises
+    ``ValueError``.
     """
-    n_rows, vocab_size = logprobs.shape
-    n_generable = vocab_size - FIRST_GENERABLE_ID
-    if n_rows:
-        expanded = (base_aug[:, None] + logprobs[:, FIRST_GENERABLE_ID:]) \
-            + (strength * penalty[FIRST_GENERABLE_ID:])[None, :]
-        exp_scores = expanded.ravel()
-        exp_tokens = np.tile(
-            np.arange(FIRST_GENERABLE_ID, vocab_size, dtype=np.int64), n_rows)
-        exp_beams = np.repeat(unfinished_idx, n_generable)
-    else:
-        exp_scores = np.empty(0, dtype=np.float64)
-        exp_tokens = np.empty(0, dtype=np.int64)
-        exp_beams = np.empty(0, dtype=np.int64)
-    scores = np.concatenate([exp_scores, carry_scores])
-    tokens = np.concatenate(
-        [exp_tokens, np.full(carry_scores.shape[0], -1, dtype=np.int64)])
-    beams = np.concatenate([exp_beams, carry_idx])
-    # lexsort: last key is primary
-    order = np.lexsort((beams, tokens, -scores))
-    top = order[:min(beam_width, scores.shape[0])]
-    return beams[top], tokens[top], scores[top]
+    n_rows = logprobs.shape[0]
+    if not np.array_equal(unfinished_idx, np.arange(n_rows)):
+        raise ValueError("unfinished_idx must be arange(n_rows): every row is expanded")
+    if len(carry_scores) or len(carry_idx):
+        raise ValueError("carryovers are not supported: beams hold only live hypotheses")
+    expanded = (base_aug[:, None] + logprobs[:, FIRST_GENERABLE_ID:]) \
+        + (strength * penalty[FIRST_GENERABLE_ID:])[None, :]
+    scores = expanded.T.ravel()
+    top = np.argsort(-scores, kind="stable")[:beam_width]
+    tokens, rows = np.divmod(top, n_rows)
+    return rows, tokens + FIRST_GENERABLE_ID, scores[top]

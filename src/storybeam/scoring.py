@@ -117,13 +117,19 @@ class NGramModel:
     totals: dict[tuple[int, ...], int] = field(default_factory=dict)
 
     def __post_init__(self):
-        # score_step divides by total + alpha * (V - 2); an infinite term
-        # turns every score into nan or -inf
+        # score_step divides by total + alpha * (V - 2), and no count exceeds
+        # its context's total; an infinite term turns every score into nan or -inf
         generable = len(self.vocab) - FIRST_GENERABLE_ID
         if not math.isfinite(self.alpha * generable):
             raise ValueError(
                 f"alpha must keep alpha * {generable} generable tokens finite, "
                 f"got {self.alpha}")
+        for context, total in self.totals.items():
+            if not (_is_finite_number(total)
+                    and math.isfinite(total + self.alpha * generable)):
+                raise ValueError(
+                    f"counts in context {self.vocab.decode(context)!r} overflow "
+                    "float range once smoothed")
 
     def context_for(self, prefix: Sequence[int]) -> tuple[int, ...]:
         if self.order == 1:

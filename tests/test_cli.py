@@ -162,6 +162,15 @@ class TestDecode:
         assert code == 2
         assert "rows must be a list" in capsys.readouterr().err
 
+    def test_overflowing_count_total_rejected(self, tmp_path, capsys):
+        model = tmp_path / "lm.yaml"
+        model.write_text(
+            "order: 1\nalpha: 1.0\nvocab: ['<pad>', '<bos>', '<eos>', '<unk>', a, b]\n"
+            f"counts: [[[], a, {10 ** 308}], [[], b, {10 ** 308}]]\n", encoding="utf-8")
+        code = main(["decode", "--model", str(model), "--conditions", "c1"])
+        assert code == 2
+        assert "float range" in capsys.readouterr().err
+
     def test_missing_model_file(self, tmp_path):
         code = main(["decode", "--model", str(tmp_path / "ghost.yaml"),
                      "--conditions", "c1", "--out", str(tmp_path / "s.json")])

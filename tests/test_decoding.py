@@ -106,6 +106,13 @@ class TestExpandAndSelect:
             with pytest.raises(ValueError, match="strength"):
                 expand_and_select(Beam((Hypothesis(),)), [scores], penalty, strength, 1)
 
+    def test_nan_step_scores_rejected(self, skewed_table):
+        scores = skewed_table.score_step("img", []).copy()
+        scores[-1] = np.nan
+        with pytest.raises(ValueError, match="NaN"):
+            expand_and_select(Beam((Hypothesis(),)), [scores],
+                              zero_penalty(len(skewed_table.vocab)), 0.0, 2)
+
     def test_finished_hypothesis_rejected(self, skewed_table):
         vocab = skewed_table.vocab
         finished = Hypothesis(tokens=(EOS_ID,), raw_score=-0.1, aug_score=-0.1,
@@ -138,6 +145,21 @@ class TestBeamSearch:
         result = beam_search(uniform_table, "img", uniform_table.vocab, config)
         assert uniform_table.vocab.decode(result.best.tokens) == ["<eos>"]
         assert result.best.raw_score == pytest.approx(LN(1 / 3))
+
+    def test_nan_row_from_scorer_rejected(self, skewed_table):
+        class NanAfterFirstStep:
+            vocab = skewed_table.vocab
+
+            def score_step(self, condition, prefix):
+                scores = skewed_table.score_step(condition, prefix).copy()
+                if prefix:
+                    scores[FIRST_GENERABLE_ID] = np.nan
+                return scores
+
+        config = DecodeConfig(beam_width=2, diversity_strength=0.0,
+                              max_len=3, num_segments=1)
+        with pytest.raises(ValueError, match="NaN"):
+            beam_search(NanAfterFirstStep(), "img", skewed_table.vocab, config)
 
     def test_saturated_beam_matches_exhaustive_optimum(self):
         rng = np.random.default_rng(99)

@@ -41,32 +41,38 @@ def assert_matches_oracle(beam, rows, penalty, strength, width) -> Beam:
     return got
 
 
-def test_numpy_path_orders_by_score_then_token_then_beam():
-    base = np.array([0.0])
-    logprobs = np.full((1, 6), -np.inf)
-    logprobs[0, 2:] = np.log(1 / 4)  # four-way tie
+def test_orders_by_score_then_token_then_beam():
+    base = np.zeros(3)
+    logprobs = np.full((3, 6), -np.inf)
+    logprobs[:, 2:] = np.log(1 / 4)  # twelve-way tie across three rows
     penalty = np.zeros(6)
     beams, tokens, scores = kernels.select_top_candidates(
         base, logprobs, penalty, 0.0,
-        np.array([0], dtype=np.int64), np.empty(0), np.empty(0, dtype=np.int64), 10)
-    assert tokens.tolist() == [2, 3, 4, 5]
+        np.arange(3, dtype=np.int64), np.empty(0), np.empty(0, dtype=np.int64), 20)
+    assert beams.tolist() == [0, 1, 2] * 4
+    assert tokens.tolist() == [t for t in range(2, 6) for _ in range(3)]
     assert np.allclose(scores, np.log(1 / 4))
-    assert beams.tolist() == [0, 0, 0, 0]
+    assert (beams.dtype, tokens.dtype, scores.dtype) == (np.int64, np.int64, np.float64)
 
 
-def test_carryover_wins_score_tie_via_sentinel_token():
-    # a finished hypothesis at the same score as an expansion ranks first
-    base = np.array([np.log(0.5)])
-    logprobs = np.full((1, 5), -np.inf)
-    logprobs[0, 4] = 0.0  # candidate lands exactly on log(0.5)
-    logprobs[0, 2] = np.log(0.5)
-    penalty = np.zeros(5)
-    carry = np.array([np.log(0.5)])
-    beams, tokens, _ = kernels.select_top_candidates(
-        base, logprobs, penalty, 0.0,
-        np.array([0], dtype=np.int64), carry, np.array([1], dtype=np.int64), 2)
-    assert tokens.tolist() == [-1, 4]
-    assert beams.tolist() == [1, 0]
+@pytest.mark.parametrize("unfinished_idx, carry_scores, carry_idx", [
+    (np.array([0, 1]), np.array([-1.0]), np.array([1])),
+    (np.array([0, 1]), np.array([-1.0]), np.empty(0, dtype=np.int64)),
+    (np.array([0, 1]), np.empty(0), np.array([1])),
+    (np.array([1, 0]), np.empty(0), np.empty(0, dtype=np.int64)),
+    (np.array([0]), np.empty(0), np.empty(0, dtype=np.int64)),
+], ids=["carryover", "carry-scores", "carry-idx", "reordered-rows", "missing-row"])
+def test_legacy_parameters_accept_only_what_the_decoder_passes(
+        unfinished_idx, carry_scores, carry_idx):
+    logprobs = np.full((2, 5), -np.inf)
+    logprobs[:, 2:] = np.log(1 / 3)
+    with pytest.raises(ValueError):
+        kernels.select_top_candidates(np.zeros(2), logprobs, np.zeros(5), 0.0,
+                                      unfinished_idx, carry_scores, carry_idx, 3)
+
+
+def test_empty_beam_selects_nothing():
+    assert expand_and_select(Beam(()), [], flat_penalty("zero"), 0.0, 3) == Beam(())
 
 
 def test_beam_width_larger_than_candidates_returns_everything():

@@ -340,6 +340,11 @@ class TestNGramSerialization:
             ("order: 1\nalpha: true\ncounts: []\n", "alpha"),
             ("order: 1\nalpha: .inf\ncounts: []\n", "alpha"),
             ("order: 1\nalpha: 1.0e+308\ncounts: []\n", "alpha"),
+            (f"order: 1\nalpha: 1.0\ncounts: [[[], a, {10 ** 400}]]\n", "float range"),
+            (f"order: 1\nalpha: 1.0\ncounts: [[[], a, {10 ** 308}], [[], b, {10 ** 308}]]\n",
+             "float range"),
+            (f"order: 1\nalpha: 1.0e+307\ncounts: [[[], a, {17 * 10 ** 307}]]\n",
+             "float range"),
         ]:
             with pytest.raises(ValueError, match=match):
                 load_ngram(fields + vocab)
