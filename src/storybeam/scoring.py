@@ -19,7 +19,9 @@ on it.
 
 from __future__ import annotations
 
+import json
 import math
+import re
 from dataclasses import dataclass, field
 from typing import Protocol, Sequence
 
@@ -39,10 +41,13 @@ from .corpus import (
     Vocabulary,
 )
 
-# libyaml's classes parse and emit the same documents several times faster;
-# the pure-Python pair is the fallback where PyYAML was built without libyaml
+# libyaml's loader parses the same documents several times faster; the
+# pure-Python one is the fallback where PyYAML was built without libyaml
 YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-YAML_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+
+# Past this order every scored step would pad its context with thousands of
+# BOS ids; an order beyond the index range cannot build a context at all.
+MAX_ORDER = 1024
 
 LOGSUMEXP_TOLERANCE = 1e-9
 ROW_SUM_TOLERANCE = 1e-6
@@ -117,6 +122,7 @@ class NGramModel:
     totals: dict[tuple[int, ...], int] = field(default_factory=dict)
 
     def __post_init__(self):
+        _check_order(self.order)
         # score_step divides by total + alpha * (V - 2), and no count exceeds
         # its context's total; an infinite term turns every score into nan or -inf
         generable = len(self.vocab) - FIRST_GENERABLE_ID
@@ -152,10 +158,14 @@ class NGramModel:
         return scores
 
 
+def _check_order(order) -> None:
+    if isinstance(order, bool) or not isinstance(order, int) or not 1 <= order <= MAX_ORDER:
+        raise ValueError(f"order must be an integer from 1 to {MAX_ORDER}, got {order!r}")
+
+
 def train_ngram(corpus: Corpus, vocab: Vocabulary, order: int, alpha: float) -> NGramModel:
     """Count n-grams over ``corpus`` with BOS padding and a final EOS per sentence."""
-    if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
+    _check_order(order)
     if not alpha > 0:
         raise ValueError(f"alpha must be > 0, got {alpha}")
     counts: dict[tuple[int, ...], dict[int, int]] = {}
@@ -186,10 +196,29 @@ def ngram_to_dict(model: NGramModel) -> dict:
     }
 
 
+# Characters a YAML 1.1 reader rejects raw (C1 controls, U+FFFE, U+FFFF) or
+# folds into a space (U+0085); json.dumps leaves them raw inside strings
+_YAML_UNSAFE = re.compile("[\x7f-\x9f\ufffe\uffff]")
+
+
+def _float_literal(value: float) -> str:
+    """``repr`` with a dot in the mantissa: YAML 1.1 reads ``1e-05`` as a string."""
+    mantissa, e, exponent = repr(value).partition("e")
+    if e and "." not in mantissa:
+        mantissa += ".0"
+    return mantissa + e + exponent
+
+
 def dump_ngram(model: NGramModel) -> str:
-    """Serialize to YAML; deterministic, loads back to identical scores."""
-    return yaml.dump(ngram_to_dict(model), Dumper=YAML_DUMPER,
-                     sort_keys=False, allow_unicode=True)
+    """Serialize to compact JSON, which is also YAML.
+
+    Deterministic, and loads back to identical scores.
+    """
+    fields = {key: json.dumps(value, ensure_ascii=False, separators=(",", ":"))
+              for key, value in ngram_to_dict(model).items()}
+    fields["alpha"] = _float_literal(model.alpha)
+    text = "{" + ",".join(f'"{key}":{value}' for key, value in fields.items()) + "}\n"
+    return _YAML_UNSAFE.sub(lambda char: f"\\u{ord(char.group()):04x}", text)
 
 
 def _is_token_list(value) -> bool:
@@ -224,8 +253,7 @@ def ngram_from_dict(doc: dict) -> NGramModel:
         triples = doc["counts"]
     except KeyError as missing:
         raise ValueError(f"n-gram model document is missing field {missing}") from None
-    if isinstance(order, bool) or not isinstance(order, int) or order < 1:
-        raise ValueError(f"order must be an integer >= 1, got {order!r}")
+    _check_order(order)
     if not (_is_finite_number(alpha) and alpha > 0):
         raise ValueError(f"alpha must be a finite number > 0, got {alpha!r}")
     vocab = _vocab_from_listing(vocab_tokens)
@@ -262,7 +290,7 @@ def ngram_from_dict(doc: dict) -> NGramModel:
 
 
 def load_ngram(text: str) -> NGramModel:
-    return ngram_from_dict(_parse_yaml(text))
+    return ngram_from_dict(_parse_document(text))
 
 
 # ---------------------------------------------------------------------------
@@ -372,16 +400,41 @@ def table_from_dict(doc: dict) -> TableScorer:
 
 
 def load_table_scorer(text: str) -> TableScorer:
-    return table_from_dict(_parse_yaml(text))
+    return table_from_dict(_parse_document(text))
 
 
 # ---------------------------------------------------------------------------
 # Loading helpers
 
 
-def _parse_yaml(text: str) -> dict:
+def _reject_constant(name: str):
+    raise ValueError(f"malformed model document: {name} is not a finite number")
+
+
+# a raw surrogate or a \ud800-style escape; json.loads keeps a lone one
+_SURROGATE = re.compile(r"[\ud800-\udfff]|\\u[dD][89a-fA-F]")
+
+
+def _parse_json(text: str) -> dict | None:
+    """The text as a JSON object, or None when it is not one."""
+    if not text.startswith("{"):
+        return None
     try:
-        doc = yaml.load(text, Loader=YAML_LOADER)
+        doc = json.loads(text, parse_constant=_reject_constant)
+    except json.JSONDecodeError:
+        return None
+    if _SURROGATE.search(text):
+        # raises UnicodeEncodeError on a lone surrogate, as libyaml does
+        json.dumps(doc, ensure_ascii=False).encode("utf-8")
+    return doc
+
+
+def _parse_document(text: str) -> dict:
+    """Parse a model document as JSON, or as YAML where JSON does not apply."""
+    try:
+        doc = _parse_json(text)
+        if doc is None:
+            doc = yaml.load(text, Loader=YAML_LOADER)
     except (yaml.YAMLError, UnicodeEncodeError) as exc:
         # libyaml encodes the text to UTF-8 first, so a lone surrogate fails
         # there instead of in the pure reader's character check
@@ -393,7 +446,7 @@ def _parse_yaml(text: str) -> dict:
 
 def load_scorer(text: str) -> NGramModel | TableScorer:
     """Load either model kind, dispatching on the document's fields."""
-    doc = _parse_yaml(text)
+    doc = _parse_document(text)
     if "order" in doc:
         return ngram_from_dict(doc)
     if "default_row" in doc:

@@ -3,9 +3,10 @@ import warnings
 from pathlib import Path
 
 import pytest
+import yaml
 
 from storybeam.cli import main
-from storybeam.scoring import load_ngram
+from storybeam.scoring import MAX_ORDER, load_ngram, ngram_to_dict
 
 TABLE_YAML = """\
 vocab: [a, b, <eos>]
@@ -66,6 +67,14 @@ class TestTrainLm:
         code = main(["train-lm", str(corpus_path), "--order", "0",
                      "--out", str(tmp_path / "m.yaml")])
         assert code == 2
+
+    def test_order_beyond_limit_rejected(self, corpus_path, tmp_path, capsys):
+        out = tmp_path / "m.yaml"
+        code = main(["train-lm", str(corpus_path), "--order", str(MAX_ORDER + 1),
+                     "--min-count", "1", "--out", str(out)])
+        assert code == 2
+        assert f"order must be an integer from 1 to {MAX_ORDER}" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("alpha", ["inf", "1e308"])
     def test_non_finite_or_overflowing_alpha_rejected(self, corpus_path, tmp_path,
@@ -171,6 +180,18 @@ class TestDecode:
         assert code == 2
         assert "float range" in capsys.readouterr().err
 
+    # an order beyond the index range loaded, then failed in context_for
+    def test_oversized_order_rejected(self, tmp_path, capsys):
+        model = tmp_path / "lm.yaml"
+        model.write_text(
+            f"order: {10 ** 400}\nalpha: 1.0\n"
+            "vocab: ['<pad>', '<bos>', '<eos>', '<unk>', a]\ncounts: []\n", encoding="utf-8")
+        code = main(["decode", "--model", str(model), "--conditions", "c1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error: order must be an integer from 1 to {MAX_ORDER}" in err
+        assert "internal error" not in err
+
     def test_missing_model_file(self, tmp_path):
         code = main(["decode", "--model", str(tmp_path / "ghost.yaml"),
                      "--conditions", "c1", "--out", str(tmp_path / "s.json")])
@@ -222,6 +243,24 @@ class TestDecode:
         assert code == 0
         doc = json.loads(out.read_text(encoding="utf-8"))
         assert len(doc["segments"]) == 2
+
+    # the block YAML that train-lm wrote before models were written as JSON
+    def test_block_yaml_model_decodes_like_json_model(self, corpus_path, tmp_path):
+        model = tmp_path / "model.yaml"
+        assert main(["train-lm", str(corpus_path), "--order", "3", "--alpha", "0.01",
+                     "--min-count", "1", "--out", str(model)]) == 0
+        text = model.read_text(encoding="utf-8")
+        assert text.startswith("{")
+        old = tmp_path / "old.yaml"
+        old.write_text(yaml.dump(ngram_to_dict(load_ngram(text)), Dumper=yaml.SafeDumper,
+                                 sort_keys=False, allow_unicode=True), encoding="utf-8")
+        stories = []
+        for path in (model, old):
+            out = tmp_path / f"{path.stem}.json"
+            assert main(["decode", "--model", str(path), "--conditions", "c1", "c2", "c3",
+                         "--max-len", "8", "--out", str(out)]) == 0
+            stories.append(out.read_bytes())
+        assert stories[0] == stories[1]
 
     def test_batch_decoding_matches_single_runs(self, table_path, tmp_path):
         batch = tmp_path / "batch.txt"

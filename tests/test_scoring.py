@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -8,12 +9,15 @@ from hypothesis import given, strategies as st
 from storybeam import scoring
 from storybeam.corpus import BOS_ID, EOS_ID, PAD_ID, UNK_ID, Corpus, build_vocabulary
 from storybeam.scoring import (
+    MAX_ORDER,
     NGramModel,
     ValidatingScorer,
     dump_ngram,
     load_ngram,
     load_scorer,
     load_table_scorer,
+    ngram_from_dict,
+    ngram_to_dict,
     train_ngram,
     validate_step_scores,
 )
@@ -23,23 +27,22 @@ from conftest import make_table, random_table_scorer
 needs_libyaml = pytest.mark.skipif(
     not yaml.__with_libyaml__, reason="PyYAML is built without libyaml")
 
-YAML_PAIRS = {
-    "pure": ("SafeLoader", "SafeDumper"),
-    "libyaml": ("CSafeLoader", "CSafeDumper"),
-}
-
-
-def use_yaml_pair(monkeypatch, name: str) -> None:
-    """Make model loading and saving use one PyYAML loader/dumper pair."""
-    loader, dumper = YAML_PAIRS[name]
-    monkeypatch.setattr(scoring, "YAML_LOADER", getattr(yaml, loader))
-    monkeypatch.setattr(scoring, "YAML_DUMPER", getattr(yaml, dumper))
+YAML_LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader] if yaml.__with_libyaml__ else [])
 
 
 @pytest.fixture(params=["pure", pytest.param("libyaml", marks=needs_libyaml)])
-def yaml_pair(request, monkeypatch) -> str:
-    use_yaml_pair(monkeypatch, request.param)
+def yaml_loader(request, monkeypatch) -> str:
+    """Make the YAML fallback of model loading use one PyYAML loader."""
+    loader = {"pure": "SafeLoader", "libyaml": "CSafeLoader"}[request.param]
+    monkeypatch.setattr(scoring, "YAML_LOADER", getattr(yaml, loader))
     return request.param
+
+
+def assert_yaml_reads_as_json(text: str) -> None:
+    """A written model is JSON that every YAML loader reads to the same document."""
+    doc = json.loads(text)
+    for loader in YAML_LOADERS:
+        assert yaml.load(text, Loader=loader) == doc
 
 
 class TestTableScorer:
@@ -142,12 +145,26 @@ class TestTableLoading:
         with pytest.raises(ValueError, match=match):
             load_table_scorer(f"vocab: [a, <eos>]\ndefault_row: [0.5, 0.5]\nrows: {rows}\n")
 
-    # a lone surrogate fails libyaml's UTF-8 encoding, not a YAML check
-    @pytest.mark.parametrize("text", ["vocab: [a\n  broken", "a: \ud800\n"],
-                             ids=["unclosed", "surrogate"])
-    def test_malformed_yaml_rejected(self, yaml_pair, text):
+    # a lone surrogate fails libyaml's UTF-8 encoding, not a YAML check, and
+    # json.loads reads the escape without complaint
+    @pytest.mark.parametrize("text", [
+        "vocab: [a\n  broken", "a: \ud800\n", '{"vocab": ["\\ud800"], "default_row": [1]}'],
+        ids=["unclosed", "surrogate", "surrogate-escape"])
+    def test_malformed_yaml_rejected(self, yaml_loader, text):
         with pytest.raises(ValueError, match="malformed"):
             load_table_scorer(text)
+
+    def test_surrogate_pair_escape_loads(self):
+        table = load_table_scorer(
+            '{"vocab": ["\\ud83d\\ude00", "<eos>"], "default_row": [0.5, 0.5]}')
+        assert table.vocab.non_special_tokens == ("\U0001F600",)
+
+    @pytest.mark.parametrize("text", [
+        "{vocab: [a, <eos>], default_row: [0.5, 0.5]}",
+        "{vocab: [a, <eos>],\n default_row: [0.5, 0.5]}\n",
+    ], ids=["one-line", "two-lines"])
+    def test_flow_yaml_mapping_loads(self, yaml_loader, text):
+        assert load_table_scorer(text).vocab.non_special_tokens == ("a",)
 
     def test_near_one_row_sum_is_renormalized(self):
         # within the 1e-6 acceptance window; scores must still be exact
@@ -215,8 +232,9 @@ class TestNGram:
     def test_invalid_order_and_alpha(self):
         corpus = tiny_corpus("a")
         vocab = build_vocabulary(corpus, min_count=1)
-        with pytest.raises(ValueError, match="order"):
-            train_ngram(corpus, vocab, order=0, alpha=1.0)
+        for order in (0, MAX_ORDER + 1):
+            with pytest.raises(ValueError, match="order"):
+                train_ngram(corpus, vocab, order=order, alpha=1.0)
         # inf and an alpha whose alpha * (V - 2) overflows would score nan or -inf
         for alpha in (0.0, math.inf, 1e308):
             with pytest.raises(ValueError, match="alpha"):
@@ -246,7 +264,7 @@ class TestNGram:
 
 
 class TestNGramSerialization:
-    def test_round_trip_scores_and_bytes(self, yaml_pair):
+    def test_round_trip_scores_and_bytes(self, yaml_loader):
         corpus = tiny_corpus("the cat sat", "the cat ran", "a cat")
         vocab = build_vocabulary(corpus, min_count=1)
         model = train_ngram(corpus, vocab, order=2, alpha=0.5)
@@ -258,7 +276,7 @@ class TestNGramSerialization:
             assert (loaded.score_step("x", prefix).tobytes()
                     == model.score_step("x", prefix).tobytes())
 
-    def test_loader_dispatches_on_document_kind(self, yaml_pair):
+    def test_loader_dispatches_on_document_kind(self, yaml_loader):
         corpus = tiny_corpus("a b")
         vocab = build_vocabulary(corpus, min_count=1)
         ngram_text = dump_ngram(train_ngram(corpus, vocab, 1, 1.0))
@@ -268,57 +286,101 @@ class TestNGramSerialization:
         with pytest.raises(ValueError, match="neither"):
             load_scorer("foo: bar\n")
 
-    @needs_libyaml
-    def test_bmp_model_identical_under_both_yaml_pairs(self, monkeypatch):
+    def test_non_ascii_model_written_raw_and_read_alike_as_yaml(self):
         corpus = tiny_corpus("the café sat", "日本 the cat", "café 日本 ran")
         vocab = build_vocabulary(corpus, min_count=1)
         model = train_ngram(corpus, vocab, order=2, alpha=0.5)
-        texts = {}
-        for name in YAML_PAIRS:
-            use_yaml_pair(monkeypatch, name)
-            texts[name] = dump_ngram(model)
-        assert texts["pure"] == texts["libyaml"]
-        assert "日本" in texts["pure"]
+        text = dump_ngram(model)
+        assert text.startswith("{") and "日本" in text
+        assert_yaml_reads_as_json(text)
+        # a YAML-only reader gets the same model from the same text
         cafe = vocab.token_to_id("café")
-        for name in YAML_PAIRS:
-            use_yaml_pair(monkeypatch, name)
-            loaded = load_ngram(texts["pure"])
+        for loaded in [load_ngram(text)] + [ngram_from_dict(yaml.load(text, Loader=loader))
+                                            for loader in YAML_LOADERS]:
             assert loaded.vocab == vocab
             for prefix in ([], [cafe]):
                 assert (loaded.score_step("x", prefix).tobytes()
                         == model.score_step("x", prefix).tobytes())
 
-    # the pure emitter writes U+0085 raw, and reading folds it into a space
-    @needs_libyaml
+    # both YAML readers fold a raw U+0085 into a space, so it is escaped
     def test_next_line_token_round_trips(self):
         corpus = Corpus(sentences=(("a\x85b", "c"), ("c",)))
         vocab = build_vocabulary(corpus, min_count=1)
         model = train_ngram(corpus, vocab, order=2, alpha=1.0)
         text = dump_ngram(model)
+        assert "\x85" not in text and '"a\\u0085b"' in text
+        assert_yaml_reads_as_json(text)
         loaded = load_ngram(text)
         assert loaded.vocab == vocab
         assert loaded.counts == model.counts
         assert dump_ngram(loaded) == text
 
-    @needs_libyaml
-    def test_astral_token_written_escaped_and_loads_under_both_loaders(
-            self, monkeypatch):
+    def test_astral_token_written_raw_and_loads_under_both_loaders(self):
         corpus = tiny_corpus("\U0001F600 cat", "cat \U0001F600 \U0001F600")
         vocab = build_vocabulary(corpus, min_count=1)
         model = train_ngram(corpus, vocab, order=2, alpha=0.5)
         text = dump_ngram(model)
-        assert '"\\U0001F600"' in text
-        assert "\U0001F600" not in text
+        assert '"\U0001F600"' in text
+        assert "\\U" not in text and "\\u" not in text
+        assert_yaml_reads_as_json(text)
         smile = vocab.token_to_id("\U0001F600")
-        for name in YAML_PAIRS:
-            use_yaml_pair(monkeypatch, name)
-            loaded = load_ngram(text)
+        for loaded in [load_ngram(text)] + [ngram_from_dict(yaml.load(text, Loader=loader))
+                                            for loader in YAML_LOADERS]:
             assert loaded.vocab == vocab
             for prefix in ([], [smile]):
                 assert (loaded.score_step("x", prefix).tobytes()
                         == model.score_step("x", prefix).tobytes())
-        monkeypatch.undo()
         assert dump_ngram(load_ngram(text)) == text
+
+    # a library-built corpus may put any character but a surrogate in a token,
+    # including ones the CLI's str.split never leaves there
+    @given(st.lists(st.text(st.characters(blacklist_categories=("Cs",)), min_size=1),
+                    min_size=1, max_size=6, unique=True))
+    def test_any_tokens_written_as_yaml_readable_json(self, tokens):
+        tokens = [t for t in tokens if t not in ("<pad>", "<bos>", "<eos>", "<unk>")]
+        corpus = Corpus(sentences=(tuple(tokens) or ("a",),))
+        vocab = build_vocabulary(corpus, min_count=1)
+        model = train_ngram(corpus, vocab, order=2, alpha=0.5)
+        text = dump_ngram(model)
+        assert_yaml_reads_as_json(text)
+        loaded = load_ngram(text)
+        assert loaded.vocab == vocab and loaded.counts == model.counts
+        assert dump_ngram(loaded) == text
+
+    # json.dumps writes 1e-05 and 1e+20, which YAML 1.1 reads as strings
+    @pytest.mark.parametrize("alpha", [1e-05, 0.01, 1e+20])
+    def test_alpha_reads_as_the_same_float_under_yaml(self, alpha):
+        corpus = tiny_corpus("a b", "b a")
+        vocab = build_vocabulary(corpus, min_count=1)
+        text = dump_ngram(train_ngram(corpus, vocab, order=2, alpha=alpha))
+        assert json.loads(text)["alpha"] == alpha
+        assert_yaml_reads_as_json(text)
+
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_json_constants_rejected(self, constant):
+        corpus = tiny_corpus("a b")
+        vocab = build_vocabulary(corpus, min_count=1)
+        text = dump_ngram(train_ngram(corpus, vocab, order=1, alpha=0.5))
+        assert '"alpha":0.5,' in text
+        with pytest.raises(ValueError, match=f"malformed model document: {constant}"):
+            load_ngram(text.replace('"alpha":0.5,', f'"alpha":{constant},'))
+
+    # the block layout libyaml wrote before models were written as JSON
+    def test_block_yaml_model_loads_identically(self, yaml_loader):
+        corpus = tiny_corpus("the café sat", "the cat ran", "a cat \U0001F600")
+        vocab = build_vocabulary(corpus, min_count=1)
+        model = train_ngram(corpus, vocab, order=3, alpha=1e-05)
+        old = yaml.dump(ngram_to_dict(model), Dumper=yaml.SafeDumper,
+                        sort_keys=False, allow_unicode=True)
+        assert old.startswith("order: 3\nalpha: 1.0e-05\n")
+        loaded = load_ngram(old)
+        assert (loaded.counts, loaded.totals, loaded.alpha) == (
+            model.counts, model.totals, model.alpha)
+        the, cat = vocab.token_to_id("the"), vocab.token_to_id("cat")
+        for prefix in ([], [the], [the, cat], [cat, cat]):
+            assert (loaded.score_step("x", prefix).tobytes()
+                    == model.score_step("x", prefix).tobytes())
+        assert dump_ngram(loaded) == dump_ngram(model)
 
     def test_corrupt_model_documents_rejected(self):
         with pytest.raises(ValueError, match="missing field"):
@@ -337,6 +399,8 @@ class TestNGramSerialization:
             ("order: 3\nalpha: 1.0\ncounts: [[ab, a, 1]]\n", "context tokens"),
             ("order: 2\nalpha: 1.0\ncounts: [[[a], a, true]]\n", "count"),
             ("order: true\nalpha: 1.0\ncounts: []\n", "order"),
+            (f"order: {MAX_ORDER + 1}\nalpha: 1.0\ncounts: []\n", "order"),
+            (f"order: {10 ** 400}\nalpha: 1.0\ncounts: []\n", "order"),
             ("order: 1\nalpha: true\ncounts: []\n", "alpha"),
             ("order: 1\nalpha: .inf\ncounts: []\n", "alpha"),
             ("order: 1\nalpha: 1.0e+308\ncounts: []\n", "alpha"),
