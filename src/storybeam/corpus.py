@@ -141,7 +141,8 @@ def build_vocabulary(corpus: Corpus, min_count: int = DEFAULT_MIN_COUNT) -> Voca
     counts: Counter[str] = Counter()
     for sentence in corpus:
         counts.update(sentence)
-    # Literal occurrences of the special names resolve to the reserved ids.
+    # The special names keep their reserved ids: a literal <eos> or <unk>
+    # encodes as that token, and train_ngram counts <pad>/<bos> as <unk>.
     for special in SPECIAL_TOKENS:
         counts.pop(special, None)
     kept = [tok for tok, n in counts.items() if n >= min_count]

@@ -7,7 +7,8 @@ scorer obeys the same contract:
 * the vector has one float64 entry per vocabulary id,
 * PAD and BOS get ``-inf`` (they are structural, never generated),
 * the probabilities of the remaining tokens sum to 1,
-* identical arguments always produce identical vectors.
+* identical arguments always produce identical vectors,
+* a vector may be shared and read-only: callers must not write into it.
 
 Two concrete scorers ship here: a Laplace-smoothed n-gram model trained
 from a corpus, and a table scorer driven by explicit probability rows
@@ -37,6 +38,7 @@ from .corpus import (
     PAD_ID,
     PAD_TOKEN,
     SPECIAL_TOKENS,
+    UNK_ID,
     Corpus,
     Vocabulary,
 )
@@ -111,26 +113,44 @@ class NGramModel:
     Contexts are the preceding ``order - 1`` token ids, left-padded with
     BOS. The smoothed probability of token ``v`` in context ``c`` is
     ``(count(c, v) + alpha) / (total(c) + alpha * (V - 2))`` where the
-    event space excludes PAD and BOS. Immutable after training; safe for
-    concurrent scoring.
+    event space excludes PAD and BOS. Construction checks the order, alpha
+    (finite, > 0, stored as a float, ``alpha * (V - 2)`` finite), contexts
+    (``order - 1`` in-range ids), counted tokens (never PAD or BOS) and
+    counts (non-negative integers, finite totals once smoothed), then
+    derives ``totals``. Immutable after that; safe for concurrent scoring.
     """
 
     order: int
     alpha: float
     vocab: Vocabulary
     counts: dict[tuple[int, ...], dict[int, int]] = field(default_factory=dict)
-    totals: dict[tuple[int, ...], int] = field(default_factory=dict)
+    totals: dict[tuple[int, ...], int] = field(init=False)
 
     def __post_init__(self):
         _check_order(self.order)
+        if not (_is_finite_number(self.alpha) and self.alpha > 0):
+            raise ValueError(f"alpha must be a finite number > 0, got {self.alpha!r}")
+        self.alpha = float(self.alpha)
         # score_step divides by total + alpha * (V - 2), and no count exceeds
         # its context's total; an infinite term turns every score into nan or -inf
-        generable = len(self.vocab) - FIRST_GENERABLE_ID
+        vocab_size = len(self.vocab)
+        generable = vocab_size - FIRST_GENERABLE_ID
         if not math.isfinite(self.alpha * generable):
             raise ValueError(
                 f"alpha must keep alpha * {generable} generable tokens finite, "
                 f"got {self.alpha}")
-        for context, total in self.totals.items():
+        # ``type(x) is int`` rather than isinstance keeps bools out
+        self.totals = {}
+        for context, bucket in self.counts.items():
+            if not (type(context) is tuple and len(context) == self.order - 1
+                    and all(type(i) is int and 0 <= i < vocab_size for i in context)):
+                raise ValueError(f"context {context!r} must be {self.order - 1} in-range ids")
+            for token, count in bucket.items():
+                if not (type(token) is int and FIRST_GENERABLE_ID <= token < vocab_size):
+                    raise ValueError(f"counted token id {token!r} is PAD, BOS or out of range")
+                if not (type(count) is int and count >= 0):
+                    raise ValueError(f"count must be a non-negative integer, got {count!r}")
+            total = self.totals[context] = sum(bucket.values())
             if not (_is_finite_number(total)
                     and math.isfinite(total + self.alpha * generable)):
                 raise ValueError(
@@ -159,26 +179,23 @@ class NGramModel:
 
 
 def _check_order(order) -> None:
-    if isinstance(order, bool) or not isinstance(order, int) or not 1 <= order <= MAX_ORDER:
+    if not (type(order) is int and 1 <= order <= MAX_ORDER):
         raise ValueError(f"order must be an integer from 1 to {MAX_ORDER}, got {order!r}")
 
 
 def train_ngram(corpus: Corpus, vocab: Vocabulary, order: int, alpha: float) -> NGramModel:
     """Count n-grams over ``corpus`` with BOS padding and a final EOS per sentence."""
+    # the BOS padding below is built before NGramModel can check the order
     _check_order(order)
-    if not alpha > 0:
-        raise ValueError(f"alpha must be > 0, got {alpha}")
     counts: dict[tuple[int, ...], dict[int, int]] = {}
-    totals: dict[tuple[int, ...], int] = {}
     for sentence in corpus:
-        framed = [BOS_ID] * (order - 1) + vocab.encode(sentence) + [EOS_ID]
+        # a word spelled <pad> or <bos> counts as <unk>: the model never emits those
+        words = [UNK_ID if i < FIRST_GENERABLE_ID else i for i in vocab.encode(sentence)]
+        framed = [BOS_ID] * (order - 1) + words + [EOS_ID]
         for pos in range(order - 1, len(framed)):
-            context = tuple(framed[pos - order + 1:pos])
-            target = framed[pos]
-            bucket = counts.setdefault(context, {})
-            bucket[target] = bucket.get(target, 0) + 1
-            totals[context] = totals.get(context, 0) + 1
-    return NGramModel(order=order, alpha=alpha, vocab=vocab, counts=counts, totals=totals)
+            bucket = counts.setdefault(tuple(framed[pos - order + 1:pos]), {})
+            bucket[framed[pos]] = bucket.get(framed[pos], 0) + 1
+    return NGramModel(order=order, alpha=alpha, vocab=vocab, counts=counts)
 
 
 def ngram_to_dict(model: NGramModel) -> dict:
@@ -235,14 +252,6 @@ def _is_finite_number(value) -> bool:
         return False
 
 
-def _vocab_from_listing(tokens: list) -> Vocabulary:
-    if not _is_token_list(tokens):
-        raise ValueError("vocab must be a list of token strings")
-    if tuple(tokens[:NUM_SPECIALS]) != SPECIAL_TOKENS:
-        raise ValueError(f"model vocab must start with the special tokens {SPECIAL_TOKENS}")
-    return Vocabulary(tokens[NUM_SPECIALS:])
-
-
 def ngram_from_dict(doc: dict) -> NGramModel:
     if not isinstance(doc, dict):
         raise ValueError("n-gram model document must be a mapping")
@@ -253,40 +262,28 @@ def ngram_from_dict(doc: dict) -> NGramModel:
         triples = doc["counts"]
     except KeyError as missing:
         raise ValueError(f"n-gram model document is missing field {missing}") from None
-    _check_order(order)
-    if not (_is_finite_number(alpha) and alpha > 0):
-        raise ValueError(f"alpha must be a finite number > 0, got {alpha!r}")
-    vocab = _vocab_from_listing(vocab_tokens)
+    if not _is_token_list(vocab_tokens):
+        raise ValueError("vocab must be a list of token strings")
+    if tuple(vocab_tokens[:NUM_SPECIALS]) != SPECIAL_TOKENS:
+        raise ValueError(f"model vocab must start with the special tokens {SPECIAL_TOKENS}")
+    vocab = Vocabulary(vocab_tokens[NUM_SPECIALS:])
     if not isinstance(triples, list):
         raise ValueError(
             f"counts must be a list of [context, token, count], got {type(triples).__name__}")
     counts: dict[tuple[int, ...], dict[int, int]] = {}
-    totals: dict[tuple[int, ...], int] = {}
     for entry in triples:
-        if not (isinstance(entry, list) and len(entry) == 3):
-            raise ValueError(f"count entry must be [context, token, count], got {entry!r}")
+        if not (isinstance(entry, list) and len(entry) == 3 and _is_token_list(entry[0])
+                and isinstance(entry[1], str) and type(entry[2]) is int):
+            raise ValueError(f"count entry must be [context tokens, token string, int], "
+                             f"got {entry!r}")
         context_tokens, token, count = entry
-        if isinstance(count, bool) or not isinstance(count, int) or count < 0:
-            raise ValueError(f"count must be a non-negative integer, got {count!r}")
-        if not (_is_token_list(context_tokens) and isinstance(token, str)):
-            raise ValueError(
-                f"count entry needs a list of context tokens and a token string, "
-                f"got {entry!r}")
-        if len(context_tokens) != order - 1:
-            raise ValueError(
-                f"context {context_tokens!r} has length {len(context_tokens)}, "
-                f"expected {order - 1} for order {order}"
-            )
-        for tok in list(context_tokens) + [token]:
+        for tok in context_tokens + [token]:
             if tok not in vocab:
                 raise ValueError(f"token {tok!r} is not in the model vocabulary")
-        context = tuple(vocab.token_to_id(t) for t in context_tokens)
+        bucket = counts.setdefault(tuple(vocab.token_to_id(t) for t in context_tokens), {})
         target = vocab.token_to_id(token)
-        bucket = counts.setdefault(context, {})
         bucket[target] = bucket.get(target, 0) + count
-        totals[context] = totals.get(context, 0) + count
-    return NGramModel(order=order, alpha=float(alpha), vocab=vocab,
-                      counts=counts, totals=totals)
+    return NGramModel(order=order, alpha=alpha, vocab=vocab, counts=counts)
 
 
 def load_ngram(text: str) -> NGramModel:
@@ -332,8 +329,8 @@ class TableScorer:
         _check_step_args(condition, prefix)
         for rule in self.rules:
             if rule.matches(condition, prefix):
-                return rule.log_row.copy()
-        return self.default_log_row.copy()
+                return rule.log_row
+        return self.default_log_row
 
 
 def _expand_row(probs: list, listed_ids: list[int], vocab_size: int, label: str) -> np.ndarray:
@@ -351,7 +348,9 @@ def _expand_row(probs: list, listed_ids: list[int], vocab_size: int, label: str)
         raise ValueError(f"{label}: probabilities sum to {total}, expected 1")
     full = np.zeros(vocab_size, dtype=np.float64)
     full[listed_ids] = row / total
-    return _log_row(full)
+    log_row = _log_row(full)
+    log_row.flags.writeable = False
+    return log_row
 
 
 def table_from_dict(doc: dict) -> TableScorer:

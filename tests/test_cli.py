@@ -76,6 +76,16 @@ class TestTrainLm:
         assert f"order must be an integer from 1 to {MAX_ORDER}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_pad_and_bos_words_train_as_unk(self, tmp_path):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("the <pad> cat\n<bos> the cat <bos>\n", encoding="utf-8")
+        out = tmp_path / "model.json"
+        assert main(["train-lm", str(corpus), "--min-count", "1", "--out", str(out)]) == 0
+        triples = json.loads(out.read_text(encoding="utf-8"))["counts"]
+        assert {token for _, token, _ in triples} == {"the", "cat", "<unk>", "<eos>"}
+        assert main(["decode", "--model", str(out), "--conditions", "c1", "c2",
+                     "--out", str(tmp_path / "story.json")]) == 0
+
     @pytest.mark.parametrize("alpha", ["inf", "1e308"])
     def test_non_finite_or_overflowing_alpha_rejected(self, corpus_path, tmp_path,
                                                       capsys, alpha):
@@ -179,6 +189,16 @@ class TestDecode:
         code = main(["decode", "--model", str(model), "--conditions", "c1"])
         assert code == 2
         assert "float range" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("token", ["<bos>", "<pad>"])
+    def test_counted_pad_or_bos_rejected(self, tmp_path, capsys, token):
+        model = tmp_path / "lm.yaml"
+        model.write_text(
+            "order: 2\nalpha: 1.0\nvocab: ['<pad>', '<bos>', '<eos>', '<unk>', a]\n"
+            f"counts: [[['<bos>'], a, 3], [['<bos>'], '{token}', 50]]\n", encoding="utf-8")
+        code = main(["decode", "--model", str(model), "--conditions", "c1"])
+        assert code == 2
+        assert "PAD, BOS" in capsys.readouterr().err
 
     # an order beyond the index range loaded, then failed in context_for
     def test_oversized_order_rejected(self, tmp_path, capsys):

@@ -100,6 +100,13 @@ class TestTableScorer:
         with pytest.raises(ValueError, match="condition"):
             skewed_table.score_step("", [])
 
+    def test_returned_rows_are_read_only(self, skewed_table):
+        scores = skewed_table.score_step("img1", [])
+        before = scores.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            scores[EOS_ID] = 0.0
+        assert skewed_table.score_step("img1", []).tobytes() == before
+
 
 class TestTableLoading:
     def test_loads_yaml_document(self):
@@ -239,6 +246,48 @@ class TestNGram:
         for alpha in (0.0, math.inf, 1e308):
             with pytest.raises(ValueError, match="alpha"):
                 train_ngram(corpus, vocab, order=1, alpha=alpha)
+
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"alpha": 0.0}, "alpha"),
+        ({"alpha": -0.5}, "alpha"),
+        ({"alpha": True}, "alpha"),
+        ({"alpha": math.nan}, "alpha"),
+        ({"counts": {(4, 4): {4: 1}}}, "context"),
+        ({"counts": {(4,): {PAD_ID: 1}}}, "PAD, BOS"),
+        ({"counts": {(4,): {BOS_ID: 1}}}, "PAD, BOS"),
+        ({"counts": {(4,): {4: -1}}}, "non-negative integer"),
+        ({"counts": {(4,): {4: True}}}, "non-negative integer"),
+    ], ids=["alpha-zero", "alpha-negative", "alpha-bool", "alpha-nan", "context-length",
+            "pad-target", "bos-target", "negative-count", "bool-count"])
+    def test_direct_construction_rejects_invalid_values(self, kwargs, match):
+        vocab = build_vocabulary(tiny_corpus("a b"), min_count=1)
+        with pytest.raises(ValueError, match=match):
+            NGramModel(**{"order": 2, "alpha": 1.0, "vocab": vocab, **kwargs})
+
+    def test_totals_are_derived_from_counts(self):
+        vocab = build_vocabulary(tiny_corpus("a b"), min_count=1)
+        model = NGramModel(order=2, alpha=1, vocab=vocab, counts={(BOS_ID,): {4: 3, 5: 1}})
+        assert model.totals == {(BOS_ID,): 4} and model.alpha == 1.0
+        validate_step_scores(model.score_step("x", []), len(vocab))
+
+    # a corpus word spelled <pad> or <bos> must not count toward those ids,
+    # which score_step has no slot for
+    @given(st.integers(min_value=1, max_value=3),
+           st.lists(st.lists(st.sampled_from(["a", "b", "<pad>", "<bos>", "<eos>", "<unk>"]),
+                             min_size=1, max_size=5), min_size=1, max_size=4))
+    def test_any_corpus_words_give_valid_rows(self, order, sentences):
+        corpus = Corpus(sentences=tuple(tuple(s) for s in sentences))
+        vocab = build_vocabulary(corpus, min_count=1)
+        model = train_ngram(corpus, vocab, order=order, alpha=0.5)
+        assert all(PAD_ID not in bucket and BOS_ID not in bucket
+                   for bucket in model.counts.values())
+        # score_step never sees a prefix holding EOS, and no context holds PAD
+        prefixes = [list(c) for c in model.counts if EOS_ID not in c]
+        if order > 1:
+            assert (PAD_ID,) * (order - 1) not in model.counts
+            prefixes.append([PAD_ID] * (order - 1))
+        for prefix in prefixes:
+            validate_step_scores(model.score_step("x", prefix), len(vocab))
 
     @given(st.integers(min_value=1, max_value=3), st.data())
     def test_scores_depend_only_on_context_window(self, order, data):
@@ -409,6 +458,10 @@ class TestNGramSerialization:
              "float range"),
             (f"order: 1\nalpha: 1.0e+307\ncounts: [[[], a, {17 * 10 ** 307}]]\n",
              "float range"),
+            ("order: 2\nalpha: 1.0\ncounts: [[[a, b], a, 1]]\n", "context"),
+            ("order: 2\nalpha: 1.0\ncounts: [[[a], a, -1]]\n", "non-negative"),
+            ("order: 2\nalpha: 1.0\ncounts: [[['<bos>'], '<bos>', 50]]\n", "PAD, BOS"),
+            ("order: 2\nalpha: 1.0\ncounts: [[['<bos>'], '<pad>', 20]]\n", "PAD, BOS"),
         ]:
             with pytest.raises(ValueError, match=match):
                 load_ngram(fields + vocab)
