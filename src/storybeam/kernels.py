@@ -5,8 +5,12 @@ candidates, each scored as ``hypothesis score + token log-probability +
 strength * penalty[token]``. The best ``beam_width`` survive under a
 strict total order: score descending, then token id ascending, then beam
 position ascending. Laid out token-major (all rows of one token together,
-tokens ascending), the flat candidate order is that tie-break order, so
-one stable sort on score selects identical candidates for identical inputs.
+tokens ascending), the flat candidate order is that tie-break order.
+Selection never sorts more than it keeps: a partition finds the score of
+the last kept candidate (the cut-off), one stable sort orders the fewer
+candidates strictly above it, and the remaining slots go to the
+candidates at the cut-off in flat order. Identical inputs therefore
+select identical candidates, whatever the number of ties.
 """
 
 from __future__ import annotations
@@ -36,6 +40,15 @@ def select_top_candidates(base_aug: np.ndarray, logprobs: np.ndarray,
     expanded = (base_aug[:, None] + logprobs[:, FIRST_GENERABLE_ID:]) \
         + (strength * penalty[FIRST_GENERABLE_ID:])[None, :]
     scores = expanded.T.ravel()
-    top = np.argsort(-scores, kind="stable")[:beam_width]
+    n = scores.size
+    k = min(beam_width, n)
+    if k == 0:
+        top = np.empty(0, dtype=np.intp)
+    else:
+        cut = np.partition(scores, n - k)[n - k]
+        above = np.flatnonzero(scores > cut)  # fewer than k
+        above = above[np.argsort(-scores[above], kind="stable")]
+        ties = np.flatnonzero(scores == cut)[:k - len(above)]
+        top = np.concatenate((above, ties))
     tokens, rows = np.divmod(top, n_rows)
     return rows, tokens + FIRST_GENERABLE_ID, scores[top]

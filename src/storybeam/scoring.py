@@ -20,14 +20,14 @@ on it.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Protocol, Sequence
+from typing import Callable, Protocol, Sequence
 
 import numpy as np
-import yaml
 
 from .corpus import (
     BOS_ID,
@@ -43,9 +43,16 @@ from .corpus import (
     Vocabulary,
 )
 
-# libyaml's loader parses the same documents several times faster; the
-# pure-Python one is the fallback where PyYAML was built without libyaml
-YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+# The PyYAML loader class for documents that are not JSON. None picks
+# libyaml's, which parses several times faster, where PyYAML has it, and the
+# pure-Python one otherwise. yaml is imported on first use only: JSON models
+# and train-lm never need it, and importing it is a visible share of CLI start-up.
+YAML_LOADER = None
+
+# Memory an NGramModel may spend on cached log rows (8 bytes per vocabulary
+# id each). Decoding revisits the same few hundred contexts story after
+# story; 4 MiB holds 522 rows at V = 1004.
+ROW_CACHE_BYTES = 4 << 20
 
 # Past this order every scored step would pad its context with thousands of
 # BOS ids; an order beyond the index range cannot build a context at all.
@@ -118,6 +125,9 @@ class NGramModel:
     (``order - 1`` in-range ids), counted tokens (never PAD or BOS) and
     counts (non-negative integers, finite totals once smoothed), then
     derives ``totals``. Immutable after that; safe for concurrent scoring.
+
+    ``score_step`` returns one shared, read-only row per context from a
+    bounded LRU cache of ``ROW_CACHE_BYTES // (8 * V)`` rows (at least one).
     """
 
     order: int
@@ -125,6 +135,8 @@ class NGramModel:
     vocab: Vocabulary
     counts: dict[tuple[int, ...], dict[int, int]] = field(default_factory=dict)
     totals: dict[tuple[int, ...], int] = field(init=False)
+    _row: Callable[[tuple[int, ...]], np.ndarray] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_order(self.order)
@@ -156,6 +168,8 @@ class NGramModel:
                 raise ValueError(
                     f"counts in context {self.vocab.decode(context)!r} overflow "
                     "float range once smoothed")
+        capacity = max(1, ROW_CACHE_BYTES // (8 * vocab_size))
+        self._row = functools.lru_cache(maxsize=capacity)(self._build_row)
 
     def context_for(self, prefix: Sequence[int]) -> tuple[int, ...]:
         if self.order == 1:
@@ -165,8 +179,10 @@ class NGramModel:
 
     def score_step(self, condition: Condition, prefix: Sequence[int]) -> np.ndarray:
         _check_step_args(condition, prefix)
+        return self._row(self.context_for(prefix))
+
+    def _build_row(self, context: tuple[int, ...]) -> np.ndarray:
         vocab_size = len(self.vocab)
-        context = self.context_for(prefix)
         generable = vocab_size - FIRST_GENERABLE_ID
         observed = np.zeros(generable, dtype=np.float64)
         for token, count in self.counts.get(context, {}).items():
@@ -175,6 +191,7 @@ class NGramModel:
         probs = (observed + self.alpha) / (total + self.alpha * generable)
         scores = np.full(vocab_size, -np.inf, dtype=np.float64)
         scores[FIRST_GENERABLE_ID:] = _log_row(probs)
+        scores.flags.writeable = False
         return scores
 
 
@@ -282,7 +299,10 @@ def ngram_from_dict(doc: dict) -> NGramModel:
                 raise ValueError(f"token {tok!r} is not in the model vocabulary")
         bucket = counts.setdefault(tuple(vocab.token_to_id(t) for t in context_tokens), {})
         target = vocab.token_to_id(token)
-        bucket[target] = bucket.get(target, 0) + count
+        if target in bucket:
+            # summing would let a negative count hide behind a positive one
+            raise ValueError(f"count entry {entry!r} repeats an earlier context and token")
+        bucket[target] = count
     return NGramModel(order=order, alpha=alpha, vocab=vocab, counts=counts)
 
 
@@ -428,13 +448,23 @@ def _parse_json(text: str) -> dict | None:
     return doc
 
 
+def _parse_yaml(text: str):
+    import yaml
+
+    loader = YAML_LOADER or getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+    try:
+        return yaml.load(text, Loader=loader)
+    except yaml.YAMLError as exc:
+        raise ValueError(f"malformed model document: {exc}") from exc
+
+
 def _parse_document(text: str) -> dict:
     """Parse a model document as JSON, or as YAML where JSON does not apply."""
     try:
         doc = _parse_json(text)
         if doc is None:
-            doc = yaml.load(text, Loader=YAML_LOADER)
-    except (yaml.YAMLError, UnicodeEncodeError) as exc:
+            doc = _parse_yaml(text)
+    except UnicodeEncodeError as exc:
         # libyaml encodes the text to UTF-8 first, so a lone surrogate fails
         # there instead of in the pure reader's character check
         raise ValueError(f"malformed model document: {exc}") from exc

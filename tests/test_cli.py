@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -189,6 +191,32 @@ class TestDecode:
         code = main(["decode", "--model", str(model), "--conditions", "c1"])
         assert code == 2
         assert "float range" in capsys.readouterr().err
+
+    # summed, the two entries loaded as a count of 2
+    def test_repeated_count_entry_rejected(self, tmp_path, capsys):
+        model = tmp_path / "lm.json"
+        model.write_text(
+            '{"order":2,"alpha":1.0,"vocab":["<pad>","<bos>","<eos>","<unk>","a","b"],'
+            '"counts":[[["a"],"b",5],[["a"],"b",-3]]}\n', encoding="utf-8")
+        code = main(["decode", "--model", str(model), "--conditions", "c1"])
+        assert code == 2
+        assert "repeats an earlier context and token" in capsys.readouterr().err
+
+    # yaml is imported only for a document that is not JSON
+    def test_json_model_round_never_imports_yaml(self, corpus_path, tmp_path):
+        model, out = tmp_path / "model.json", tmp_path / "story.json"
+        script = (
+            "import sys\n"
+            "from storybeam.cli import main\n"
+            f"assert main(['train-lm', {str(corpus_path)!r}, '--out', {str(model)!r}]) == 0\n"
+            f"assert main(['decode', '--model', {str(model)!r}, '--conditions', 'c1', 'c2',"
+            f" '--out', {str(out)!r}]) == 0\n"
+            "print('yaml' in sys.modules)\n")
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                                text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "False"
+        assert json.loads(out.read_text(encoding="utf-8"))["segments"]
 
     @pytest.mark.parametrize("token", ["<bos>", "<pad>"])
     def test_counted_pad_or_bos_rejected(self, tmp_path, capsys, token):

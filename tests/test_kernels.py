@@ -5,9 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from storybeam import kernels
-from storybeam.corpus import EOS_ID, NUM_SPECIALS
+from storybeam.corpus import EOS_ID, FIRST_GENERABLE_ID, NUM_SPECIALS
 from storybeam.decoding import Beam, Hypothesis, expand_and_select
 from storybeam.oracle import exhaustive_step_select
 
@@ -53,6 +54,72 @@ def test_orders_by_score_then_token_then_beam():
     assert tokens.tolist() == [t for t in range(2, 6) for _ in range(3)]
     assert np.allclose(scores, np.log(1 / 4))
     assert (beams.dtype, tokens.dtype, scores.dtype) == (np.int64, np.int64, np.float64)
+
+
+def sorted_selection(base_aug, logprobs, penalty, strength, beam_width):
+    """The kernel before the cut-off: one stable sort of every token-major score."""
+    expanded = (base_aug[:, None] + logprobs[:, FIRST_GENERABLE_ID:]) \
+        + (strength * penalty[FIRST_GENERABLE_ID:])[None, :]
+    scores = expanded.T.ravel()
+    top = np.argsort(-scores, kind="stable")[:beam_width]
+    tokens, rows = np.divmod(top, logprobs.shape[0])
+    return rows, tokens + FIRST_GENERABLE_ID, scores[top]
+
+
+LEVELS = (0.0, -0.5, -1.0, -np.inf)
+
+
+@st.composite
+def selection_steps(draw):
+    """Steps whose scores tie often: lattice, all-tied and -inf rows."""
+    n_rows = draw(st.integers(1, 4))
+    vocab_size = draw(st.integers(NUM_SPECIALS, 60))
+    base = np.array(draw(st.lists(st.sampled_from(LEVELS[:3]),
+                                  min_size=n_rows, max_size=n_rows)))
+    logprobs = np.full((n_rows, vocab_size), -np.inf)
+    for row in logprobs:
+        kind = draw(st.sampled_from(["lattice", "tied", "-inf"]))
+        if kind == "lattice":
+            row[FIRST_GENERABLE_ID:] = draw(st.lists(
+                st.sampled_from(LEVELS), min_size=vocab_size - FIRST_GENERABLE_ID,
+                max_size=vocab_size - FIRST_GENERABLE_ID))
+        elif kind == "tied":
+            row[FIRST_GENERABLE_ID:] = -math.log(vocab_size - FIRST_GENERABLE_ID)
+    penalty = np.zeros(vocab_size)
+    penalty[NUM_SPECIALS:] = draw(st.lists(
+        st.sampled_from([0.0, -1.0]), min_size=vocab_size - NUM_SPECIALS,
+        max_size=vocab_size - NUM_SPECIALS))
+    strength = draw(st.sampled_from([0.0, 0.5, 2.0]))
+    n = n_rows * (vocab_size - FIRST_GENERABLE_ID)
+    beam_width = draw(st.integers(1, n + 3))
+    return base, logprobs, penalty, strength, beam_width
+
+
+@settings(max_examples=300, deadline=None)
+@given(selection_steps())
+def test_cut_off_selects_what_a_full_stable_sort_selects(step):
+    base, logprobs, penalty, strength, beam_width = step
+    got = kernels.select_top_candidates(
+        base, logprobs, penalty, strength, np.arange(len(base), dtype=np.int64),
+        np.empty(0), np.empty(0, dtype=np.int64), beam_width)
+    want = sorted_selection(base, logprobs, penalty, strength, beam_width)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype
+        assert g.tolist() == w.tolist()
+
+
+def test_ties_straddling_the_cut_off_fill_in_flat_order():
+    # token-major scores: four candidates above the cut-off, then a
+    # twelve-way tie of which only the first three fit
+    logprobs = np.full((3, 8), -np.inf)
+    logprobs[:, 2:] = np.log(1 / 8)
+    logprobs[0, 7] = logprobs[1, 7] = logprobs[2, 6] = logprobs[1, 3] = np.log(1 / 4)
+    beams, tokens, scores = kernels.select_top_candidates(
+        np.zeros(3), logprobs, np.zeros(8), 0.0,
+        np.arange(3, dtype=np.int64), np.empty(0), np.empty(0, dtype=np.int64), 7)
+    assert list(zip(tokens.tolist(), beams.tolist())) == [
+        (3, 1), (6, 2), (7, 0), (7, 1), (2, 0), (2, 1), (2, 2)]
+    assert scores.tolist() == [np.log(1 / 4)] * 4 + [np.log(1 / 8)] * 3
 
 
 @pytest.mark.parametrize("unfinished_idx, carry_scores, carry_idx", [

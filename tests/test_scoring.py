@@ -1,5 +1,8 @@
+import itertools
 import json
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -7,10 +10,22 @@ import yaml
 from hypothesis import given, strategies as st
 
 from storybeam import scoring
-from storybeam.corpus import BOS_ID, EOS_ID, PAD_ID, UNK_ID, Corpus, build_vocabulary
+from storybeam.corpus import (
+    BOS_ID,
+    EOS_ID,
+    FIRST_GENERABLE_ID,
+    PAD_ID,
+    UNK_ID,
+    Corpus,
+    build_vocabulary,
+)
+from storybeam.decoding import DecodeConfig, inter_sentence_dbs, story_to_json
+from storybeam.diversity import zero_penalty
+from storybeam.oracle import exhaustive_best
 from storybeam.scoring import (
     MAX_ORDER,
     NGramModel,
+    ROW_CACHE_BYTES,
     ValidatingScorer,
     dump_ngram,
     load_ngram,
@@ -36,6 +51,15 @@ def yaml_loader(request, monkeypatch) -> str:
     loader = {"pure": "SafeLoader", "libyaml": "CSafeLoader"}[request.param]
     monkeypatch.setattr(scoring, "YAML_LOADER", getattr(yaml, loader))
     return request.param
+
+
+def test_yaml_fallback_defaults_to_the_fastest_loader(monkeypatch):
+    seen = []
+    real_load = yaml.load
+    monkeypatch.setattr(yaml, "load", lambda text, Loader: seen.append(Loader)
+                        or real_load(text, Loader=Loader))
+    load_table_scorer("vocab: [a, <eos>]\ndefault_row: [0.5, 0.5]\n")
+    assert seen == [getattr(yaml, "CSafeLoader", yaml.SafeLoader)]
 
 
 def assert_yaml_reads_as_json(text: str) -> None:
@@ -396,6 +420,18 @@ class TestNGramSerialization:
         assert loaded.vocab == vocab and loaded.counts == model.counts
         assert dump_ngram(loaded) == text
 
+    @given(st.integers(min_value=1, max_value=3),
+           st.lists(st.lists(st.sampled_from(["a", "b", "c", "<unk>"]), min_size=1,
+                             max_size=6), min_size=1, max_size=5))
+    def test_written_model_never_repeats_a_pair(self, order, sentences):
+        corpus = Corpus(sentences=tuple(tuple(s) for s in sentences))
+        vocab = build_vocabulary(corpus, min_count=1)
+        model = train_ngram(corpus, vocab, order=order, alpha=0.5)
+        text = dump_ngram(model)
+        pairs = [(tuple(context), token) for context, token, _ in json.loads(text)["counts"]]
+        assert len(set(pairs)) == len(pairs)
+        assert load_ngram(text).counts == model.counts
+
     # json.dumps writes 1e-05 and 1e+20, which YAML 1.1 reads as strings
     @pytest.mark.parametrize("alpha", [1e-05, 0.01, 1e+20])
     def test_alpha_reads_as_the_same_float_under_yaml(self, alpha):
@@ -462,6 +498,10 @@ class TestNGramSerialization:
             ("order: 2\nalpha: 1.0\ncounts: [[[a], a, -1]]\n", "non-negative"),
             ("order: 2\nalpha: 1.0\ncounts: [[['<bos>'], '<bos>', 50]]\n", "PAD, BOS"),
             ("order: 2\nalpha: 1.0\ncounts: [[['<bos>'], '<pad>', 20]]\n", "PAD, BOS"),
+            # summed, these two loaded as a count of 2
+            ("order: 2\nalpha: 1.0\ncounts: [[[a], b, 5], [[a], b, -3]]\n", "repeats"),
+            ("order: 2\nalpha: 1.0\ncounts: [[[a], b, 1], [[b], a, 1], [[a], b, 1]]\n",
+             "repeats"),
         ]:
             with pytest.raises(ValueError, match=match):
                 load_ngram(fields + vocab)
@@ -493,3 +533,115 @@ class TestValidatingScorer:
             wrapped.score_step("c1", [])
             wrapped.score_step("c2", [4])
         assert wrapped.calls == 2
+
+
+def reference_row(model: NGramModel, prefix) -> np.ndarray:
+    """The smoothed log row, computed afresh as score_step did before caching."""
+    context = model.context_for(prefix)
+    generable = len(model.vocab) - FIRST_GENERABLE_ID
+    observed = np.zeros(generable, dtype=np.float64)
+    for token, count in model.counts.get(context, {}).items():
+        observed[token - FIRST_GENERABLE_ID] = count
+    probs = (observed + model.alpha) / (model.totals.get(context, 0) + model.alpha * generable)
+    row = np.full(len(model.vocab), -np.inf, dtype=np.float64)
+    with np.errstate(divide="ignore"):
+        row[FIRST_GENERABLE_ID:] = np.log(probs)
+    return row
+
+
+def trigram_model() -> NGramModel:
+    corpus = tiny_corpus("a b c a b", "b c a", "c c b a", "a a b")
+    vocab = build_vocabulary(corpus, min_count=1)
+    return train_ngram(corpus, vocab, order=3, alpha=0.3)
+
+
+def every_prefix(model: NGramModel, length: int = 2) -> list[list[int]]:
+    ids = [model.vocab.token_to_id(t) for t in ("a", "b", "c")] + [UNK_ID]
+    return [list(p) for n in range(length + 1) for p in itertools.product(ids, repeat=n)]
+
+
+class TestRowCache:
+    def test_rows_match_a_fresh_computation_and_are_read_only(self):
+        model = trigram_model()
+        for _ in range(2):  # the second pass reads the cache
+            for prefix in every_prefix(model):
+                row = model.score_step("x", prefix)
+                assert row.tobytes() == reference_row(model, prefix).tobytes()
+                assert not row.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    row[FIRST_GENERABLE_ID] = 0.0
+
+    def test_one_context_shares_one_row(self):
+        model = trigram_model()
+        a, b = model.vocab.token_to_id("a"), model.vocab.token_to_id("b")
+        row = model.score_step("img1", [a, b])
+        assert model.score_step("img2", [b, b, a, b]) is row
+        assert model.score_step("img1", [a, a]) is not row
+
+    def test_capacity_comes_from_the_byte_budget(self, monkeypatch):
+        model = trigram_model()
+        assert model._row.cache_info().maxsize == ROW_CACHE_BYTES // (8 * len(model.vocab))
+        monkeypatch.setattr(scoring, "ROW_CACHE_BYTES", 8 * len(model.vocab) * 3 + 7)
+        assert trigram_model()._row.cache_info().maxsize == 3
+        monkeypatch.setattr(scoring, "ROW_CACHE_BYTES", 1)
+        assert trigram_model()._row.cache_info().maxsize == 1
+
+    # the check runs before the cache, so a cached context still rejects bad input
+    def test_step_arguments_checked_on_every_call(self):
+        model = trigram_model()
+        model.score_step("x", [])
+        with pytest.raises(ValueError, match="non-empty"):
+            model.score_step("", [])
+        with pytest.raises(ValueError, match="EOS"):
+            model.score_step("x", [EOS_ID])
+
+    @pytest.mark.parametrize("capacity", [1, 2, 5])
+    def test_eviction_keeps_rows_correct_and_the_cache_bounded(self, monkeypatch, capacity):
+        monkeypatch.setattr(scoring, "ROW_CACHE_BYTES", 8 * len(trigram_model().vocab) * capacity)
+        model = trigram_model()
+        prefixes = every_prefix(model)
+        rng = np.random.default_rng(capacity)
+        for i in rng.integers(0, len(prefixes), size=300):
+            row = model.score_step("x", prefixes[i])
+            assert row.tobytes() == reference_row(model, prefixes[i]).tobytes()
+            assert model._row.cache_info().currsize <= capacity
+        assert model._row.cache_info().misses > len({model.context_for(p) for p in prefixes})
+
+    def test_threads_sharing_a_small_cache_get_correct_rows(self, monkeypatch):
+        monkeypatch.setattr(scoring, "ROW_CACHE_BYTES", 8 * len(trigram_model().vocab) * 3)
+        model = trigram_model()
+        prefixes = every_prefix(model)
+        want = [reference_row(model, p).tobytes() for p in prefixes]
+
+        def score_all(seed: int) -> bool:
+            order = np.random.default_rng(seed).permutation(len(prefixes))
+            return all(model.score_step("x", prefixes[i]).tobytes() == want[i]
+                       for _ in range(20) for i in order)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(score_all, seed) for seed in range(4)]
+                assert all(f.result(timeout=60) for f in futures)
+        finally:
+            sys.setswitchinterval(interval)
+        assert model._row.cache_info().currsize <= 3
+
+    def test_validator_oracle_and_decoder_see_identical_rows(self, monkeypatch):
+        cached = trigram_model()
+        monkeypatch.setattr(scoring, "ROW_CACHE_BYTES", 1)
+        evicting = trigram_model()
+        for prefix in every_prefix(cached):
+            row = cached.score_step("x", prefix)
+            assert ValidatingScorer(cached).score_step("x", prefix) is row
+            assert ValidatingScorer(evicting).score_step("x", prefix).tobytes() == row.tobytes()
+        vocab = cached.vocab
+        penalty = zero_penalty(len(vocab))
+        assert (exhaustive_best(cached, "c", vocab, 4, 0.0, penalty)
+                == exhaustive_best(evicting, "c", vocab, 4, 0.0, penalty))
+        config = DecodeConfig(beam_width=3, diversity_strength=2.0, max_len=6, num_segments=3)
+        stories = [story_to_json(inter_sentence_dbs(ValidatingScorer(model), ["c1", "c2", "c3"],
+                                                    vocab, config), vocab)
+                   for model in (cached, evicting, cached)]
+        assert stories[0] == stories[1] == stories[2]
