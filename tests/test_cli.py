@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 import warnings
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 import yaml
 
+import storybeam
 from storybeam.cli import main
 from storybeam.scoring import MAX_ORDER, load_ngram, ngram_to_dict
 
@@ -212,8 +214,10 @@ class TestDecode:
             f"assert main(['decode', '--model', {str(model)!r}, '--conditions', 'c1', 'c2',"
             f" '--out', {str(out)!r}]) == 0\n"
             "print('yaml' in sys.modules)\n")
+        # the child imports the same storybeam as this test
+        env = {**os.environ, "PYTHONPATH": str(Path(storybeam.__file__).parents[1])}
         result = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                                text=True, timeout=60)
+                                text=True, timeout=60, env=env)
         assert result.returncode == 0, result.stderr
         assert result.stdout.splitlines()[-1] == "False"
         assert json.loads(out.read_text(encoding="utf-8"))["segments"]
