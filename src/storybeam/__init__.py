@@ -16,7 +16,6 @@ from .corpus import (
     build_vocabulary,
 )
 from .decoding import (
-    Beam,
     DecodeConfig,
     Hypothesis,
     SegmentResult,
@@ -29,8 +28,6 @@ from .decoding import (
 from .diversity import (
     PENALTIES,
     bag_of_words,
-    hamming_penalty,
-    presence_penalty,
     validate_penalty,
     zero_penalty,
 )

@@ -124,9 +124,15 @@ def _cmd_train_lm(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _read_lines(path: str) -> list[str]:
+    # read_text turns \r\n and \r into \n, and lines end there only:
+    # str.splitlines() also breaks at \x0b, \x0c, \x1c-\x1e, \x85, \u2028
+    # and \u2029, which would shift line numbers away from the file's lines
+    return Path(path).read_text(encoding="utf-8").split("\n")
+
+
 def _read_conditions_file(path: str) -> list[str]:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    return [line.strip() for line in lines if line.strip()]
+    return [line.strip() for line in _read_lines(path) if line.strip()]
 
 
 def _cmd_decode(args: argparse.Namespace) -> int:
@@ -148,9 +154,9 @@ def _cmd_decode(args: argparse.Namespace) -> int:
     if args.batch is not None:
         if not args.out:
             raise ValueError("--batch requires --out to name an output directory")
-        lines = Path(args.batch).read_text(encoding="utf-8").splitlines()
         stories = [(line_no, line.split())
-                   for line_no, line in enumerate(lines, start=1) if line.split()]
+                   for line_no, line in enumerate(_read_lines(args.batch), start=1)
+                   if line.split()]
         if not stories:
             raise ValueError(f"batch file {args.batch} contains no stories")
         out_dir = Path(args.out)

@@ -14,9 +14,11 @@ strict total order (augmented score descending, token id ascending,
 incoming beam position ascending), so identical inputs always produce
 identical results, byte for byte once serialized.
 
-A beam holds only live hypotheses that can still win. After each step
-the finishers update the segment's single running best, and the next
-beam keeps the unfinished hypotheses scoring strictly above it.
+A beam is a tuple of live hypotheses that can still win, in any order:
+ties break by beam position, and each step returns the hypotheses it
+selects in selection order. After each step the finishers update the
+segment's single running best, and the next beam keeps the unfinished
+hypotheses scoring strictly above it.
 """
 
 from __future__ import annotations
@@ -76,27 +78,6 @@ class Hypothesis:
 
 
 @dataclass(frozen=True)
-class Beam:
-    """Hypotheses ordered best-first by augmented score."""
-
-    hypotheses: tuple[Hypothesis, ...]
-
-    def __post_init__(self):
-        scores = [h.aug_score for h in self.hypotheses]
-        if any(a < b for a, b in zip(scores, scores[1:])):
-            raise ValueError("beam hypotheses must be sorted by aug_score, best first")
-
-    def __len__(self) -> int:
-        return len(self.hypotheses)
-
-    def __iter__(self):
-        return iter(self.hypotheses)
-
-    def __getitem__(self, i: int) -> Hypothesis:
-        return self.hypotheses[i]
-
-
-@dataclass(frozen=True)
 class StepTrace:
     """What one expansion step considered: every (hypothesis, generable token) pair."""
 
@@ -113,19 +94,20 @@ class SegmentResult:
 @dataclass(frozen=True)
 class StoryResult:
     segments: tuple[SegmentResult, ...]
-    story_tokens: tuple[int, ...]
 
 
-def expand_and_select(beam: Beam, scores_per_hypothesis: Sequence[np.ndarray],
-                      penalty: np.ndarray, strength: float, beam_width: int) -> Beam:
+def expand_and_select(beam: Sequence[Hypothesis],
+                      scores_per_hypothesis: Sequence[np.ndarray], penalty: np.ndarray,
+                      strength: float, beam_width: int) -> tuple[Hypothesis, ...]:
     """One selection step: expand every hypothesis of the beam and keep the top B.
 
-    ``scores_per_hypothesis`` must align with the beam's hypotheses in
-    order, and every hypothesis must be unfinished: a finished one has
-    nothing left to expand. Each candidate scores ``hypothesis aug +
-    logprob + strength * penalty[token]``; PAD and BOS are never
-    candidates. A NaN step score has no place in the total order and
-    raises ``ValueError``.
+    The beam may be in any order. ``scores_per_hypothesis`` must align
+    with its hypotheses, and every hypothesis must be unfinished: a
+    finished one has nothing left to expand. Each candidate scores
+    ``hypothesis aug + logprob + strength * penalty[token]``; PAD and BOS
+    are never candidates. A NaN step score has no place in the total
+    order and raises ``ValueError``. Returns the selected hypotheses in
+    selection order.
     """
     if beam_width < 1:
         raise ValueError(f"beam_width must be >= 1, got {beam_width}")
@@ -166,7 +148,7 @@ def expand_and_select(beam: Beam, scores_per_hypothesis: Sequence[np.ndarray],
             step_logprobs=parent.step_logprobs + (logprob,),
             step_penalties=parent.step_penalties + (contribution,),
         ))
-    return Beam(tuple(kept))
+    return tuple(kept)
 
 
 def _better_finisher(best: Hypothesis | None, finishers: Iterable[Hypothesis]
@@ -212,7 +194,7 @@ def beam_search(scorer: Scorer, condition: Condition, vocab: Vocabulary,
             f"diversity strength {strength} overflows this segment's penalty "
             f"total over {config.max_len} steps")
 
-    beam = Beam((Hypothesis(),))
+    beam: tuple[Hypothesis, ...] = (Hypothesis(),)
     best: Hypothesis | None = None
     trace: list[StepTrace] = []
     n_generable = len(vocab) - FIRST_GENERABLE_ID
@@ -222,8 +204,8 @@ def beam_search(scorer: Scorer, condition: Condition, vocab: Vocabulary,
         beam = expand_and_select(beam, scores, penalty, strength, beam_width)
         best = _better_finisher(best, (h for h in beam if h.finished))
         # scores never increase, so only a live hypothesis above best can still win
-        beam = Beam(tuple(h for h in beam if not h.finished
-                          and (best is None or h.aug_score > best.aug_score)))
+        beam = tuple(h for h in beam if not h.finished
+                     and (best is None or h.aug_score > best.aug_score))
     best = _better_finisher(best, (replace(h, finished=True) for h in beam))
     return SegmentResult(condition=condition, best=best, trace=tuple(trace))
 
@@ -251,10 +233,7 @@ def inter_sentence_dbs(scorer: Scorer, conditions: Sequence[Condition],
         else:
             penalty = penalty_fn([seg.best.tokens for seg in segments], vocab)
         segments.append(beam_search(scorer, condition, vocab, config, penalty))
-    story_tokens: tuple[int, ...] = ()
-    for seg in segments:
-        story_tokens += seg.best.tokens
-    return StoryResult(segments=tuple(segments), story_tokens=story_tokens)
+    return StoryResult(segments=tuple(segments))
 
 
 # ---------------------------------------------------------------------------

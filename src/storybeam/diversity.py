@@ -29,22 +29,6 @@ def bag_of_words(segments: Sequence[Sequence[int]]) -> Counter[int]:
     return bag
 
 
-def hamming_penalty(bag: Counter[int], vocab_size: int) -> np.ndarray:
-    """Penalty proportional to previous occurrences: -count per repeated token."""
-    values = np.zeros(vocab_size, dtype=np.float64)
-    for token, count in bag.items():
-        values[token] = -float(count)
-    return values
-
-
-def presence_penalty(bag: Counter[int], vocab_size: int) -> np.ndarray:
-    """Binary variant: -1 for any token already seen, regardless of count."""
-    values = np.zeros(vocab_size, dtype=np.float64)
-    for token in bag:
-        values[token] = -1.0
-    return values
-
-
 def zero_penalty(vocab_size: int) -> np.ndarray:
     return np.zeros(vocab_size, dtype=np.float64)
 
@@ -62,11 +46,19 @@ def validate_penalty(values: np.ndarray, vocab_size: int) -> None:
 
 
 def hamming_diversity(segments: Sequence[Sequence[int]], vocab: Vocabulary) -> np.ndarray:
-    return hamming_penalty(bag_of_words(segments), len(vocab))
+    """Penalty proportional to previous occurrences: -count per repeated token."""
+    values = zero_penalty(len(vocab))
+    for token, count in bag_of_words(segments).items():
+        values[token] = -float(count)
+    return values
 
 
 def presence_diversity(segments: Sequence[Sequence[int]], vocab: Vocabulary) -> np.ndarray:
-    return presence_penalty(bag_of_words(segments), len(vocab))
+    """Binary variant: -1 for any token already seen, regardless of count."""
+    values = zero_penalty(len(vocab))
+    for token in bag_of_words(segments):
+        values[token] = -1.0
+    return values
 
 
 PENALTIES: dict[str, PenaltyFn] = {

@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import EOS_ID, FIRST_GENERABLE_ID, Vocabulary
-from .decoding import Beam, Hypothesis
+from .decoding import Hypothesis
 from .diversity import validate_penalty
 from .scoring import Condition, Scorer
 
@@ -29,9 +29,10 @@ class OracleResult:
     best_score: float
 
 
-def exhaustive_step_select(beam: Beam, scores_per_hypothesis: Sequence[np.ndarray],
+def exhaustive_step_select(beam: Sequence[Hypothesis],
+                           scores_per_hypothesis: Sequence[np.ndarray],
                            penalty: np.ndarray, strength: float,
-                           beam_width: int) -> Beam:
+                           beam_width: int) -> tuple[Hypothesis, ...]:
     """Reference for ``expand_and_select``: materialize and sort everything.
 
     Builds every (hypothesis, token) candidate, sorts the whole list
@@ -68,7 +69,7 @@ def exhaustive_step_select(beam: Beam, scores_per_hypothesis: Sequence[np.ndarra
             candidates.append((aug, token, pos, extended))
 
     candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
-    return Beam(tuple(c[3] for c in candidates[:beam_width]))
+    return tuple(c[3] for c in candidates[:beam_width])
 
 
 def exhaustive_best(scorer: Scorer, condition: Condition, vocab: Vocabulary,

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 import pytest
 
-from storybeam.decoding import Beam, Hypothesis
+from storybeam.decoding import Hypothesis
 from storybeam.scoring import TableScorer, table_from_dict
 
 
@@ -75,6 +77,7 @@ def random_step_case(rng: np.random.Generator):
     """A random one-step selection problem: beam, step scores, penalty.
 
     Every hypothesis is unfinished: a selection step expands the whole beam.
+    Its hypotheses come in no particular order.
     """
     vocab_size = int(rng.integers(4, 9))
     n_hyps = int(rng.integers(1, 4))
@@ -88,8 +91,7 @@ def random_step_case(rng: np.random.Generator):
         hypotheses.append(Hypothesis(
             tokens=tokens, raw_score=raw, aug_score=raw + sum(penalties),
             step_logprobs=logprobs, step_penalties=penalties))
-    hypotheses.sort(key=lambda h: h.aug_score, reverse=True)
-    beam = Beam(tuple(hypotheses))
+    beam = tuple(hypotheses)
     scores = []
     for _ in range(len(beam)):
         row = np.full(vocab_size, -np.inf)
@@ -102,7 +104,7 @@ def random_step_case(rng: np.random.Generator):
     return beam, scores, penalty, strength, beam_width
 
 
-def assert_beams_identical(got: Beam, want: Beam) -> None:
+def assert_beams_identical(got: Sequence[Hypothesis], want: Sequence[Hypothesis]) -> None:
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert g.tokens == w.tokens

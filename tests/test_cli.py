@@ -366,6 +366,34 @@ class TestDecode:
         assert sorted(p.name for p in out_dir.iterdir()) == ["story_0000.json"]
         assert (out_dir / "story_0000.json").read_bytes() == first
 
+    @pytest.mark.parametrize("sep", ["\x1c", "\x0c", "\N{LINE SEPARATOR}"])
+    def test_batch_and_conditions_files_split_at_newlines_only(
+            self, table_path, tmp_path, capsys, sep):
+        # str.splitlines() breaks lines at sep too, which shifts story numbers
+        # and reported line numbers away from the file's lines
+        batch = tmp_path / "batch.txt"
+        batch.write_text(f"c1\n\nc2{sep}c3\nc4\n", encoding="utf-8")
+        out_dir = tmp_path / "stories"
+        # at --lambda 1e308 a one-segment story decodes, a two-segment one overflows
+        code = main(["decode", "--model", str(table_path), "--batch", str(batch),
+                     "--max-len", "2", "--lambda", "1e308", "--out", str(out_dir)])
+        assert code == 2
+        err_lines = capsys.readouterr().err.splitlines()
+        assert err_lines[0].startswith("batch line 3: ")
+        assert "1 of 3 stories failed" in err_lines[1]
+        assert sorted(p.name for p in out_dir.iterdir()) == [
+            "story_0000.json", "story_0002.json"]
+        doc = json.loads((out_dir / "story_0002.json").read_text(encoding="utf-8"))
+        assert [seg["condition"] for seg in doc["segments"]] == ["c4"]
+
+        conditions = tmp_path / "conds.txt"
+        conditions.write_text(f"c1\n\nc2{sep}c3\n", encoding="utf-8")
+        out = tmp_path / "story.json"
+        assert main(["decode", "--model", str(table_path), "--max-len", "2",
+                     "--conditions-file", str(conditions), "--out", str(out)]) == 0
+        doc = json.loads(out.read_text(encoding="utf-8"))
+        assert [seg["condition"] for seg in doc["segments"]] == ["c1", f"c2{sep}c3"]
+
     def test_batch_requires_out_directory(self, table_path, tmp_path):
         batch = tmp_path / "batch.txt"
         batch.write_text("c1 c2\n", encoding="utf-8")

@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 
 from storybeam.corpus import EOS_ID, FIRST_GENERABLE_ID, NUM_SPECIALS
 from storybeam.decoding import (
-    Beam,
     DecodeConfig,
     Hypothesis,
     beam_search,
@@ -50,15 +49,6 @@ class TestDecodeConfig:
             DecodeConfig(**kwargs)
 
 
-class TestBeam:
-    def test_must_be_sorted_best_first(self):
-        good = Hypothesis(tokens=(4,), raw_score=-1.0, aug_score=-1.0)
-        bad = Hypothesis(tokens=(5,), raw_score=-2.0, aug_score=-2.0)
-        Beam((good, bad))
-        with pytest.raises(ValueError, match="sorted"):
-            Beam((bad, good))
-
-
 class TestExpandAndSelect:
     def test_penalty_flips_selection(self, skewed_table):
         # one step at strength 2 with token a penalized twice: b wins
@@ -67,7 +57,7 @@ class TestExpandAndSelect:
         scores = skewed_table.score_step("img", [])
         penalty = zero_penalty(len(vocab))
         penalty[a] = -2.0
-        beam = expand_and_select(Beam((Hypothesis(),)), [scores], penalty, 2.0, 1)
+        beam = expand_and_select((Hypothesis(),), [scores], penalty, 2.0, 1)
         selected = beam[0]
         assert vocab.decode(selected.tokens) == ["b"]
         assert selected.aug_score == pytest.approx(LN(0.3))
@@ -78,7 +68,7 @@ class TestExpandAndSelect:
         scores = skewed_table.score_step("img", [])
         penalty = zero_penalty(len(vocab))
         penalty[vocab.token_to_id("a")] = -3.0
-        start = Beam((Hypothesis(),))
+        start = (Hypothesis(),)
         with_strength_zero = expand_and_select(start, [scores], penalty, 0.0, 3)
         with_zero_penalty = expand_and_select(
             start, [scores], zero_penalty(len(vocab)), 0.0, 3)
@@ -91,26 +81,26 @@ class TestExpandAndSelect:
         vocab = skewed_table.vocab
         scores = skewed_table.score_step("img", [])
         with pytest.raises(ValueError, match="score vectors"):
-            expand_and_select(Beam((Hypothesis(),)), [scores, scores],
+            expand_and_select((Hypothesis(),), [scores, scores],
                               zero_penalty(len(vocab)), 0.0, 2)
         with pytest.raises(ValueError, match="shape"):
-            expand_and_select(Beam((Hypothesis(),)), [scores[:-1]],
+            expand_and_select((Hypothesis(),), [scores[:-1]],
                               zero_penalty(len(vocab)), 0.0, 2)
 
     def test_invalid_width_and_strength_rejected(self, skewed_table):
         scores = skewed_table.score_step("img", [])
         penalty = zero_penalty(len(skewed_table.vocab))
         with pytest.raises(ValueError, match="beam_width"):
-            expand_and_select(Beam((Hypothesis(),)), [scores], penalty, 0.0, 0)
+            expand_and_select((Hypothesis(),), [scores], penalty, 0.0, 0)
         for strength in (-1.0, math.inf, math.nan):
             with pytest.raises(ValueError, match="strength"):
-                expand_and_select(Beam((Hypothesis(),)), [scores], penalty, strength, 1)
+                expand_and_select((Hypothesis(),), [scores], penalty, strength, 1)
 
     def test_nan_step_scores_rejected(self, skewed_table):
         scores = skewed_table.score_step("img", []).copy()
         scores[-1] = np.nan
         with pytest.raises(ValueError, match="NaN"):
-            expand_and_select(Beam((Hypothesis(),)), [scores],
+            expand_and_select((Hypothesis(),), [scores],
                               zero_penalty(len(skewed_table.vocab)), 0.0, 2)
 
     def test_finished_hypothesis_rejected(self, skewed_table):
@@ -120,7 +110,7 @@ class TestExpandAndSelect:
                               step_penalties=(0.0,))
         live = Hypothesis(tokens=(4,), raw_score=-0.5, aug_score=-0.5,
                           step_logprobs=(-0.5,), step_penalties=(0.0,))
-        beam = Beam((finished, live))
+        beam = (finished, live)
         scores = skewed_table.score_step("img", live.tokens)
         for select in (expand_and_select, exhaustive_step_select):
             with pytest.raises(ValueError, match="finished"):
@@ -189,7 +179,8 @@ class TestBeamSearch:
             best.raw_score + sum(best.step_penalties), abs=1e-9)
 
 
-def carryover_step(beam, scores_per_unfinished, penalty, strength, beam_width) -> Beam:
+def carryover_step(beam, scores_per_unfinished, penalty, strength, beam_width
+                   ) -> tuple[Hypothesis, ...]:
     """Brute-force selection where finished hypotheses compete for slots as token -1."""
     candidates = []
     rows = iter(scores_per_unfinished)
@@ -210,7 +201,7 @@ def carryover_step(beam, scores_per_unfinished, penalty, strength, beam_width) -
                 step_logprobs=parent.step_logprobs + (logprob,),
                 step_penalties=parent.step_penalties + (contribution,))))
     candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
-    return Beam(tuple(c[3] for c in candidates[:beam_width]))
+    return tuple(c[3] for c in candidates[:beam_width])
 
 
 def reference_best(scorer, condition, config, penalty) -> tuple[Hypothesis, int]:
@@ -223,7 +214,7 @@ def reference_best(scorer, condition, config, penalty) -> tuple[Hypothesis, int]
     def better(best, h):
         return best is None or h.aug_score > best.aug_score
 
-    beam = Beam((Hypothesis(),))
+    beam = (Hypothesis(),)
     best = None
     steps = 0
     while steps < config.max_len:
@@ -259,7 +250,7 @@ class TestRunningBest:
                               max_len=max_len, num_segments=1)
         result = beam_search(scorer, "c", vocab, config, penalty)
         want, steps = reference_best(scorer, "c", config, penalty)
-        assert_beams_identical(Beam((result.best,)), Beam((want,)))
+        assert_beams_identical((result.best,), (want,))
         assert len(result.trace) == steps
 
     def test_runaway_max_len_stops_once_best_is_unbeatable(self, skewed_table):
@@ -320,8 +311,6 @@ class TestInterSentenceDbs:
         assert vocab.decode(story.segments[0].best.tokens) == ["a", "a"]
         assert vocab.decode(story.segments[1].best.tokens) == ["b", "b"]
         assert story.segments[1].best.aug_score == pytest.approx(2 * LN(0.3))
-        assert story.story_tokens == (story.segments[0].best.tokens
-                                      + story.segments[1].best.tokens)
 
     def test_zero_strength_repeats_segments(self, skewed_table):
         vocab = skewed_table.vocab

@@ -7,7 +7,6 @@ from storybeam.diversity import (
     bag_of_words,
     get_penalty_fn,
     hamming_diversity,
-    hamming_penalty,
     presence_diversity,
     validate_penalty,
     zero_penalty,
@@ -49,24 +48,24 @@ class TestBagOfWords:
 
 class TestHammingPenalty:
     def test_empty_bag_gives_zero_vector(self):
-        assert not hamming_penalty(bag_of_words([]), V).any()
+        assert not hamming_diversity([], VOCAB).any()
+        assert not hamming_diversity([[], []], VOCAB).any()
 
     def test_counts_negated(self):
-        values = hamming_penalty({A: 2, B: 1}, V)
+        values = hamming_diversity([[A, B], [A]], VOCAB)
         assert values[A] == -2.0
         assert values[B] == -1.0
         assert values[C] == 0.0
         assert values[EOS_ID] == 0.0
 
     def test_proportional_not_binary(self):
-        assert hamming_penalty({A: 5}, V)[A] == -5.0
+        assert hamming_diversity([[A, A], [A, A, A]], VOCAB)[A] == -5.0
 
     @given(segments_strategy)
     def test_exactly_negated_occurrence_counts(self, segments):
-        bag = bag_of_words(segments)
-        values = hamming_penalty(bag, V)
+        values = hamming_diversity(segments, VOCAB)
         for token in range(NUM_SPECIALS, V):
-            assert values[token] == -float(bag.get(token, 0))
+            assert values[token] == -float(sum(seg.count(token) for seg in segments))
 
     @given(segments_strategy, st.lists(token_ids, max_size=8))
     def test_monotone_in_history(self, segments, extra):
@@ -89,7 +88,7 @@ class TestPenaltyContract:
         values = presence_diversity(segments, VOCAB)
         validate_penalty(values, V)
         seen = {t for seg in segments for t in seg if t >= NUM_SPECIALS}
-        assert all(values[t] == -1.0 for t in seen)
+        assert all(values[t] == (-1.0 if t in seen else 0.0) for t in range(V))
 
     def test_positive_entry_rejected(self):
         values = zero_penalty(V)

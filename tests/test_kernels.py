@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from storybeam import kernels
 from storybeam.corpus import EOS_ID, FIRST_GENERABLE_ID, NUM_SPECIALS
-from storybeam.decoding import Beam, Hypothesis, expand_and_select
+from storybeam.decoding import Hypothesis, expand_and_select
 from storybeam.oracle import exhaustive_step_select
 
 from conftest import assert_beams_identical
@@ -35,7 +35,7 @@ def flat_penalty(kind: str, vocab_size: int = VOCAB_SIZE) -> np.ndarray:
     return penalty
 
 
-def assert_matches_oracle(beam, rows, penalty, strength, width) -> Beam:
+def assert_matches_oracle(beam, rows, penalty, strength, width) -> tuple[Hypothesis, ...]:
     got = expand_and_select(beam, rows, penalty, strength, width)
     want = exhaustive_step_select(beam, rows, penalty, strength, width)
     assert_beams_identical(got, want)
@@ -139,7 +139,7 @@ def test_legacy_parameters_accept_only_what_the_decoder_passes(
 
 
 def test_empty_beam_selects_nothing():
-    assert expand_and_select(Beam(()), [], flat_penalty("zero"), 0.0, 3) == Beam(())
+    assert expand_and_select((), [], flat_penalty("zero"), 0.0, 3) == ()
 
 
 def test_beam_width_larger_than_candidates_returns_everything():
@@ -156,7 +156,7 @@ def test_beam_width_larger_than_candidates_returns_everything():
 @pytest.mark.parametrize("penalty_kind", ["zero", "equal"])
 @pytest.mark.parametrize("strength", [0.0, 2.0])
 def test_uniform_rows_tie_across_hypotheses(n_hyps, penalty_kind, strength):
-    beam = Beam(tuple(hypothesis(4 + i, -1.0) for i in range(n_hyps)))
+    beam = tuple(hypothesis(4 + i, -1.0) for i in range(n_hyps))
     rows = [uniform_row() for _ in range(n_hyps)]
     penalty = flat_penalty(penalty_kind)
     all_tied = penalty_kind == "zero" or strength == 0.0
@@ -171,7 +171,7 @@ def test_uniform_rows_tie_across_hypotheses(n_hyps, penalty_kind, strength):
 
 @pytest.mark.parametrize("width", [13, 14, 50])
 def test_beam_wider_than_candidate_set(width):
-    beam = Beam((hypothesis(4, -1.0), hypothesis(5, -1.0)))
+    beam = (hypothesis(4, -1.0), hypothesis(5, -1.0))
     rows = [uniform_row(), uniform_row()]
     got = assert_matches_oracle(beam, rows, flat_penalty("equal"), 1.0, width)
     assert len(got) == 2 * (VOCAB_SIZE - EOS_ID)
@@ -182,7 +182,7 @@ def test_negative_infinity_rows_tie_at_the_bottom():
     partial[[3, 5]] = -np.inf
     only_eos = np.full(VOCAB_SIZE, -np.inf)
     only_eos[EOS_ID] = 0.0
-    beam = Beam((hypothesis(4, -1.0), hypothesis(5, -1.0), hypothesis(6, -1.0)))
+    beam = (hypothesis(4, -1.0), hypothesis(5, -1.0), hypothesis(6, -1.0))
     rows = [partial, only_eos, uniform_row()]
     total = 3 * (VOCAB_SIZE - EOS_ID)
     for strength in (0.0, 2.0):
@@ -199,9 +199,7 @@ def test_quantized_random_steps_match_oracle():
     for _ in range(300):
         vocab_size = int(rng.integers(5, 9))
         n_hyps = int(rng.integers(1, 4))
-        hyps = [hypothesis(4, float(rng.choice(levels))) for _ in range(n_hyps)]
-        hyps.sort(key=lambda h: h.aug_score, reverse=True)
-        beam = Beam(tuple(hyps))
+        beam = tuple(hypothesis(4, float(rng.choice(levels))) for _ in range(n_hyps))
         rows = []
         for _ in range(n_hyps):
             row = np.full(vocab_size, -np.inf)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from storybeam.decoding import Beam, DecodeConfig, Hypothesis, beam_search, expand_and_select
+from storybeam.decoding import DecodeConfig, Hypothesis, beam_search, expand_and_select
 from storybeam.diversity import zero_penalty
 from storybeam.oracle import exhaustive_best, exhaustive_step_select
 
@@ -86,14 +86,14 @@ class TestExhaustiveStepSelect:
         scores = [skewed_table.score_step("c", [])]
         penalty = zero_penalty(len(vocab))
         penalty[vocab.token_to_id("a")] = -9.0
-        start = Beam((Hypothesis(),))
+        start = (Hypothesis(),)
         selected = exhaustive_step_select(start, scores, penalty, 0.0, 2)
         assert vocab.decode([selected[0].tokens[-1]]) == ["a"]
 
     def test_width_beyond_candidates_returns_all_sorted(self, skewed_table):
         vocab = skewed_table.vocab
         scores = [skewed_table.score_step("c", [])]
-        beam = exhaustive_step_select(Beam((Hypothesis(),)), scores,
+        beam = exhaustive_step_select((Hypothesis(),), scores,
                                       zero_penalty(len(vocab)), 0.0, 50)
         assert len(beam) == len(vocab) - 2
         augs = [h.aug_score for h in beam]
