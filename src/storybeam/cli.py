@@ -16,7 +16,7 @@ import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-from .corpus import DEFAULT_MIN_COUNT, Corpus, build_vocabulary
+from .corpus import DEFAULT_MIN_COUNT, Corpus, build_vocabulary, split_lines
 from .decoding import DecodeConfig, inter_sentence_dbs, story_to_json
 from .diversity import PENALTIES, get_penalty_fn
 from .metrics import diversity_report, report_to_json
@@ -98,11 +98,12 @@ def build_parser() -> argparse.ArgumentParser:
                              "--out names a directory")
     decode.add_argument("--jobs", type=_positive_int, default=1,
                         help="concurrent stories in batch mode (default: 1)")
-    decode.add_argument("--beam-width", type=_positive_int, default=3)
+    decode.add_argument("--beam-width", type=_positive_int, default=DecodeConfig.beam_width)
     decode.add_argument("--lambda", dest="strength", type=_nonnegative_float,
-                        default=2.0, help="diversity strength (default: 2)")
-    decode.add_argument("--max-len", type=_positive_int, default=20,
-                        help="maximum tokens per segment (default: 20)")
+                        default=DecodeConfig.diversity_strength,
+                        help="diversity strength (default: %(default)g)")
+    decode.add_argument("--max-len", type=_positive_int, default=DecodeConfig.max_len,
+                        help="maximum tokens per segment (default: %(default)s)")
     decode.add_argument("--penalty", default="hamming", choices=sorted(PENALTIES))
     decode.add_argument("--out", help="output JSON path (default: stdout)")
 
@@ -125,10 +126,7 @@ def _cmd_train_lm(args: argparse.Namespace) -> int:
 
 
 def _read_lines(path: str) -> list[str]:
-    # read_text turns \r\n and \r into \n, and lines end there only:
-    # str.splitlines() also breaks at \x0b, \x0c, \x1c-\x1e, \x85, \u2028
-    # and \u2029, which would shift line numbers away from the file's lines
-    return Path(path).read_text(encoding="utf-8").split("\n")
+    return split_lines(Path(path).read_text(encoding="utf-8"))
 
 
 def _read_conditions_file(path: str) -> list[str]:

@@ -33,6 +33,14 @@ FIRST_GENERABLE_ID = EOS_ID
 DEFAULT_MIN_COUNT = 4
 
 
+def split_lines(text: str) -> list[str]:
+    """Lines of ``text``, ending at ``\\n``, ``\\r\\n`` or ``\\r`` and nowhere else.
+
+    Unlike ``str.splitlines()``, a form feed or ``\\u2028`` does not end a line.
+    """
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
 @dataclass(frozen=True)
 class Corpus:
     """Tokenized sentences; immutable after construction.
@@ -52,7 +60,7 @@ class Corpus:
     def from_text(cls, text: str) -> "Corpus":
         """Parse one-sentence-per-line text, lowercasing and skipping blanks."""
         sentences = []
-        for line in text.splitlines():
+        for line in split_lines(text):
             tokens = tuple(line.lower().split())
             if tokens:
                 sentences.append(tokens)

@@ -14,11 +14,13 @@ strict total order (augmented score descending, token id ascending,
 incoming beam position ascending), so identical inputs always produce
 identical results, byte for byte once serialized.
 
-A beam is a tuple of live hypotheses that can still win, in any order:
-ties break by beam position, and each step returns the hypotheses it
-selects in selection order. After each step the finishers update the
-segment's single running best, and the next beam keeps the unfinished
-hypotheses scoring strictly above it.
+The penalty is frozen and depends only on the token, so a selection step
+needs just each live hypothesis's augmented score and score row. A live
+hypothesis is a plain tuple ``(prefix tokens, aug, step logprob, step
+contribution, parent)``, and a step copies no score history. After each
+step the finishers update the segment's single running best, and the
+next beam keeps the unfinished hypotheses scoring strictly above it.
+Only the segment's winner is walked back into a ``Hypothesis``.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -59,20 +61,19 @@ class DecodeConfig:
 
 @dataclass(frozen=True)
 class Hypothesis:
-    """A (possibly complete) output sequence with replayable scores.
+    """A segment's result: a complete output sequence with replayable scores.
 
     ``step_logprobs`` and ``step_penalties`` are aligned with ``tokens``;
-    ``raw_score`` is their running log-probability sum and ``aug_score``
-    additionally folds in each step's penalty contribution. A hypothesis
-    finished by emitting EOS keeps that EOS as its last token; a
-    hypothesis finished by exhausting the step budget keeps its tokens
+    ``raw_score`` is their log-probability sum taken left to right from
+    0.0, and ``aug_score`` is the running total that also folds in each
+    step's penalty contribution. A sequence ended by EOS keeps that EOS
+    as its last token; one ended by the step budget keeps its tokens
     as-is.
     """
 
     tokens: tuple[int, ...] = ()
     raw_score: float = 0.0
     aug_score: float = 0.0
-    finished: bool = False
     step_logprobs: tuple[float, ...] = ()
     step_penalties: tuple[float, ...] = ()
 
@@ -96,18 +97,19 @@ class StoryResult:
     segments: tuple[SegmentResult, ...]
 
 
-def expand_and_select(beam: Sequence[Hypothesis],
+def expand_and_select(beam_aug: Sequence[float],
                       scores_per_hypothesis: Sequence[np.ndarray], penalty: np.ndarray,
-                      strength: float, beam_width: int) -> tuple[Hypothesis, ...]:
-    """One selection step: expand every hypothesis of the beam and keep the top B.
+                      strength: float, beam_width: int) -> tuple[np.ndarray, ...]:
+    """One selection step: expand every live hypothesis and keep the top B.
 
-    The beam may be in any order. ``scores_per_hypothesis`` must align
-    with its hypotheses, and every hypothesis must be unfinished: a
-    finished one has nothing left to expand. Each candidate scores
-    ``hypothesis aug + logprob + strength * penalty[token]``; PAD and BOS
-    are never candidates. A NaN step score has no place in the total
-    order and raises ``ValueError``. Returns the selected hypotheses in
-    selection order.
+    ``beam_aug`` holds the live hypotheses' augmented scores in any
+    order, and ``scores_per_hypothesis`` their score rows in the same
+    order. Each candidate scores ``aug + logprob + strength *
+    penalty[token]``; PAD and BOS are never candidates. A NaN has no
+    place in the total order, and ``+inf`` plus ``-inf`` makes one, so a
+    NaN or ``+inf`` in ``beam_aug`` or in a score row raises
+    ``ValueError`` (``-inf`` is legal). Returns the kept candidates' beam
+    positions, token ids and scores, in selection order.
     """
     if beam_width < 1:
         raise ValueError(f"beam_width must be >= 1, got {beam_width}")
@@ -115,49 +117,39 @@ def expand_and_select(beam: Sequence[Hypothesis],
         raise ValueError(f"diversity strength must be finite and >= 0, got {strength}")
     validate_penalty(penalty, len(penalty))
     vocab_size = len(penalty)
-    if any(h.finished for h in beam):
-        raise ValueError("finished hypotheses cannot be expanded")
-    if len(scores_per_hypothesis) != len(beam):
+    base_aug = np.array(beam_aug, dtype=np.float64)
+    if not (base_aug < np.inf).all():
+        raise ValueError("beam aug scores contain NaN or +inf")
+    if len(scores_per_hypothesis) != len(base_aug):
         raise ValueError(
-            f"got {len(scores_per_hypothesis)} score vectors for {len(beam)} hypotheses")
+            f"got {len(scores_per_hypothesis)} score vectors for {len(base_aug)} hypotheses")
     for scores in scores_per_hypothesis:
         if scores.shape != (vocab_size,):
             raise ValueError(
                 f"step scores have shape {scores.shape}, expected ({vocab_size},)")
 
     matrix = np.array(scores_per_hypothesis, dtype=np.float64).reshape(
-        len(beam), vocab_size)
-    if np.isnan(matrix).any():
-        raise ValueError("step scores contain NaN")
-    base_aug = np.array([h.aug_score for h in beam], dtype=np.float64)
-    sel_beam, sel_token, sel_aug = select_top_candidates(
-        base_aug, matrix, penalty, float(strength), np.arange(len(beam), dtype=np.int64),
+        len(base_aug), vocab_size)
+    if not (matrix < np.inf).all():
+        raise ValueError("step scores contain NaN or +inf")
+    return select_top_candidates(
+        base_aug, matrix, penalty, float(strength), np.arange(len(base_aug), dtype=np.int64),
         np.empty(0), np.empty(0, dtype=np.int64), int(beam_width))
 
-    kept = []
-    for beam_pos, token, aug in zip(sel_beam, sel_token, sel_aug):
-        beam_pos, token = int(beam_pos), int(token)
-        parent = beam[beam_pos]
-        logprob = float(matrix[beam_pos, token])
-        contribution = float(strength) * float(penalty[token])
-        kept.append(Hypothesis(
-            tokens=parent.tokens + (token,),
-            raw_score=parent.raw_score + logprob,
-            aug_score=float(aug),
-            finished=token == EOS_ID,
-            step_logprobs=parent.step_logprobs + (logprob,),
-            step_penalties=parent.step_penalties + (contribution,),
-        ))
-    return tuple(kept)
 
-
-def _better_finisher(best: Hypothesis | None, finishers: Iterable[Hypothesis]
-                     ) -> Hypothesis | None:
-    # strict ">" keeps the earlier finisher on ties
-    for h in finishers:
-        if best is None or h.aug_score > best.aug_score:
-            best = h
-    return best
+def _hypothesis(node: tuple) -> Hypothesis:
+    """A segment's result, built by walking the links back from its last step."""
+    tokens, aug_score = node[0], node[1]
+    steps = []
+    while node[4] is not None:  # the root is no step
+        steps.append(node)
+        node = node[4]
+    steps.reverse()
+    raw_score = 0.0
+    for step in steps:
+        raw_score += step[2]
+    return Hypothesis(tokens, raw_score, aug_score, tuple(step[2] for step in steps),
+                      tuple(step[3] for step in steps))
 
 
 def beam_search(scorer: Scorer, condition: Condition, vocab: Vocabulary,
@@ -188,26 +180,38 @@ def beam_search(scorer: Scorer, condition: Condition, vocab: Vocabulary,
     # must stay finite or the kernel's score sums overflow to -inf
     steps = min(config.max_len, sys.float_info.max)  # an int may exceed float range
     with np.errstate(over="ignore"):
-        worst_total = steps * (strength * penalty)
+        contributions = strength * penalty
+        worst_total = steps * contributions
     if not np.isfinite(worst_total).all():
         raise ValueError(
             f"diversity strength {strength} overflows this segment's penalty "
             f"total over {config.max_len} steps")
 
-    beam: tuple[Hypothesis, ...] = (Hypothesis(),)
-    best: Hypothesis | None = None
+    # live hypotheses: (prefix tokens, aug, step logprob, step contribution, parent)
+    beam: list[tuple] = [((), 0.0, 0.0, 0.0, None)]
+    best: tuple | None = None
     trace: list[StepTrace] = []
     n_generable = len(vocab) - FIRST_GENERABLE_ID
     while beam and len(trace) < config.max_len:
         trace.append(StepTrace(candidate_count=len(beam) * n_generable))
-        scores = [scorer.score_step(condition, h.tokens) for h in beam]
-        beam = expand_and_select(beam, scores, penalty, strength, beam_width)
-        best = _better_finisher(best, (h for h in beam if h.finished))
+        scores = [scorer.score_step(condition, node[0]) for node in beam]
+        positions, tokens, augs = expand_and_select(
+            [node[1] for node in beam], scores, penalty, strength, beam_width)
+        live = []
+        for pos, token, aug in zip(positions.tolist(), tokens.tolist(), augs.tolist()):
+            parent = beam[pos]
+            node = (parent[0] + (token,), aug, float(scores[pos][token]),
+                    float(contributions[token]), parent)
+            if token != EOS_ID:
+                live.append(node)
+            elif best is None or aug > best[1]:  # strict: the earlier finisher wins ties
+                best = node
         # scores never increase, so only a live hypothesis above best can still win
-        beam = tuple(h for h in beam if not h.finished
-                     and (best is None or h.aug_score > best.aug_score))
-    best = _better_finisher(best, (replace(h, finished=True) for h in beam))
-    return SegmentResult(condition=condition, best=best, trace=tuple(trace))
+        beam = [node for node in live if best is None or node[1] > best[1]]
+    for node in beam:  # force-finish what max_len cut off
+        if best is None or node[1] > best[1]:
+            best = node
+    return SegmentResult(condition=condition, best=_hypothesis(best), trace=tuple(trace))
 
 
 def inter_sentence_dbs(scorer: Scorer, conditions: Sequence[Condition],

@@ -14,7 +14,6 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import EOS_ID, FIRST_GENERABLE_ID, Vocabulary
-from .decoding import Hypothesis
 from .diversity import validate_penalty
 from .scoring import Condition, Scorer
 
@@ -29,47 +28,36 @@ class OracleResult:
     best_score: float
 
 
-def exhaustive_step_select(beam: Sequence[Hypothesis],
+def exhaustive_step_select(beam_aug: Sequence[float],
                            scores_per_hypothesis: Sequence[np.ndarray],
                            penalty: np.ndarray, strength: float,
-                           beam_width: int) -> tuple[Hypothesis, ...]:
+                           beam_width: int) -> tuple[np.ndarray, ...]:
     """Reference for ``expand_and_select``: materialize and sort everything.
 
-    Builds every (hypothesis, token) candidate, sorts the whole list
-    under the selection order (score descending, token ascending, beam
-    position ascending), and keeps the top ``beam_width``. Rejects a
-    finished hypothesis like the engine does. Must match the engine
-    exactly, including order.
+    Builds every ``(score, token, beam position)`` candidate, sorts the
+    whole list under the selection order (score descending, token
+    ascending, beam position ascending), and keeps the top
+    ``beam_width``. Returns beam positions, token ids and scores like the
+    engine, and must match it exactly, including order.
     """
     if beam_width < 1:
         raise ValueError(f"beam_width must be >= 1, got {beam_width}")
     if not strength >= 0:
         raise ValueError(f"diversity strength must be >= 0, got {strength}")
-    vocab_size = len(penalty)
-    if any(h.finished for h in beam):
-        raise ValueError("finished hypotheses cannot be expanded")
-    if len(scores_per_hypothesis) != len(beam):
+    if len(scores_per_hypothesis) != len(beam_aug):
         raise ValueError(
-            f"got {len(scores_per_hypothesis)} score vectors for {len(beam)} hypotheses")
+            f"got {len(scores_per_hypothesis)} score vectors for {len(beam_aug)} hypotheses")
 
-    candidates: list[tuple[float, int, int, Hypothesis]] = []
-    for pos, (parent, scores) in enumerate(zip(beam, scores_per_hypothesis)):
-        for token in range(FIRST_GENERABLE_ID, vocab_size):
-            logprob = float(scores[token])
-            contribution = strength * float(penalty[token])
-            aug = (parent.aug_score + logprob) + contribution
-            extended = Hypothesis(
-                tokens=parent.tokens + (token,),
-                raw_score=parent.raw_score + logprob,
-                aug_score=aug,
-                finished=token == EOS_ID,
-                step_logprobs=parent.step_logprobs + (logprob,),
-                step_penalties=parent.step_penalties + (contribution,),
-            )
-            candidates.append((aug, token, pos, extended))
-
+    candidates = []
+    for pos, (aug, scores) in enumerate(zip(beam_aug, scores_per_hypothesis)):
+        for token in range(FIRST_GENERABLE_ID, len(penalty)):
+            score = (float(aug) + float(scores[token])) + strength * float(penalty[token])
+            candidates.append((score, token, pos))
     candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
-    return tuple(c[3] for c in candidates[:beam_width])
+    kept = candidates[:beam_width]
+    return (np.array([c[2] for c in kept], dtype=np.int64),
+            np.array([c[1] for c in kept], dtype=np.int64),
+            np.array([c[0] for c in kept], dtype=np.float64))
 
 
 def exhaustive_best(scorer: Scorer, condition: Condition, vocab: Vocabulary,

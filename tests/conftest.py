@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 import pytest
 
-from storybeam.decoding import Hypothesis
+from storybeam.decoding import expand_and_select
+from storybeam.oracle import exhaustive_step_select
 from storybeam.scoring import TableScorer, table_from_dict
 
 
@@ -74,26 +73,17 @@ def random_table_scorer(rng: np.random.Generator, max_regular: int = 4,
 
 
 def random_step_case(rng: np.random.Generator):
-    """A random one-step selection problem: beam, step scores, penalty.
+    """A random one-step selection problem: beam aug scores, step scores, penalty.
 
-    Every hypothesis is unfinished: a selection step expands the whole beam.
-    Its hypotheses come in no particular order.
+    Each live hypothesis's aug score sums the negated logprobs and
+    penalties of 0-2 earlier steps; the beam comes in no particular order.
     """
     vocab_size = int(rng.integers(4, 9))
     n_hyps = int(rng.integers(1, 4))
-    hypotheses = []
-    for _ in range(n_hyps):
-        length = int(rng.integers(0, 3))
-        tokens = tuple(int(t) for t in rng.integers(2, vocab_size, size=length))
-        logprobs = tuple(float(-x) for x in rng.random(length))
-        penalties = tuple(float(-x) for x in rng.random(length))
-        raw = sum(logprobs)
-        hypotheses.append(Hypothesis(
-            tokens=tokens, raw_score=raw, aug_score=raw + sum(penalties),
-            step_logprobs=logprobs, step_penalties=penalties))
-    beam = tuple(hypotheses)
+    beam_aug = [-float(rng.random(2 * int(rng.integers(0, 3))).sum())
+                for _ in range(n_hyps)]
     scores = []
-    for _ in range(len(beam)):
+    for _ in range(n_hyps):
         row = np.full(vocab_size, -np.inf)
         row[2:] = np.log(rng.dirichlet(np.ones(vocab_size - 2)))
         scores.append(row)
@@ -101,15 +91,16 @@ def random_step_case(rng: np.random.Generator):
     penalty[4:] = -rng.integers(0, 3, size=vocab_size - 4).astype(float)
     strength = float(rng.choice([0.0, 1.0, 2.0]))
     beam_width = int(rng.integers(1, 7))
-    return beam, scores, penalty, strength, beam_width
+    return beam_aug, scores, penalty, strength, beam_width
 
 
-def assert_beams_identical(got: Sequence[Hypothesis], want: Sequence[Hypothesis]) -> None:
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        assert g.tokens == w.tokens
-        assert g.raw_score == w.raw_score
-        assert g.aug_score == w.aug_score
-        assert g.finished == w.finished
-        assert g.step_logprobs == w.step_logprobs
-        assert g.step_penalties == w.step_penalties
+def assert_selects_like_oracle(beam_aug, scores, penalty, strength, beam_width):
+    """Run one step through the engine and the oracle; both must select the same.
+
+    Equal means equal beam positions, token ids and scores, in order.
+    Returns the engine's selection.
+    """
+    got = expand_and_select(beam_aug, scores, penalty, strength, beam_width)
+    want = exhaustive_step_select(beam_aug, scores, penalty, strength, beam_width)
+    assert [a.tolist() for a in got] == [a.tolist() for a in want]
+    return got

@@ -26,6 +26,14 @@ class TestCorpusIngestion:
         corpus = Corpus.from_text("a\n   \n\t\nb c\n")
         assert corpus.sentences == (("a",), ("b", "c"))
 
+    @pytest.mark.parametrize("separator", ["\x0c", "\x1c", "\x85", "\u2028"],
+                             ids=["form-feed", "file-separator", "next-line", "line-separator"])
+    def test_lines_end_only_at_newlines(self, separator):
+        # str.splitlines() would break at these; whitespace splitting still
+        # separates the tokens on either side
+        corpus = Corpus.from_text(f"a b{separator}c d\ne f\r\ng\rh\n")
+        assert corpus.sentences == (("a", "b", "c", "d"), ("e", "f"), ("g",), ("h",))
+
     def test_reads_file(self, tmp_path):
         path = tmp_path / "corpus.txt"
         path.write_text("x y\nz\n", encoding="utf-8")

@@ -3,12 +3,13 @@ import math
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from storybeam.cli import build_parser
 from storybeam.corpus import EOS_ID, FIRST_GENERABLE_ID, NUM_SPECIALS
 from storybeam.decoding import (
     DecodeConfig,
@@ -18,11 +19,11 @@ from storybeam.decoding import (
     inter_sentence_dbs,
     story_to_json,
 )
-from storybeam.diversity import hamming_diversity, zero_penalty
-from storybeam.oracle import exhaustive_best, exhaustive_step_select
+from storybeam.diversity import zero_penalty
+from storybeam.oracle import exhaustive_best
 from storybeam.scoring import ValidatingScorer
 
-from conftest import assert_beams_identical, make_table, random_table_scorer
+from conftest import make_table, random_table_scorer
 
 LN = math.log
 
@@ -32,6 +33,12 @@ class TestDecodeConfig:
         config = DecodeConfig()
         assert (config.beam_width, config.diversity_strength,
                 config.max_len, config.num_segments) == (3, 2.0, 20, 5)
+
+    def test_cli_decode_defaults_are_the_config_defaults(self):
+        args = build_parser().parse_args(["decode", "--model", "m"])
+        config = DecodeConfig()
+        assert (args.beam_width, args.strength, args.max_len) == (
+            config.beam_width, config.diversity_strength, config.max_len)
 
     def test_zero_strength_accepted(self):
         assert DecodeConfig(diversity_strength=0.0).diversity_strength == 0.0
@@ -57,64 +64,53 @@ class TestExpandAndSelect:
         scores = skewed_table.score_step("img", [])
         penalty = zero_penalty(len(vocab))
         penalty[a] = -2.0
-        beam = expand_and_select((Hypothesis(),), [scores], penalty, 2.0, 1)
-        selected = beam[0]
-        assert vocab.decode(selected.tokens) == ["b"]
-        assert selected.aug_score == pytest.approx(LN(0.3))
-        assert selected.raw_score == pytest.approx(LN(0.3))
+        positions, tokens, augs = expand_and_select([0.0], [scores], penalty, 2.0, 1)
+        assert positions.tolist() == [0]
+        assert vocab.decode(tokens.tolist()) == ["b"]
+        assert augs[0] == pytest.approx(LN(0.3))
 
     def test_zero_strength_matches_zero_penalty(self, skewed_table):
         vocab = skewed_table.vocab
         scores = skewed_table.score_step("img", [])
         penalty = zero_penalty(len(vocab))
         penalty[vocab.token_to_id("a")] = -3.0
-        start = (Hypothesis(),)
-        with_strength_zero = expand_and_select(start, [scores], penalty, 0.0, 3)
-        with_zero_penalty = expand_and_select(
-            start, [scores], zero_penalty(len(vocab)), 0.0, 3)
-        assert ([h.tokens for h in with_strength_zero]
-                == [h.tokens for h in with_zero_penalty])
-        assert ([h.aug_score for h in with_strength_zero]
-                == pytest.approx([h.aug_score for h in with_zero_penalty]))
+        _, tokens, augs = expand_and_select([0.0], [scores], penalty, 0.0, 3)
+        _, plain_tokens, plain_augs = expand_and_select(
+            [0.0], [scores], zero_penalty(len(vocab)), 0.0, 3)
+        assert tokens.tolist() == plain_tokens.tolist()
+        assert augs.tolist() == pytest.approx(plain_augs.tolist())
 
     def test_misaligned_scores_rejected(self, skewed_table):
         vocab = skewed_table.vocab
         scores = skewed_table.score_step("img", [])
         with pytest.raises(ValueError, match="score vectors"):
-            expand_and_select((Hypothesis(),), [scores, scores],
+            expand_and_select([0.0], [scores, scores],
                               zero_penalty(len(vocab)), 0.0, 2)
         with pytest.raises(ValueError, match="shape"):
-            expand_and_select((Hypothesis(),), [scores[:-1]],
+            expand_and_select([0.0], [scores[:-1]],
                               zero_penalty(len(vocab)), 0.0, 2)
 
     def test_invalid_width_and_strength_rejected(self, skewed_table):
         scores = skewed_table.score_step("img", [])
         penalty = zero_penalty(len(skewed_table.vocab))
         with pytest.raises(ValueError, match="beam_width"):
-            expand_and_select((Hypothesis(),), [scores], penalty, 0.0, 0)
+            expand_and_select([0.0], [scores], penalty, 0.0, 0)
         for strength in (-1.0, math.inf, math.nan):
             with pytest.raises(ValueError, match="strength"):
-                expand_and_select((Hypothesis(),), [scores], penalty, strength, 1)
+                expand_and_select([0.0], [scores], penalty, strength, 1)
 
     def test_nan_step_scores_rejected(self, skewed_table):
-        scores = skewed_table.score_step("img", []).copy()
-        scores[-1] = np.nan
-        with pytest.raises(ValueError, match="NaN"):
-            expand_and_select((Hypothesis(),), [scores],
-                              zero_penalty(len(skewed_table.vocab)), 0.0, 2)
-
-    def test_finished_hypothesis_rejected(self, skewed_table):
-        vocab = skewed_table.vocab
-        finished = Hypothesis(tokens=(EOS_ID,), raw_score=-0.1, aug_score=-0.1,
-                              finished=True, step_logprobs=(-0.1,),
-                              step_penalties=(0.0,))
-        live = Hypothesis(tokens=(4,), raw_score=-0.5, aug_score=-0.5,
-                          step_logprobs=(-0.5,), step_penalties=(0.0,))
-        beam = (finished, live)
-        scores = skewed_table.score_step("img", live.tokens)
-        for select in (expand_and_select, exhaustive_step_select):
-            with pytest.raises(ValueError, match="finished"):
-                select(beam, [scores, scores], zero_penalty(len(vocab)), 0.0, 2)
+        scores = skewed_table.score_step("img", [])
+        nan_scores, inf_scores = scores.copy(), scores.copy()
+        nan_scores[-1] = np.nan
+        inf_scores[-1] = np.inf
+        # -inf stays legal: -inf rows are selectable; +inf plus -inf is NaN
+        expand_and_select([-np.inf], [scores], zero_penalty(len(skewed_table.vocab)), 0.0, 2)
+        for beam_aug, rows in (([0.0], [nan_scores]), ([np.nan], [scores]),
+                               ([-np.inf], [inf_scores]), ([np.inf], [scores])):
+            with pytest.raises(ValueError, match="NaN"):
+                expand_and_select(beam_aug, rows,
+                                  zero_penalty(len(skewed_table.vocab)), 0.0, 2)
 
 
 class TestBeamSearch:
@@ -125,7 +121,6 @@ class TestBeamSearch:
         result = beam_search(skewed_table, "img", skewed_table.vocab, config)
         assert skewed_table.vocab.decode(result.best.tokens) == ["a", "a"]
         assert result.best.raw_score == pytest.approx(2 * LN(0.5))
-        assert result.best.finished
 
     def test_uniform_tie_prefers_lowest_token_id(self, uniform_table):
         # all three generable options tie at ln(1/3); EOS holds the lowest
@@ -166,21 +161,47 @@ class TestBeamSearch:
             assert result.best.raw_score == pytest.approx(oracle.best_score, abs=1e-9)
 
     def test_scores_replay_from_steps(self):
-        rng = np.random.default_rng(5)
-        scorer = random_table_scorer(rng, max_regular=3)
-        vocab = scorer.vocab
-        penalty = hamming_diversity([[4, 4, 5]], vocab)
-        config = DecodeConfig(beam_width=3, diversity_strength=2.0,
-                              max_len=4, num_segments=1)
-        best = beam_search(scorer, "c", vocab, config, penalty).best
-        assert len(best.step_logprobs) == len(best.step_penalties) == len(best.tokens)
-        assert best.raw_score == pytest.approx(sum(best.step_logprobs), abs=1e-9)
-        assert best.aug_score == pytest.approx(
-            best.raw_score + sum(best.step_penalties), abs=1e-9)
+        # both scores replay bit for bit from the step records, folded left to right
+        rows = [{"context": ["a"], "probs": [0.12, 0.41, 0.29, 0.17, 0.01]},
+                {"context": ["b"], "probs": [0.37, 0.08, 0.33, 0.21, 0.01]},
+                {"context": ["c"], "probs": [0.26, 0.34, 0.07, 0.32, 0.01]}]
+        table = make_table(["a", "b", "c", "d", "<eos>"], [0.31, 0.27, 0.23, 0.18, 0.01], rows)
+        config = DecodeConfig(beam_width=3, diversity_strength=0.3, max_len=6, num_segments=3)
+        story = inter_sentence_dbs(table, ["c1", "c2", "c3"], table.vocab, config)
+        other_orders = set()
+        for seg in story.segments:
+            best = seg.best
+            assert len(best.step_logprobs) == len(best.step_penalties) == len(best.tokens)
+            raw = aug = backwards = 0.0
+            for logprob, contribution in zip(best.step_logprobs, best.step_penalties):
+                raw += logprob
+                aug = (aug + logprob) + contribution
+            for logprob in reversed(best.step_logprobs):
+                backwards += logprob
+            assert best.raw_score == raw
+            assert best.aug_score == aug
+            if backwards != raw:
+                other_orders.add("right to left")
+            if raw + sum(best.step_penalties) != aug:
+                other_orders.add("raw plus penalty total")
+        # this story tells those summation orders apart from the one replayed
+        assert other_orders == {"right to left", "raw plus penalty total"}
+
+
+@dataclass(frozen=True)
+class RefHypothesis:
+    """The reference search's hypothesis: a finished flag lets it stay in the beam."""
+
+    tokens: tuple[int, ...] = ()
+    raw_score: float = 0.0
+    aug_score: float = 0.0
+    finished: bool = False
+    step_logprobs: tuple[float, ...] = ()
+    step_penalties: tuple[float, ...] = ()
 
 
 def carryover_step(beam, scores_per_unfinished, penalty, strength, beam_width
-                   ) -> tuple[Hypothesis, ...]:
+                   ) -> tuple[RefHypothesis, ...]:
     """Brute-force selection where finished hypotheses compete for slots as token -1."""
     candidates = []
     rows = iter(scores_per_unfinished)
@@ -193,7 +214,7 @@ def carryover_step(beam, scores_per_unfinished, penalty, strength, beam_width
             logprob = float(row[token])
             contribution = strength * float(penalty[token])
             aug = (parent.aug_score + logprob) + contribution
-            candidates.append((aug, token, pos, Hypothesis(
+            candidates.append((aug, token, pos, RefHypothesis(
                 tokens=parent.tokens + (token,),
                 raw_score=parent.raw_score + logprob,
                 aug_score=aug,
@@ -204,7 +225,7 @@ def carryover_step(beam, scores_per_unfinished, penalty, strength, beam_width
     return tuple(c[3] for c in candidates[:beam_width])
 
 
-def reference_best(scorer, condition, config, penalty) -> tuple[Hypothesis, int]:
+def reference_best(scorer, condition, config, penalty) -> tuple[RefHypothesis, int]:
     """Search whose beam carries finished hypotheses; returns (best, steps run).
 
     It stops once nothing in the beam is unfinished or the best unfinished
@@ -214,7 +235,7 @@ def reference_best(scorer, condition, config, penalty) -> tuple[Hypothesis, int]
     def better(best, h):
         return best is None or h.aug_score > best.aug_score
 
-    beam = (Hypothesis(),)
+    beam = (RefHypothesis(),)
     best = None
     steps = 0
     while steps < config.max_len:
@@ -250,7 +271,9 @@ class TestRunningBest:
                               max_len=max_len, num_segments=1)
         result = beam_search(scorer, "c", vocab, config, penalty)
         want, steps = reference_best(scorer, "c", config, penalty)
-        assert_beams_identical((result.best,), (want,))
+        fields = ("tokens", "raw_score", "aug_score", "step_logprobs", "step_penalties")
+        assert ([getattr(result.best, f) for f in fields]
+                == [getattr(want, f) for f in fields])
         assert len(result.trace) == steps
 
     def test_runaway_max_len_stops_once_best_is_unbeatable(self, skewed_table):
@@ -341,6 +364,21 @@ class TestInterSentenceDbs:
             for condition, segment in zip(conditions, story.segments):
                 alone = beam_search(scorer, condition, vocab, config)
                 assert segment.best.tokens == alone.best.tokens
+
+    def test_builds_one_hypothesis_per_segment(self, skewed_table, monkeypatch):
+        built = []
+        init = Hypothesis.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Hypothesis, "__init__", counting_init)
+        conditions = ["c1", "c2", "c3", "c4"]
+        config = DecodeConfig(beam_width=3, max_len=6, num_segments=len(conditions))
+        story = inter_sentence_dbs(skewed_table, conditions, skewed_table.vocab, config)
+        assert all(len(seg.trace) > 1 for seg in story.segments)
+        assert built == [seg.best for seg in story.segments]
 
     def test_condition_count_must_match_config(self, skewed_table):
         config = DecodeConfig(num_segments=3)

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from storybeam.decoding import DecodeConfig, Hypothesis, beam_search, expand_and_select
+from storybeam.decoding import DecodeConfig, beam_search
 from storybeam.diversity import zero_penalty
 from storybeam.oracle import exhaustive_best, exhaustive_step_select
 
 from conftest import (
-    assert_beams_identical,
+    assert_selects_like_oracle,
     make_table,
     random_step_case,
     random_table_scorer,
@@ -76,37 +76,28 @@ class TestExhaustiveStepSelect:
     def test_matches_engine_on_random_inputs(self):
         rng = np.random.default_rng(2024)
         for _ in range(300):
-            beam, scores, penalty, strength, width = random_step_case(rng)
-            got = expand_and_select(beam, scores, penalty, strength, width)
-            want = exhaustive_step_select(beam, scores, penalty, strength, width)
-            assert_beams_identical(got, want)
+            assert_selects_like_oracle(*random_step_case(rng))
 
     def test_zero_strength_is_plain_expansion(self, skewed_table):
         vocab = skewed_table.vocab
         scores = [skewed_table.score_step("c", [])]
         penalty = zero_penalty(len(vocab))
         penalty[vocab.token_to_id("a")] = -9.0
-        start = (Hypothesis(),)
-        selected = exhaustive_step_select(start, scores, penalty, 0.0, 2)
-        assert vocab.decode([selected[0].tokens[-1]]) == ["a"]
+        _, tokens, _ = exhaustive_step_select([0.0], scores, penalty, 0.0, 2)
+        assert vocab.decode([tokens[0]]) == ["a"]
 
     def test_width_beyond_candidates_returns_all_sorted(self, skewed_table):
         vocab = skewed_table.vocab
         scores = [skewed_table.score_step("c", [])]
-        beam = exhaustive_step_select((Hypothesis(),), scores,
-                                      zero_penalty(len(vocab)), 0.0, 50)
-        assert len(beam) == len(vocab) - 2
-        augs = [h.aug_score for h in beam]
-        assert augs == sorted(augs, reverse=True)
+        _, tokens, augs = exhaustive_step_select([0.0], scores,
+                                                 zero_penalty(len(vocab)), 0.0, 50)
+        assert len(tokens) == len(vocab) - 2
+        assert augs.tolist() == sorted(augs.tolist(), reverse=True)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=0, max_value=2 ** 31 - 1))
     def test_engine_equivalence_property(self, seed):
-        rng = np.random.default_rng(seed)
-        beam, scores, penalty, strength, width = random_step_case(rng)
-        got = expand_and_select(beam, scores, penalty, strength, width)
-        want = exhaustive_step_select(beam, scores, penalty, strength, width)
-        assert_beams_identical(got, want)
+        assert_selects_like_oracle(*random_step_case(np.random.default_rng(seed)))
 
 
 class TestOracleAgainstSaturatedDecoding:
