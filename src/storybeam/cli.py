@@ -16,11 +16,10 @@ import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
+from .config import PENALTY_NAMES, DecodeConfig
 from .corpus import DEFAULT_MIN_COUNT, Corpus, build_vocabulary, split_lines
-from .decoding import DecodeConfig, inter_sentence_dbs, story_to_json
-from .diversity import PENALTIES, get_penalty_fn
 from .metrics import diversity_report, report_to_json
-from .scoring import dump_ngram, load_scorer, train_ngram
+from .ngram import dump_ngram, train_ngram
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -104,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="diversity strength (default: %(default)g)")
     decode.add_argument("--max-len", type=_positive_int, default=DecodeConfig.max_len,
                         help="maximum tokens per segment (default: %(default)s)")
-    decode.add_argument("--penalty", default="hamming", choices=sorted(PENALTIES))
+    decode.add_argument("--penalty", default="hamming", choices=sorted(PENALTY_NAMES))
     decode.add_argument("--out", help="output JSON path (default: stdout)")
 
     evaluate = sub.add_parser("eval", help="diversity report for a decoded story")
@@ -134,6 +133,11 @@ def _read_conditions_file(path: str) -> list[str]:
 
 
 def _cmd_decode(args: argparse.Namespace) -> int:
+    # the only command that needs numpy, so the only one that imports it
+    from .decoding import inter_sentence_dbs, story_to_json
+    from .diversity import get_penalty_fn
+    from .scoring import load_scorer
+
     sources = [args.conditions is not None, args.conditions_file is not None,
                args.batch is not None]
     if sum(sources) != 1:
@@ -199,7 +203,10 @@ def _cmd_decode(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    doc = json.loads(Path(args.story).read_text(encoding="utf-8"))
+    try:
+        doc = json.loads(Path(args.story).read_text(encoding="utf-8"))
+    except RecursionError:
+        raise ValueError("story document is nested too deeply") from None
     if not isinstance(doc, dict) or not isinstance(doc.get("segments"), list):
         raise ValueError("story document must have a segments list")
     segments = []

@@ -33,30 +33,11 @@ from typing import Sequence
 
 import numpy as np
 
+from .config import DecodeConfig
 from .corpus import BOS_TOKEN, EOS_ID, EOS_TOKEN, FIRST_GENERABLE_ID, PAD_TOKEN, Vocabulary
 from .diversity import PenaltyFn, hamming_diversity, validate_penalty, zero_penalty
 from .kernels import select_top_candidates
 from .scoring import Condition, Scorer
-
-@dataclass(frozen=True)
-class DecodeConfig:
-    """Decoding knobs: beam width, diversity strength, step budget, segments."""
-
-    beam_width: int = 3
-    diversity_strength: float = 2.0
-    max_len: int = 20
-    num_segments: int = 5
-
-    def __post_init__(self):
-        if self.beam_width < 1:
-            raise ValueError(f"beam_width must be >= 1, got {self.beam_width}")
-        if not (math.isfinite(self.diversity_strength) and self.diversity_strength >= 0):
-            raise ValueError(
-                f"diversity_strength must be finite and >= 0, got {self.diversity_strength}")
-        if self.max_len < 1:
-            raise ValueError(f"max_len must be >= 1, got {self.max_len}")
-        if self.num_segments < 1:
-            raise ValueError(f"num_segments must be >= 1, got {self.num_segments}")
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .config import PENALTY_NAMES
 from .corpus import NUM_SPECIALS, Vocabulary
 
 # (previous segments as token-id sequences, vocabulary) -> penalty vector
@@ -61,10 +62,8 @@ def presence_diversity(segments: Sequence[Sequence[int]], vocab: Vocabulary) -> 
     return values
 
 
-PENALTIES: dict[str, PenaltyFn] = {
-    "hamming": hamming_diversity,
-    "presence": presence_diversity,
-}
+PENALTIES: dict[str, PenaltyFn] = dict(
+    zip(PENALTY_NAMES, (hamming_diversity, presence_diversity), strict=True))
 
 
 def get_penalty_fn(name: str) -> PenaltyFn:

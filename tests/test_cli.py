@@ -9,8 +9,10 @@ import pytest
 import yaml
 
 import storybeam
+from storybeam import diversity
 from storybeam.cli import main
-from storybeam.scoring import MAX_ORDER, load_ngram, ngram_to_dict
+from storybeam.ngram import MAX_ORDER
+from storybeam.scoring import load_ngram, ngram_to_dict
 
 TABLE_YAML = """\
 vocab: [a, b, <eos>]
@@ -23,6 +25,13 @@ the cat ran
 a dog sat
 the dog ran away
 """
+
+
+def run_python(script: str) -> subprocess.CompletedProcess:
+    """Run ``script`` in a fresh interpreter that imports the same storybeam as this test."""
+    env = {**os.environ, "PYTHONPATH": str(Path(storybeam.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=60, env=env)
 
 
 @pytest.fixture
@@ -204,20 +213,33 @@ class TestDecode:
         assert code == 2
         assert "repeats an earlier context and token" in capsys.readouterr().err
 
+    # RecursionError in json.loads exited 1; libyaml's composer overflowed the
+    # C stack (SIGSEGV), so each runs in a child that may crash without pytest
+    @pytest.mark.parametrize("name, text", [
+        ("deep.json", '{"order":' + "[" * 100000 + "]" * 100000 + "}"),
+        ("deep.yaml", "order:\n" + "- " * 30000 + "x"),
+        ("deep_flow.yaml", "order: " + "[" * 30000 + "]" * 30000 + "\n"),
+    ], ids=["json", "block-yaml", "flow-yaml"])
+    def test_deeply_nested_model_rejected(self, tmp_path, name, text):
+        model = tmp_path / name
+        model.write_text(text, encoding="utf-8")
+        result = run_python(
+            "import sys\n"
+            "from storybeam.cli import main\n"
+            f"sys.exit(main(['decode', '--model', {str(model)!r}, '--conditions', 'c1']))\n")
+        assert result.returncode == 2, result.stderr
+        assert "nested" in result.stderr
+
     # yaml is imported only for a document that is not JSON
     def test_json_model_round_never_imports_yaml(self, corpus_path, tmp_path):
         model, out = tmp_path / "model.json", tmp_path / "story.json"
-        script = (
+        result = run_python(
             "import sys\n"
             "from storybeam.cli import main\n"
             f"assert main(['train-lm', {str(corpus_path)!r}, '--out', {str(model)!r}]) == 0\n"
             f"assert main(['decode', '--model', {str(model)!r}, '--conditions', 'c1', 'c2',"
             f" '--out', {str(out)!r}]) == 0\n"
             "print('yaml' in sys.modules)\n")
-        # the child imports the same storybeam as this test
-        env = {**os.environ, "PYTHONPATH": str(Path(storybeam.__file__).parents[1])}
-        result = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                                text=True, timeout=60, env=env)
         assert result.returncode == 0, result.stderr
         assert result.stdout.splitlines()[-1] == "False"
         assert json.loads(out.read_text(encoding="utf-8"))["segments"]
@@ -448,10 +470,48 @@ class TestEval:
     def test_missing_story_file(self, tmp_path):
         assert main(["eval", str(tmp_path / "ghost.json")]) == 2
 
+    def test_deeply_nested_story_rejected(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text('{"segments":' + "[" * 100000 + "]" * 100000 + "}", encoding="utf-8")
+        result = run_python(
+            "import sys\n"
+            "from storybeam.cli import main\n"
+            f"sys.exit(main(['eval', {str(path)!r}]))\n")
+        assert result.returncode == 2, result.stderr
+        assert "nested too deeply" in result.stderr
+
 
 class TestUsage:
     def test_no_command(self):
         assert main([]) == 2
+
+    # only decode needs numpy, and importing it doubles a process's start-up
+    def test_help_train_lm_and_eval_never_import_numpy(self, corpus_path, tmp_path):
+        model, story = tmp_path / "model.json", tmp_path / "story.json"
+        story.write_text('{"segments": [{"tokens": ["a", "b"]}, {"tokens": ["a"]}]}',
+                         encoding="utf-8")
+        result = run_python(
+            "import sys\n"
+            "def report(): print('numpy loaded:', 'numpy' in sys.modules)\n"
+            "import storybeam\n"
+            "report()\n"
+            "from storybeam.cli import main\n"
+            "assert main(['--help']) == 0\n"
+            "report()\n"
+            f"assert main(['train-lm', {str(corpus_path)!r}, '--out', {str(model)!r}]) == 0\n"
+            "report()\n"
+            f"assert main(['eval', {str(story)!r}]) == 0\n"
+            "report()\n")
+        assert result.returncode == 0, result.stderr
+        reports = [line for line in result.stdout.splitlines()
+                   if line.startswith("numpy loaded:")]
+        assert reports == ["numpy loaded: False"] * 4
+
+    def test_decode_help_offers_every_registered_penalty(self, capsys):
+        assert main(["decode", "--help"]) == 0
+        usage = capsys.readouterr().out
+        offered = usage.split("--penalty {", 1)[1].split("}", 1)[0]
+        assert offered.split(",") == sorted(diversity.PENALTIES)
 
     def test_unknown_command(self):
         assert main(["frobnicate"]) == 2

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from storybeam import config as config_module
 from storybeam.cli import build_parser
 from storybeam.corpus import EOS_ID, FIRST_GENERABLE_ID, NUM_SPECIALS
 from storybeam.decoding import (
@@ -19,7 +20,7 @@ from storybeam.decoding import (
     inter_sentence_dbs,
     story_to_json,
 )
-from storybeam.diversity import zero_penalty
+from storybeam.diversity import PENALTIES, zero_penalty
 from storybeam.oracle import exhaustive_best
 from storybeam.scoring import ValidatingScorer
 
@@ -35,10 +36,13 @@ class TestDecodeConfig:
                 config.max_len, config.num_segments) == (3, 2.0, 20, 5)
 
     def test_cli_decode_defaults_are_the_config_defaults(self):
+        # the parser reads the numpy-free module; the decoder's name is the same class
+        assert DecodeConfig is config_module.DecodeConfig
         args = build_parser().parse_args(["decode", "--model", "m"])
         config = DecodeConfig()
         assert (args.beam_width, args.strength, args.max_len) == (
             config.beam_width, config.diversity_strength, config.max_len)
+        assert args.penalty in PENALTIES
 
     def test_zero_strength_accepted(self):
         assert DecodeConfig(diversity_strength=0.0).diversity_strength == 0.0
@@ -50,10 +54,27 @@ class TestDecodeConfig:
         {"num_segments": 0},
         {"diversity_strength": math.inf},
         {"diversity_strength": math.nan},
+        # accepted, or OverflowError, before ints were required: max_len 2.5 ran 3 steps
+        {"diversity_strength": 10 ** 400},
+        {"diversity_strength": True},
+        {"diversity_strength": "2.0"},
+        {"diversity_strength": None},
+        {"beam_width": 2.5},
+        {"beam_width": True},
+        {"beam_width": 3.0},
+        {"max_len": 2.5},
+        {"max_len": False},
+        {"num_segments": 2.0},
+        {"num_segments": True},
     ])
     def test_invalid_bounds_rejected(self, kwargs):
-        with pytest.raises(ValueError):
+        (field,) = kwargs
+        with pytest.raises(ValueError, match=field):
             DecodeConfig(**kwargs)
+
+    def test_int_strength_and_large_int_budget_accepted(self):
+        config = DecodeConfig(diversity_strength=2, max_len=10 ** 400)
+        assert (config.diversity_strength, config.max_len) == (2, 10 ** 400)
 
 
 class TestExpandAndSelect:

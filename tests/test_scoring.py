@@ -9,7 +9,7 @@ import pytest
 import yaml
 from hypothesis import given, strategies as st
 
-from storybeam import scoring
+from storybeam import ngram
 from storybeam.corpus import (
     BOS_ID,
     EOS_ID,
@@ -21,11 +21,10 @@ from storybeam.corpus import (
 )
 from storybeam.decoding import DecodeConfig, inter_sentence_dbs, story_to_json
 from storybeam.diversity import zero_penalty
+from storybeam.ngram import MAX_ORDER, ROW_CACHE_BYTES
 from storybeam.oracle import exhaustive_best
 from storybeam.scoring import (
-    MAX_ORDER,
     NGramModel,
-    ROW_CACHE_BYTES,
     ValidatingScorer,
     dump_ngram,
     load_ngram,
@@ -49,7 +48,7 @@ YAML_LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader] if yaml.__with_libyaml__ 
 def yaml_loader(request, monkeypatch) -> str:
     """Make the YAML fallback of model loading use one PyYAML loader."""
     loader = {"pure": "SafeLoader", "libyaml": "CSafeLoader"}[request.param]
-    monkeypatch.setattr(scoring, "YAML_LOADER", getattr(yaml, loader))
+    monkeypatch.setattr(ngram, "YAML_LOADER", getattr(yaml, loader))
     return request.param
 
 
@@ -184,6 +183,24 @@ class TestTableLoading:
     def test_malformed_yaml_rejected(self, yaml_loader, text):
         with pytest.raises(ValueError, match="malformed"):
             load_table_scorer(text)
+
+    # each kind of nesting mark opens one level; the top-level mapping is one
+    @pytest.mark.parametrize("nested", [
+        lambda d: "default_row:\n" + "- " * (d - 1) + "x\n",
+        lambda d: ("default_row:\n" + "".join("  " * i + "-\n" for i in range(d - 1))
+                   + "  " * (d - 1) + "x\n"),
+        lambda d: "default_row: " + "[" * (d - 1) + "x" + "]" * (d - 1) + "\n",
+        lambda d: "default_row: " + "{a: " * (d - 1) + "x" + "}" * (d - 1) + "\n",
+        lambda d: "? " * d + "x\n",
+    ], ids=["dash-space", "dash-newline", "flow-sequence", "flow-mapping", "key"])
+    def test_nesting_limit_is_exact(self, yaml_loader, nested):
+        def error(text):
+            with pytest.raises(ValueError) as caught:
+                load_table_scorer(text)
+            return str(caught.value)
+
+        assert "nested" not in error(nested(ngram.MAX_YAML_DEPTH))
+        assert "nested deeper than 100 levels" in error(nested(ngram.MAX_YAML_DEPTH + 1))
 
     def test_surrogate_pair_escape_loads(self):
         table = load_table_scorer(
@@ -581,9 +598,9 @@ class TestRowCache:
     def test_capacity_comes_from_the_byte_budget(self, monkeypatch):
         model = trigram_model()
         assert model._row.cache_info().maxsize == ROW_CACHE_BYTES // (8 * len(model.vocab))
-        monkeypatch.setattr(scoring, "ROW_CACHE_BYTES", 8 * len(model.vocab) * 3 + 7)
+        monkeypatch.setattr(ngram, "ROW_CACHE_BYTES", 8 * len(model.vocab) * 3 + 7)
         assert trigram_model()._row.cache_info().maxsize == 3
-        monkeypatch.setattr(scoring, "ROW_CACHE_BYTES", 1)
+        monkeypatch.setattr(ngram, "ROW_CACHE_BYTES", 1)
         assert trigram_model()._row.cache_info().maxsize == 1
 
     # the check runs before the cache, so a cached context still rejects bad input
@@ -597,7 +614,7 @@ class TestRowCache:
 
     @pytest.mark.parametrize("capacity", [1, 2, 5])
     def test_eviction_keeps_rows_correct_and_the_cache_bounded(self, monkeypatch, capacity):
-        monkeypatch.setattr(scoring, "ROW_CACHE_BYTES", 8 * len(trigram_model().vocab) * capacity)
+        monkeypatch.setattr(ngram, "ROW_CACHE_BYTES", 8 * len(trigram_model().vocab) * capacity)
         model = trigram_model()
         prefixes = every_prefix(model)
         rng = np.random.default_rng(capacity)
@@ -608,7 +625,7 @@ class TestRowCache:
         assert model._row.cache_info().misses > len({model.context_for(p) for p in prefixes})
 
     def test_threads_sharing_a_small_cache_get_correct_rows(self, monkeypatch):
-        monkeypatch.setattr(scoring, "ROW_CACHE_BYTES", 8 * len(trigram_model().vocab) * 3)
+        monkeypatch.setattr(ngram, "ROW_CACHE_BYTES", 8 * len(trigram_model().vocab) * 3)
         model = trigram_model()
         prefixes = every_prefix(model)
         want = [reference_row(model, p).tobytes() for p in prefixes]
@@ -630,7 +647,7 @@ class TestRowCache:
 
     def test_validator_oracle_and_decoder_see_identical_rows(self, monkeypatch):
         cached = trigram_model()
-        monkeypatch.setattr(scoring, "ROW_CACHE_BYTES", 1)
+        monkeypatch.setattr(ngram, "ROW_CACHE_BYTES", 1)
         evicting = trigram_model()
         for prefix in every_prefix(cached):
             row = cached.score_step("x", prefix)
