@@ -8,8 +8,8 @@ validation errors (including unreadable files and malformed documents),
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
-import math
 import os
 import sys
 import tempfile
@@ -19,7 +19,7 @@ from pathlib import Path
 from .config import PENALTY_NAMES, DecodeConfig
 from .corpus import DEFAULT_MIN_COUNT, Corpus, build_vocabulary, split_lines
 from .metrics import diversity_report, report_to_json
-from .ngram import dump_ngram, train_ngram
+from .ngram import _is_token_list, dump_ngram, train_ngram
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -30,20 +30,6 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {value}")
-    return value
-
-
-def _nonnegative_float(text: str) -> float:
-    value = float(text)
-    if not (math.isfinite(value) and value >= 0):
-        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {value}")
     return value
 
 
@@ -77,11 +63,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     train = sub.add_parser("train-lm", help="train an n-gram language model")
     train.add_argument("corpus", help="UTF-8 text, one sentence per line")
-    train.add_argument("--order", type=_positive_int, default=2,
+    train.add_argument("--order", type=int, default=2,
                        help="n-gram order (default: 2)")
-    train.add_argument("--alpha", type=_positive_float, default=1.0,
+    train.add_argument("--alpha", type=float, default=1.0,
                        help="Laplace smoothing constant (default: 1.0)")
-    train.add_argument("--min-count", type=_positive_int, default=DEFAULT_MIN_COUNT,
+    train.add_argument("--min-count", type=int, default=DEFAULT_MIN_COUNT,
                        help=f"minimum corpus frequency (default: {DEFAULT_MIN_COUNT})")
     train.add_argument("--out", required=True, help="model file to write")
 
@@ -97,11 +83,11 @@ def build_parser() -> argparse.ArgumentParser:
                              "--out names a directory")
     decode.add_argument("--jobs", type=_positive_int, default=1,
                         help="concurrent stories in batch mode (default: 1)")
-    decode.add_argument("--beam-width", type=_positive_int, default=DecodeConfig.beam_width)
-    decode.add_argument("--lambda", dest="strength", type=_nonnegative_float,
+    decode.add_argument("--beam-width", type=int, default=DecodeConfig.beam_width)
+    decode.add_argument("--lambda", dest="strength", type=float,
                         default=DecodeConfig.diversity_strength,
                         help="diversity strength (default: %(default)g)")
-    decode.add_argument("--max-len", type=_positive_int, default=DecodeConfig.max_len,
+    decode.add_argument("--max-len", type=int, default=DecodeConfig.max_len,
                         help="maximum tokens per segment (default: %(default)s)")
     decode.add_argument("--penalty", default="hamming", choices=sorted(PENALTY_NAMES))
     decode.add_argument("--out", help="output JSON path (default: stdout)")
@@ -143,14 +129,16 @@ def _cmd_decode(args: argparse.Namespace) -> int:
     if sum(sources) != 1:
         raise ValueError(
             "exactly one of --conditions, --conditions-file, --batch is required")
+    # checked once, before any file is read
+    config = DecodeConfig(beam_width=args.beam_width, diversity_strength=args.strength,
+                          max_len=args.max_len)
     scorer = load_scorer(Path(args.model).read_text(encoding="utf-8"))
     vocab = scorer.vocab
     penalty_fn = get_penalty_fn(args.penalty)
 
     def decode_one(conditions: list[str]) -> str:
-        config = DecodeConfig(beam_width=args.beam_width, diversity_strength=args.strength,
-                              max_len=args.max_len, num_segments=len(conditions))
-        result = inter_sentence_dbs(scorer, conditions, vocab, config, penalty_fn)
+        story_config = dataclasses.replace(config, num_segments=len(conditions))
+        result = inter_sentence_dbs(scorer, conditions, vocab, story_config, penalty_fn)
         return story_to_json(result, vocab)
 
     if args.batch is not None:
@@ -212,7 +200,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     segments = []
     for seg in doc["segments"]:
         tokens = seg.get("tokens") if isinstance(seg, dict) else None
-        if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+        if not _is_token_list(tokens):
             raise ValueError("every segment needs a tokens list of strings")
         segments.append(tokens)
     sys.stdout.write(report_to_json(diversity_report(segments)))

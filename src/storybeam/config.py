@@ -1,25 +1,47 @@
-"""Decoding settings, readable without numpy.
+"""Decoding settings and their rules, readable without numpy.
 
 The CLI parser takes its defaults and ``--penalty`` choices from here, so
-building it (and ``--help``) imports none of the decoder.
+building it (and ``--help``) imports none of the decoder. Every entry point
+that takes a count or a strength checks it with ``check_count`` or
+``check_strength``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
-from .ngram import _is_finite_number
 
 # The penalty functions registered in ``diversity.PENALTIES``, in that order.
 PENALTY_NAMES = ("hamming", "presence")
+
+
+def _is_finite_number(value) -> bool:
+    """True for an int or float, not a bool, that is finite as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond float range
+        return False
+
+
+def check_count(name: str, value) -> None:
+    """Raise ``ValueError`` unless ``value`` is an int, not a bool, >= 1."""
+    if not (type(value) is int and value >= 1):
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
+def check_strength(name: str, value) -> None:
+    """Raise ``ValueError`` unless ``value`` is a finite int or float, not a bool, >= 0."""
+    if not (_is_finite_number(value) and value >= 0):
+        raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
 
 
 @dataclass(frozen=True)
 class DecodeConfig:
     """Decoding knobs: beam width, diversity strength, step budget, segments.
 
-    The counts must be ints (not bools) >= 1, and the strength an int or
-    float, not a bool, that is finite and >= 0.
+    The counts must pass ``check_count`` and the strength ``check_strength``.
     """
 
     beam_width: int = 3
@@ -29,9 +51,5 @@ class DecodeConfig:
 
     def __post_init__(self):
         for name in ("beam_width", "max_len", "num_segments"):
-            value = getattr(self, name)
-            if not (type(value) is int and value >= 1):
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-        strength = self.diversity_strength
-        if not (_is_finite_number(strength) and strength >= 0):
-            raise ValueError(f"diversity_strength must be finite and >= 0, got {strength!r}")
+            check_count(name, getattr(self, name))
+        check_strength("diversity_strength", self.diversity_strength)

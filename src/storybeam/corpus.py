@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from .config import check_count
+
 PAD_TOKEN = "<pad>"
 BOS_TOKEN = "<bos>"
 EOS_TOKEN = "<eos>"
@@ -76,12 +78,14 @@ class Vocabulary:
 
     Non-special tokens are ordered by descending corpus frequency with
     lexicographic tie-breaks, so id assignment is deterministic across
-    runs and platforms.
+    runs and platforms. Every token is a non-empty string, listed once.
     """
 
     def __init__(self, non_special_tokens: Iterable[str]):
         tokens = list(SPECIAL_TOKENS)
         for tok in non_special_tokens:
+            if not isinstance(tok, str) or not tok:
+                raise ValueError(f"invalid vocab token {tok!r}")
             if tok in SPECIAL_TOKENS:
                 raise ValueError(f"special token {tok!r} cannot be re-added")
             tokens.append(tok)
@@ -142,8 +146,7 @@ def build_vocabulary(corpus: Corpus, min_count: int = DEFAULT_MIN_COUNT) -> Voca
     The default of 4 keeps tokens appearing strictly more than three
     times. Raising ``min_count`` never adds tokens.
     """
-    if min_count < 1:
-        raise ValueError(f"min_count must be >= 1, got {min_count}")
+    check_count("min_count", min_count)
     if len(corpus) == 0:
         raise ValueError("cannot build a vocabulary from an empty corpus")
     counts: Counter[str] = Counter()

@@ -33,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import DecodeConfig
+from .config import DecodeConfig, check_count, check_strength
 from .corpus import BOS_TOKEN, EOS_ID, EOS_TOKEN, FIRST_GENERABLE_ID, PAD_TOKEN, Vocabulary
 from .diversity import PenaltyFn, hamming_diversity, validate_penalty, zero_penalty
 from .kernels import select_top_candidates
@@ -86,16 +86,15 @@ def expand_and_select(beam_aug: Sequence[float],
     ``beam_aug`` holds the live hypotheses' augmented scores in any
     order, and ``scores_per_hypothesis`` their score rows in the same
     order. Each candidate scores ``aug + logprob + strength *
-    penalty[token]``; PAD and BOS are never candidates. A NaN has no
+    penalty[token]``; PAD and BOS are never candidates. ``beam_width`` and
+    ``strength`` follow ``DecodeConfig``'s rules. A NaN has no
     place in the total order, and ``+inf`` plus ``-inf`` makes one, so a
     NaN or ``+inf`` in ``beam_aug`` or in a score row raises
     ``ValueError`` (``-inf`` is legal). Returns the kept candidates' beam
     positions, token ids and scores, in selection order.
     """
-    if beam_width < 1:
-        raise ValueError(f"beam_width must be >= 1, got {beam_width}")
-    if not (math.isfinite(strength) and strength >= 0):
-        raise ValueError(f"diversity strength must be finite and >= 0, got {strength}")
+    check_count("beam_width", beam_width)
+    check_strength("strength", strength)
     validate_penalty(penalty, len(penalty))
     vocab_size = len(penalty)
     base_aug = np.array(beam_aug, dtype=np.float64)
@@ -115,7 +114,7 @@ def expand_and_select(beam_aug: Sequence[float],
         raise ValueError("step scores contain NaN or +inf")
     return select_top_candidates(
         base_aug, matrix, penalty, float(strength), np.arange(len(base_aug), dtype=np.int64),
-        np.empty(0), np.empty(0, dtype=np.int64), int(beam_width))
+        np.empty(0), np.empty(0, dtype=np.int64), beam_width)
 
 
 def _hypothesis(node: tuple) -> Hypothesis:
@@ -153,8 +152,12 @@ def beam_search(scorer: Scorer, condition: Condition, vocab: Vocabulary,
     if penalty is None:
         penalty = zero_penalty(len(vocab))
     validate_penalty(penalty, len(vocab))
-    if not condition:
+    if not (isinstance(condition, str) and condition):
         raise ValueError("condition must be a non-empty string")
+    try:
+        condition.encode("utf-8")
+    except UnicodeEncodeError:  # a lone surrogate, as a non-UTF-8 argv byte becomes
+        raise ValueError(f"condition {condition!r} is not valid Unicode") from None
     beam_width = config.beam_width
     strength = config.diversity_strength
     # a hypothesis collects at most max_len penalty contributions; their total

@@ -16,6 +16,7 @@ import re
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Sequence
 
+from .config import _is_finite_number
 from .corpus import (
     BOS_ID,
     EOS_ID,
@@ -56,16 +57,6 @@ def _check_step_args(condition: str, prefix: Sequence[int]) -> None:
         raise ValueError("condition must be a non-empty string")
     if EOS_ID in prefix:
         raise ValueError("prefix must not contain EOS; finished hypotheses are not scored")
-
-
-def _is_finite_number(value) -> bool:
-    """True for an int or float, not a bool, that is finite as a float."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an int beyond float range
-        return False
 
 
 @dataclass
@@ -228,7 +219,7 @@ def ngram_from_dict(doc: dict) -> NGramModel:
         triples = doc["counts"]
     except KeyError as missing:
         raise ValueError(f"n-gram model document is missing field {missing}") from None
-    if not _is_token_list(vocab_tokens):
+    if not isinstance(vocab_tokens, list):
         raise ValueError("vocab must be a list of token strings")
     if tuple(vocab_tokens[:NUM_SPECIALS]) != SPECIAL_TOKENS:
         raise ValueError(f"model vocab must start with the special tokens {SPECIAL_TOKENS}")

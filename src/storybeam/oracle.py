@@ -13,6 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .config import check_count, check_strength
 from .corpus import EOS_ID, FIRST_GENERABLE_ID, Vocabulary
 from .diversity import validate_penalty
 from .scoring import Condition, Scorer
@@ -40,10 +41,8 @@ def exhaustive_step_select(beam_aug: Sequence[float],
     ``beam_width``. Returns beam positions, token ids and scores like the
     engine, and must match it exactly, including order.
     """
-    if beam_width < 1:
-        raise ValueError(f"beam_width must be >= 1, got {beam_width}")
-    if not strength >= 0:
-        raise ValueError(f"diversity strength must be >= 0, got {strength}")
+    check_count("beam_width", beam_width)
+    check_strength("strength", strength)
     if len(scores_per_hypothesis) != len(beam_aug):
         raise ValueError(
             f"got {len(scores_per_hypothesis)} score vectors for {len(beam_aug)} hypotheses")
@@ -72,10 +71,8 @@ def exhaustive_best(scorer: Scorer, condition: Condition, vocab: Vocabulary,
     lexicographically smaller token ids. Refuses search spaces larger
     than ``SEARCH_SPACE_LIMIT`` leaves.
     """
-    if max_len < 1:
-        raise ValueError(f"max_len must be >= 1, got {max_len}")
-    if not strength >= 0:
-        raise ValueError(f"diversity strength must be >= 0, got {strength}")
+    check_count("max_len", max_len)
+    check_strength("strength", strength)
     validate_penalty(penalty, len(vocab))
     n_generable = len(vocab) - FIRST_GENERABLE_ID
     if n_generable ** max_len > SEARCH_SPACE_LIMIT:

@@ -27,11 +27,11 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
+from .config import _is_finite_number
 from .corpus import BOS_ID, BOS_TOKEN, PAD_ID, PAD_TOKEN, SPECIAL_TOKENS, Vocabulary
 from .ngram import (  # noqa: F401 - storybeam.scoring keeps naming the n-gram API
     NGramModel,
     _check_step_args,
-    _is_finite_number,
     _is_token_list,
     _parse_document,
     dump_ngram,
@@ -154,14 +154,13 @@ def table_from_dict(doc: dict) -> TableScorer:
         raise ValueError(f"table scorer document is missing field {missing}") from None
     if not isinstance(listed, list) or not listed:
         raise ValueError("vocab must be a non-empty list of token strings")
+    vocab = Vocabulary(t for t in listed if t not in SPECIAL_TOKENS)
+    # Vocabulary has vetted the tokens, so they hash
     if len(set(listed)) != len(listed):
         raise ValueError("vocab tokens must be unique")
-    for tok in listed:
-        if not isinstance(tok, str) or not tok:
-            raise ValueError(f"invalid vocab token {tok!r}")
-        if tok in (PAD_TOKEN, BOS_TOKEN):
+    for tok in (PAD_TOKEN, BOS_TOKEN):
+        if tok in listed:
             raise ValueError(f"{tok} is never generated and cannot carry probability")
-    vocab = Vocabulary(t for t in listed if t not in SPECIAL_TOKENS)
     listed_ids = [vocab.token_to_id(t) for t in listed]
     vocab_size = len(vocab)
     default_log_row = _expand_row(default_probs, listed_ids, vocab_size, "default_row")

@@ -2,12 +2,49 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
 from storybeam.decoding import expand_and_select
 from storybeam.oracle import exhaustive_step_select
 from storybeam.scoring import TableScorer, table_from_dict
+
+
+# Settings that break DecodeConfig's rules, one {field: value} each. Every
+# entry point that takes a count or a strength must reject each value.
+INVALID_SETTINGS = [
+    {"beam_width": 0},
+    {"diversity_strength": -0.5},
+    {"max_len": 0},
+    {"num_segments": 0},
+    {"diversity_strength": math.inf},
+    {"diversity_strength": math.nan},
+    # accepted, or OverflowError, before ints were required: max_len 2.5 ran 3 steps
+    {"diversity_strength": 10 ** 400},
+    {"diversity_strength": True},
+    {"diversity_strength": "2.0"},
+    {"diversity_strength": None},
+    {"beam_width": 2.5},
+    {"beam_width": True},
+    {"beam_width": 3.0},
+    {"max_len": 2.5},
+    {"max_len": False},
+    {"num_segments": 2.0},
+    {"num_segments": True},
+]
+INVALID_STRENGTHS = [value for setting in INVALID_SETTINGS
+                     for field, value in setting.items() if field == "diversity_strength"]
+INVALID_COUNTS = [value for setting in INVALID_SETTINGS
+                  for field, value in setting.items() if field != "diversity_strength"]
+
+
+def invalid_arguments(count_name: str) -> list:
+    """``(parameter, value)`` cases for an entry point's count and its ``strength``."""
+    pairs = ([(count_name, value) for value in INVALID_COUNTS]
+             + [("strength", value) for value in INVALID_STRENGTHS])
+    return [pytest.param(name, value, id=f"{name}={value!r:.12}") for name, value in pairs]
 
 
 def make_table(listed_vocab, default_probs, rows=None) -> TableScorer:

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,7 +12,9 @@ import yaml
 import storybeam
 from storybeam import diversity
 from storybeam.cli import main
-from storybeam.ngram import MAX_ORDER
+from storybeam.config import DecodeConfig
+from storybeam.corpus import Corpus, build_vocabulary
+from storybeam.ngram import MAX_ORDER, NGramModel, _check_order
 from storybeam.scoring import load_ngram, ngram_to_dict
 
 TABLE_YAML = """\
@@ -46,6 +49,42 @@ def corpus_path(tmp_path) -> Path:
     path = tmp_path / "corpus.txt"
     path.write_text(TOY_CORPUS, encoding="utf-8")
     return path
+
+
+def toy_vocab():
+    return build_vocabulary(Corpus.from_text(TOY_CORPUS), min_count=1)
+
+
+# (command, flag, bad value, the flag's owner called with that value); argparse
+# only parses the number, so the error is the owner's, word for word
+FLAG_RULES = [
+    ("train-lm", "--order", "0", lambda: _check_order(0)),
+    ("train-lm", "--order", str(MAX_ORDER + 1), lambda: _check_order(MAX_ORDER + 1)),
+    ("train-lm", "--min-count", "0", lambda: build_vocabulary(Corpus.from_text(TOY_CORPUS), 0)),
+    ("train-lm", "--alpha", "0", lambda: NGramModel(2, 0.0, toy_vocab())),
+    ("train-lm", "--alpha", "1e308", lambda: NGramModel(2, 1e308, toy_vocab())),
+    ("decode", "--beam-width", "0", lambda: DecodeConfig(beam_width=0)),
+    ("decode", "--max-len", "0", lambda: DecodeConfig(max_len=0)),
+    ("decode", "--lambda", "-1", lambda: DecodeConfig(diversity_strength=-1.0)),
+    ("decode", "--lambda", "inf", lambda: DecodeConfig(diversity_strength=math.inf)),
+]
+
+
+@pytest.mark.parametrize("command, flag, value, owner", FLAG_RULES,
+                         ids=[f"{flag}={value}" for _, flag, value, _ in FLAG_RULES])
+def test_flag_errors_are_the_owners(corpus_path, tmp_path, capsys, command, flag, value,
+                                    owner):
+    with pytest.raises(ValueError) as expected:
+        owner()
+    out = tmp_path / "out.json"
+    if command == "train-lm":
+        argv = ["train-lm", str(corpus_path), "--min-count", "1"]
+    else:
+        # the model does not exist: settings are checked before any file is read
+        argv = ["decode", "--model", str(tmp_path / "missing.json"), "--conditions", "c1"]
+    assert main(argv + [flag, value, "--out", str(out)]) == 2
+    assert f"error: {expected.value}\n" in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestTrainLm:
@@ -415,6 +454,46 @@ class TestDecode:
                      "--conditions-file", str(conditions), "--out", str(out)]) == 0
         doc = json.loads(out.read_text(encoding="utf-8"))
         assert [seg["condition"] for seg in doc["segments"]] == ["c1", f"c2{sep}c3"]
+
+    def test_bad_setting_fails_a_batch_once(self, table_path, tmp_path, capsys):
+        batch = tmp_path / "batch.txt"
+        batch.write_text("c1 c2\nc3\nc4 c5\n", encoding="utf-8")
+        out_dir = tmp_path / "stories"
+        code = main(["decode", "--model", str(table_path), "--batch", str(batch),
+                     "--beam-width", "0", "--out", str(out_dir)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "storybeam decode: error: beam_width must be an integer >= 1, got 0\n")
+        assert not list(tmp_path.rglob("story_*.json"))
+
+    # a non-UTF-8 argv byte reaches the decoder as a lone surrogate; stdout
+    # wrote it as a raw byte, and --out failed only after the whole decode
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+    def test_condition_that_is_not_utf8_rejected(self, table_path, tmp_path, to_file):
+        out = tmp_path / "story.json"
+        argv = [sys.executable, "-m", "storybeam", "decode", "--model", str(table_path),
+                "--conditions", "c1", b"\xff"] + (["--out", str(out)] if to_file else [])
+        env = {**os.environ, "LC_ALL": "C",
+               "PYTHONPATH": str(Path(storybeam.__file__).parents[1])}
+        result = subprocess.run(argv, capture_output=True, timeout=60, env=env)
+        assert result.returncode == 2, result.stderr
+        assert result.stdout == b""
+        assert b"not valid Unicode" in result.stderr
+        assert not out.exists()
+
+    # a list or mapping token made decode exit 1, and the n-gram model took ''
+    @pytest.mark.parametrize("token", ["[a]", "{k: v}", "3", "''"])
+    @pytest.mark.parametrize("kind", ["table", "ngram"])
+    def test_vocab_tokens_are_non_empty_strings(self, tmp_path, capsys, kind, token):
+        model = tmp_path / "model.yaml"
+        if kind == "table":
+            text = f"vocab: [b, {token}, <eos>]\ndefault_row: [0.5, 0.3, 0.2]\n"
+        else:
+            text = ("order: 1\nalpha: 1.0\n"
+                    f"vocab: ['<pad>', '<bos>', '<eos>', '<unk>', b, {token}]\ncounts: []\n")
+        model.write_text(text, encoding="utf-8")
+        assert main(["decode", "--model", str(model), "--conditions", "c1"]) == 2
+        assert "error: invalid vocab token" in capsys.readouterr().err
 
     def test_batch_requires_out_directory(self, table_path, tmp_path):
         batch = tmp_path / "batch.txt"

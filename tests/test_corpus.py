@@ -66,6 +66,11 @@ class TestBuildVocabulary:
         with pytest.raises(ValueError, match="min_count"):
             build_vocabulary(corpus_of("a"), min_count=0)
 
+    @pytest.mark.parametrize("min_count", [2.5, True])
+    def test_min_count_must_be_an_integer(self, min_count):
+        with pytest.raises(ValueError, match="min_count must be an integer"):
+            build_vocabulary(corpus_of("a"), min_count=min_count)
+
     def test_deterministic(self):
         corpus = corpus_of("c b a", "b a", "a")
         first = build_vocabulary(corpus, min_count=1)
@@ -108,6 +113,11 @@ class TestEncodeDecode:
 
     def test_specials_render_literally(self, vocab):
         assert vocab.decode([EOS_ID]) == ["<eos>"]
+
+    @pytest.mark.parametrize("token", ["", ["a"], {"k": "v"}, 3, None])
+    def test_token_must_be_a_non_empty_string(self, token):
+        with pytest.raises(ValueError, match="invalid vocab token"):
+            Vocabulary(["a", token])
 
     def test_out_of_range_id_rejected(self, vocab):
         with pytest.raises(ValueError, match="out of range"):

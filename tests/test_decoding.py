@@ -24,7 +24,7 @@ from storybeam.diversity import PENALTIES, zero_penalty
 from storybeam.oracle import exhaustive_best
 from storybeam.scoring import ValidatingScorer
 
-from conftest import make_table, random_table_scorer
+from conftest import INVALID_SETTINGS, invalid_arguments, make_table, random_table_scorer
 
 LN = math.log
 
@@ -47,26 +47,7 @@ class TestDecodeConfig:
     def test_zero_strength_accepted(self):
         assert DecodeConfig(diversity_strength=0.0).diversity_strength == 0.0
 
-    @pytest.mark.parametrize("kwargs", [
-        {"beam_width": 0},
-        {"diversity_strength": -0.5},
-        {"max_len": 0},
-        {"num_segments": 0},
-        {"diversity_strength": math.inf},
-        {"diversity_strength": math.nan},
-        # accepted, or OverflowError, before ints were required: max_len 2.5 ran 3 steps
-        {"diversity_strength": 10 ** 400},
-        {"diversity_strength": True},
-        {"diversity_strength": "2.0"},
-        {"diversity_strength": None},
-        {"beam_width": 2.5},
-        {"beam_width": True},
-        {"beam_width": 3.0},
-        {"max_len": 2.5},
-        {"max_len": False},
-        {"num_segments": 2.0},
-        {"num_segments": True},
-    ])
+    @pytest.mark.parametrize("kwargs", INVALID_SETTINGS)
     def test_invalid_bounds_rejected(self, kwargs):
         (field,) = kwargs
         with pytest.raises(ValueError, match=field):
@@ -119,6 +100,15 @@ class TestExpandAndSelect:
         for strength in (-1.0, math.inf, math.nan):
             with pytest.raises(ValueError, match="strength"):
                 expand_and_select([0.0], [scores], penalty, strength, 1)
+
+    # 10 ** 400 raised OverflowError, 2.5 selected two candidates, True passed
+    @pytest.mark.parametrize("name, value", invalid_arguments("beam_width"))
+    def test_decode_config_rules_apply(self, skewed_table, name, value):
+        arguments = {"strength": 0.0, "beam_width": 2, name: value}
+        scores = skewed_table.score_step("img", [])
+        with pytest.raises(ValueError, match=name):
+            expand_and_select([0.0], [scores], zero_penalty(len(skewed_table.vocab)),
+                              **arguments)
 
     def test_nan_step_scores_rejected(self, skewed_table):
         scores = skewed_table.score_step("img", [])

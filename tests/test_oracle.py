@@ -10,6 +10,7 @@ from storybeam.oracle import exhaustive_best, exhaustive_step_select
 
 from conftest import (
     assert_selects_like_oracle,
+    invalid_arguments,
     make_table,
     random_step_case,
     random_table_scorer,
@@ -19,6 +20,14 @@ LN = math.log
 
 
 class TestExhaustiveBest:
+    @pytest.mark.parametrize("name, value", invalid_arguments("max_len"))
+    def test_decode_config_rules_apply(self, skewed_table, name, value):
+        arguments = {"max_len": 2, "strength": 0.0, name: value}
+        vocab = skewed_table.vocab
+        with pytest.raises(ValueError, match=name):
+            exhaustive_best(skewed_table, "c", vocab, penalty=zero_penalty(len(vocab)),
+                            **arguments)
+
     def test_unpenalized_optimum(self, skewed_table):
         vocab = skewed_table.vocab
         result = exhaustive_best(skewed_table, "c", vocab, 2, 0.0,
@@ -77,6 +86,15 @@ class TestExhaustiveStepSelect:
         rng = np.random.default_rng(2024)
         for _ in range(300):
             assert_selects_like_oracle(*random_step_case(rng))
+
+    # inf gave a nan score and 2.5 a TypeError where the engine raises ValueError
+    @pytest.mark.parametrize("name, value", invalid_arguments("beam_width"))
+    def test_decode_config_rules_apply(self, skewed_table, name, value):
+        arguments = {"beam_width": 2, "strength": 0.0, name: value}
+        scores = [skewed_table.score_step("c", [])]
+        with pytest.raises(ValueError, match=name):
+            exhaustive_step_select([0.0], scores, zero_penalty(len(skewed_table.vocab)),
+                                   **arguments)
 
     def test_zero_strength_is_plain_expansion(self, skewed_table):
         vocab = skewed_table.vocab
