@@ -20,16 +20,20 @@ hypothesis is a plain tuple ``(prefix tokens, aug, step logprob, step
 contribution, parent)``, and a step copies no score history. After each
 step the finishers update the segment's single running best, and the
 next beam keeps the unfinished hypotheses scoring strictly above it.
-Only the segment's winner is walked back into a ``Hypothesis``.
+Only the segment's winner is walked back into a ``Hypothesis``. The same
+frozen penalty gives the segment one token order by contribution, built
+once, from which each step picks the few columns that can still be
+selected (see ``expand_and_select``).
 """
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 import sys
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -78,6 +82,109 @@ class StoryResult:
     segments: tuple[SegmentResult, ...]
 
 
+class _SegmentOrder(NamedTuple):
+    """A segment's frozen selection data, built once per penalty and strength.
+
+    ``order`` lists the generable tokens (as offsets past PAD and BOS) by
+    contribution (``strength * penalty``) descending, then id ascending;
+    ``ranked`` is their contributions in that order, and ``bounds`` the
+    positions where a new contribution value starts, between 0 and
+    ``len(order)``.
+    """
+
+    penalty: np.ndarray
+    strength: float
+    contributions: np.ndarray
+    order: np.ndarray
+    ranked: np.ndarray
+    bounds: list[int]
+
+
+def _segment_order(penalty: np.ndarray, strength: float) -> _SegmentOrder:
+    """The selection data of a validated penalty at ``strength``."""
+    strength = float(strength)
+    with np.errstate(over="ignore"):  # beam_search rejects an overflowing strength
+        contributions = strength * penalty
+    generable = contributions[FIRST_GENERABLE_ID:]
+    order = np.argsort(-generable, kind="stable")  # ties stay in id order
+    ranked = generable[order]
+    starts = np.flatnonzero(ranked[1:] != ranked[:-1]) + 1
+    return _SegmentOrder(penalty, strength, contributions, order, ranked,
+                         [0, *starts.tolist(), len(order)])
+
+
+def _select(beam_aug: Sequence[float], scores_per_hypothesis: Sequence[np.ndarray],
+            segment: _SegmentOrder, beam_width: int) -> tuple[np.ndarray, ...]:
+    """``expand_and_select`` on a segment's prebuilt order; the decoder's selection step."""
+    vocab_size = len(segment.penalty)
+    base_aug = np.array(beam_aug, dtype=np.float64)
+    if not (base_aug < np.inf).all():
+        raise ValueError("beam aug scores contain NaN or +inf")
+    if len(scores_per_hypothesis) != len(base_aug):
+        raise ValueError(
+            f"got {len(scores_per_hypothesis)} score vectors for {len(base_aug)} hypotheses")
+    # hypotheses often share a row object; each distinct one is stacked and checked once
+    distinct = {id(row): row for row in scores_per_hypothesis}
+    slots = {key: slot for slot, key in enumerate(distinct)}
+    which = np.array([slots[id(row)] for row in scores_per_hypothesis], dtype=np.intp)
+    for row in distinct.values():
+        if row.shape != (vocab_size,):
+            raise ValueError(f"step scores have shape {row.shape}, expected ({vocab_size},)")
+    matrix = np.array(list(distinct.values()), dtype=np.float64).reshape(
+        len(distinct), vocab_size)
+    if not (matrix < np.inf).all():
+        raise ValueError("step scores contain NaN or +inf")
+
+    columns = _columns_that_can_win(base_aug, matrix, which, segment, beam_width)
+    penalty = segment.penalty
+    if columns is not None:
+        matrix, penalty = matrix[:, columns], penalty[columns]
+    positions, tokens, scores = select_top_candidates(
+        base_aug, matrix[which], penalty, segment.strength,
+        np.arange(len(base_aug), dtype=np.int64), np.empty(0), np.empty(0, dtype=np.int64),
+        beam_width)
+    if columns is not None:
+        tokens = columns[tokens]
+    return positions, tokens, scores
+
+
+def _columns_that_can_win(base_aug: np.ndarray, matrix: np.ndarray, which: np.ndarray,
+                          segment: _SegmentOrder, beam_width: int) -> np.ndarray | None:
+    """The columns that hold the exact top B, ascending; None keeps them all.
+
+    A row's floor is the value of its last token, and its exceptions are
+    the generable tokens valued otherwise. With ``E`` the most exceptions
+    of any row, the first ``B + E`` tokens of the segment order hold at
+    least ``B`` floor tokens of every row, each scoring at least as high
+    as any later floor token of that row. So every exception plus that
+    prefix holds the top B, and extra columns change nothing. Rounding can
+    merge different contributions, and then the id tie-break may prefer a
+    later token: so when some row's floor scores at the prefix's last
+    position and the next are equal, and that tie run reaches a second
+    contribution value, every column is kept. PAD and BOS lead the
+    returned columns, as the kernel expects.
+    """
+    generable = matrix[:, FIRST_GENERABLE_ID:]
+    floor = generable[:, -1]
+    exceptions = generable != floor[:, None]
+    keep = beam_width + int(exceptions.sum(axis=1).max(initial=0))
+    n_generable = len(segment.order)
+    if keep >= n_generable:
+        return None
+    # the floor scores at the prefix's last position, the next one, and the
+    # nearest positions on either side holding another contribution value
+    bounds = segment.bounds
+    block = bisect.bisect_right(bounds, keep - 1)
+    edges = [edge for edge in (bounds[block - 1] - 1, bounds[block]) if 0 <= edge < n_generable]
+    scores = (base_aug + floor[which])[:, None] + segment.ranked[[keep - 1, keep, *edges]]
+    last = scores[:, :1]
+    if ((scores[:, 1] == last[:, 0]) & (scores[:, 2:] == last).any(axis=1)).any():
+        return None
+    kept = np.concatenate((np.ones(FIRST_GENERABLE_ID, dtype=bool), exceptions.any(axis=0)))
+    kept[segment.order[:keep] + FIRST_GENERABLE_ID] = True
+    return np.flatnonzero(kept)
+
+
 def expand_and_select(beam_aug: Sequence[float],
                       scores_per_hypothesis: Sequence[np.ndarray], penalty: np.ndarray,
                       strength: float, beam_width: int) -> tuple[np.ndarray, ...]:
@@ -92,29 +199,22 @@ def expand_and_select(beam_aug: Sequence[float],
     NaN or ``+inf`` in ``beam_aug`` or in a score row raises
     ``ValueError`` (``-inf`` is legal). Returns the kept candidates' beam
     positions, token ids and scores, in selection order.
+
+    The kernel sees only the columns that can still be selected: every
+    token whose value differs from its row's floor (the value most tokens
+    of the row share), plus the first ``B + E`` tokens by ``strength *
+    penalty`` descending, then id ascending, where ``E`` is the most such
+    exceptions in one row. The selection is exactly the one over all
+    columns; when rounding merges different penalty contributions into
+    one score at the cut, or the prefix covers every token, the step
+    selects from all columns. ``beam_search`` runs the same step with the
+    order built once per segment.
     """
     check_count("beam_width", beam_width)
     check_strength("strength", strength)
     validate_penalty(penalty, len(penalty))
-    vocab_size = len(penalty)
-    base_aug = np.array(beam_aug, dtype=np.float64)
-    if not (base_aug < np.inf).all():
-        raise ValueError("beam aug scores contain NaN or +inf")
-    if len(scores_per_hypothesis) != len(base_aug):
-        raise ValueError(
-            f"got {len(scores_per_hypothesis)} score vectors for {len(base_aug)} hypotheses")
-    for scores in scores_per_hypothesis:
-        if scores.shape != (vocab_size,):
-            raise ValueError(
-                f"step scores have shape {scores.shape}, expected ({vocab_size},)")
-
-    matrix = np.array(scores_per_hypothesis, dtype=np.float64).reshape(
-        len(base_aug), vocab_size)
-    if not (matrix < np.inf).all():
-        raise ValueError("step scores contain NaN or +inf")
-    return select_top_candidates(
-        base_aug, matrix, penalty, float(strength), np.arange(len(base_aug), dtype=np.int64),
-        np.empty(0), np.empty(0, dtype=np.int64), beam_width)
+    return _select(beam_aug, scores_per_hypothesis, _segment_order(penalty, strength),
+                   beam_width)
 
 
 def _hypothesis(node: tuple) -> Hypothesis:
@@ -151,7 +251,7 @@ def beam_search(scorer: Scorer, condition: Condition, vocab: Vocabulary,
     """
     if penalty is None:
         penalty = zero_penalty(len(vocab))
-    validate_penalty(penalty, len(vocab))
+    validate_penalty(penalty, len(vocab))  # once per segment: _select trusts it
     if not (isinstance(condition, str) and condition):
         raise ValueError("condition must be a non-empty string")
     try:
@@ -163,8 +263,9 @@ def beam_search(scorer: Scorer, condition: Condition, vocab: Vocabulary,
     # a hypothesis collects at most max_len penalty contributions; their total
     # must stay finite or the kernel's score sums overflow to -inf
     steps = min(config.max_len, sys.float_info.max)  # an int may exceed float range
+    segment = _segment_order(penalty, strength)
+    contributions = segment.contributions
     with np.errstate(over="ignore"):
-        contributions = strength * penalty
         worst_total = steps * contributions
     if not np.isfinite(worst_total).all():
         raise ValueError(
@@ -179,8 +280,8 @@ def beam_search(scorer: Scorer, condition: Condition, vocab: Vocabulary,
     while beam and len(trace) < config.max_len:
         trace.append(StepTrace(candidate_count=len(beam) * n_generable))
         scores = [scorer.score_step(condition, node[0]) for node in beam]
-        positions, tokens, augs = expand_and_select(
-            [node[1] for node in beam], scores, penalty, strength, beam_width)
+        positions, tokens, augs = _select(
+            [node[1] for node in beam], scores, segment, beam_width)
         live = []
         for pos, token, aug in zip(positions.tolist(), tokens.tolist(), augs.tolist()):
             parent = beam[pos]

@@ -11,6 +11,17 @@ the last kept candidate (the cut-off), one stable sort orders the fewer
 candidates strictly above it, and the remaining slots go to the
 candidates at the cut-off in flat order. Identical inputs therefore
 select identical candidates, whatever the number of ties.
+
+The decoder hands the kernel only the columns that can still be selected
+(``decoding._columns_that_can_win``). A segment's penalty is frozen and
+depends only on the token, so the tokens have one order by ``strength *
+penalty`` descending, then id ascending; and most score rows are one floor
+value plus a few exceptions. Every exception plus the first ``B + E``
+tokens of that order, ``E`` being the most exceptions of one row, hold the
+exact top B. The kept columns stay in id order, so the flat order is still
+the tie-break order, and the kernel's column indices map back to token ids.
+When rounding merges two contributions into one score at the cut, the id
+tie-break could reach past that prefix, so such a step keeps every column.
 """
 
 from __future__ import annotations

@@ -86,17 +86,9 @@ class NGramModel:
 
     def __post_init__(self):
         _check_order(self.order)
-        if not (_is_finite_number(self.alpha) and self.alpha > 0):
-            raise ValueError(f"alpha must be a finite number > 0, got {self.alpha!r}")
-        self.alpha = float(self.alpha)
-        # score_step divides by total + alpha * (V - 2), and no count exceeds
-        # its context's total; an infinite term turns every score into nan or -inf
         vocab_size = len(self.vocab)
+        self.alpha = _check_alpha(self.alpha, vocab_size)
         generable = vocab_size - FIRST_GENERABLE_ID
-        if not math.isfinite(self.alpha * generable):
-            raise ValueError(
-                f"alpha must keep alpha * {generable} generable tokens finite, "
-                f"got {self.alpha}")
         # ``type(x) is int`` rather than isinstance keeps bools out
         self.totals = {}
         for context, bucket in self.counts.items():
@@ -150,10 +142,25 @@ def _check_order(order) -> None:
         raise ValueError(f"order must be an integer from 1 to {MAX_ORDER}, got {order!r}")
 
 
+def _check_alpha(alpha, vocab_size: int) -> float:
+    """``alpha`` as a float; ``ValueError`` unless finite, > 0, with ``alpha * (V - 2)`` finite."""
+    if not (_is_finite_number(alpha) and alpha > 0):
+        raise ValueError(f"alpha must be a finite number > 0, got {alpha!r}")
+    alpha = float(alpha)
+    # score_step divides by total + alpha * (V - 2), and no count exceeds
+    # its context's total; an infinite term turns every score into nan or -inf
+    generable = vocab_size - FIRST_GENERABLE_ID
+    if not math.isfinite(alpha * generable):
+        raise ValueError(
+            f"alpha must keep alpha * {generable} generable tokens finite, got {alpha}")
+    return alpha
+
+
 def train_ngram(corpus: Corpus, vocab: Vocabulary, order: int, alpha: float) -> NGramModel:
     """Count n-grams over ``corpus`` with BOS padding and a final EOS per sentence."""
-    # the BOS padding below is built before NGramModel can check the order
+    # counting reads the whole corpus, so the rules NGramModel checks run first
     _check_order(order)
+    _check_alpha(alpha, len(vocab))
     counts: dict[tuple[int, ...], dict[int, int]] = {}
     for sentence in corpus:
         # a word spelled <pad> or <bos> counts as <unk>: the model never emits those

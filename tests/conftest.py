@@ -6,7 +6,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
+from storybeam.corpus import FIRST_GENERABLE_ID
 from storybeam.decoding import expand_and_select
 from storybeam.oracle import exhaustive_step_select
 from storybeam.scoring import TableScorer, table_from_dict
@@ -109,25 +111,108 @@ def random_table_scorer(rng: np.random.Generator, max_regular: int = 4,
     return make_table(listed, random_probs(), rows)
 
 
+# The strengths a step case draws from: 1e-20 rounds away next to a log-probability.
+STEP_STRENGTHS = (0.0, 1e-20, 1.0, 2.0)
+# Weights an exception token may carry, relative to a floor weight of 1; a
+# -inf floor row (floor weight 0) draws from all but the first.
+EXCEPTION_WEIGHTS = (0.0, 0.5, 2.0, 3.0)
+ROW_KINDS = ("dense", "floor", "tied", "-inf floor")
+
+
+def exception_range(kind: str, n_generable: int) -> tuple[int, int]:
+    """Fewest and most exceptions of a non-dense row kind.
+
+    A floor row keeps one floor token, so 0-weight exceptions leave it some
+    mass; a -inf floor row needs one exception to hold any.
+    """
+    return {"floor": (0, min(3, n_generable - 1)), "tied": (0, 0),
+            "-inf floor": (1, min(3, n_generable))}[kind]
+
+
+def log_row(weights) -> np.ndarray:
+    """A step row from generable-token weights: PAD and BOS at -inf, then normalized logs.
+
+    Equal weights give bitwise-equal scores, so a row of one repeated weight
+    plus a few others is a floor-plus-exception row, as n-gram rows are.
+    """
+    weights = np.asarray(weights, dtype=np.float64)
+    row = np.full(FIRST_GENERABLE_ID + len(weights), -np.inf)
+    with np.errstate(divide="ignore"):
+        row[FIRST_GENERABLE_ID:] = np.log(weights / weights.sum())
+    return row
+
+
 def random_step_case(rng: np.random.Generator):
     """A random one-step selection problem: beam aug scores, step scores, penalty.
 
     Each live hypothesis's aug score sums the negated logprobs and
-    penalties of 0-2 earlier steps; the beam comes in no particular order.
+    penalties of 0-2 earlier steps, or is ``-inf``; the beam comes in no
+    particular order. A row is dense, a floor with 0-3 exceptions, all
+    tied, or a ``-inf`` floor with 1-3 exceptions, and one row object may
+    serve several hypotheses. The beam may be wider than the candidate set.
     """
-    vocab_size = int(rng.integers(4, 9))
-    n_hyps = int(rng.integers(1, 4))
+    vocab_size = int(rng.integers(4, 17))
+    n_generable = vocab_size - FIRST_GENERABLE_ID
+    n_hyps = int(rng.integers(1, 5))
     beam_aug = [-float(rng.random(2 * int(rng.integers(0, 3))).sum())
                 for _ in range(n_hyps)]
+    if rng.random() < 0.1:
+        beam_aug[int(rng.integers(n_hyps))] = -np.inf
     scores = []
     for _ in range(n_hyps):
-        row = np.full(vocab_size, -np.inf)
-        row[2:] = np.log(rng.dirichlet(np.ones(vocab_size - 2)))
-        scores.append(row)
+        kind = rng.choice(ROW_KINDS, p=[0.2, 0.4, 0.2, 0.2])  # one dense row keeps all columns
+        if kind == "dense":
+            weights = rng.dirichlet(np.ones(n_generable))
+        else:
+            weights = np.full(n_generable, float(kind != "-inf floor"))
+            fewest, most = exception_range(kind, n_generable)
+            where = rng.choice(n_generable, size=int(rng.integers(fewest, most + 1)),
+                               replace=False)
+            weights[where] = rng.choice(EXCEPTION_WEIGHTS[kind == "-inf floor":], size=len(where))
+        scores.append(log_row(weights))
+    if n_hyps > 1 and rng.random() < 0.3:  # one row object, as the n-gram row cache shares
+        shared = rng.choice(n_hyps, size=int(rng.integers(2, n_hyps + 1)), replace=False)
+        for i in shared:
+            scores[i] = scores[shared[0]]
     penalty = np.zeros(vocab_size)
     penalty[4:] = -rng.integers(0, 3, size=vocab_size - 4).astype(float)
-    strength = float(rng.choice([0.0, 1.0, 2.0]))
+    strength = float(rng.choice(STEP_STRENGTHS))
     beam_width = int(rng.integers(1, 7))
+    if rng.random() < 0.1:
+        beam_width = n_hyps * n_generable + int(rng.integers(1, 4))
+    return beam_aug, scores, penalty, strength, beam_width
+
+
+@st.composite
+def step_cases(draw):
+    """``random_step_case``'s space as a hypothesis strategy, so failures shrink."""
+    vocab_size = draw(st.integers(4, 16))
+    n_generable = vocab_size - FIRST_GENERABLE_ID
+    n_hyps = draw(st.integers(1, 4))
+    beam_aug = draw(st.lists(st.sampled_from([0.0, -0.5, -1.0, -1.5, -np.inf]),
+                             min_size=n_hyps, max_size=n_hyps))
+    scores = []
+    for _ in range(n_hyps):
+        reuse = draw(st.sampled_from([None, *range(len(scores))]))
+        if reuse is not None:  # one row object shared by several hypotheses
+            scores.append(scores[reuse])
+            continue
+        kind = draw(st.sampled_from(ROW_KINDS))
+        if kind == "dense":
+            weights = draw(st.lists(st.floats(0.01, 1.0), min_size=n_generable,
+                                    max_size=n_generable))
+        else:
+            weights = [float(kind != "-inf floor")] * n_generable
+            fewest, most = exception_range(kind, n_generable)
+            where = draw(st.lists(st.integers(0, n_generable - 1), unique=True,
+                                  min_size=fewest, max_size=most))
+            for i in where:
+                weights[i] = draw(st.sampled_from(EXCEPTION_WEIGHTS[kind == "-inf floor":]))
+        scores.append(log_row(weights))
+    penalty = np.zeros(vocab_size)
+    penalty[4:] = [-float(draw(st.integers(0, 2))) for _ in range(vocab_size - 4)]
+    strength = draw(st.sampled_from(STEP_STRENGTHS))
+    beam_width = draw(st.integers(1, n_hyps * n_generable + 3))
     return beam_aug, scores, penalty, strength, beam_width
 
 

@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from storybeam import config as config_module
+from storybeam import config as config_module, decoding
 from storybeam.cli import build_parser
-from storybeam.corpus import EOS_ID, FIRST_GENERABLE_ID, NUM_SPECIALS
+from storybeam.corpus import EOS_ID, FIRST_GENERABLE_ID, NUM_SPECIALS, Corpus, build_vocabulary
 from storybeam.decoding import (
     DecodeConfig,
     Hypothesis,
@@ -21,10 +21,19 @@ from storybeam.decoding import (
     story_to_json,
 )
 from storybeam.diversity import PENALTIES, zero_penalty
-from storybeam.oracle import exhaustive_best
+from storybeam.ngram import train_ngram
+from storybeam.oracle import exhaustive_best, exhaustive_step_select
 from storybeam.scoring import ValidatingScorer
 
-from conftest import INVALID_SETTINGS, invalid_arguments, make_table, random_table_scorer
+from conftest import (
+    INVALID_SETTINGS,
+    assert_selects_like_oracle,
+    invalid_arguments,
+    log_row,
+    make_table,
+    random_table_scorer,
+    step_cases,
+)
 
 LN = math.log
 
@@ -122,6 +131,89 @@ class TestExpandAndSelect:
             with pytest.raises(ValueError, match="NaN"):
                 expand_and_select(beam_aug, rows,
                                   zero_penalty(len(skewed_table.vocab)), 0.0, 2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(step_cases())
+    def test_selects_like_the_oracle(self, case):
+        assert_selects_like_oracle(*case)
+
+    def test_rounded_away_penalty_keeps_the_id_tie_break(self):
+        # next to log(1/6), 1e-20 * -1 rounds away: all six tokens tie and ids
+        # decide, so penalized id 4 beats unpenalized id 6
+        row = log_row(np.ones(6))
+        penalty = zero_penalty(len(row))
+        penalty[[4, 5]] = -1.0
+        _, tokens, _ = assert_selects_like_oracle([0.0], [row], penalty, 1e-20, 3)
+        assert tokens.tolist() == [2, 3, 4]
+
+    @pytest.mark.parametrize("strength", [0.0, 1e-20, 2.0])
+    def test_dense_and_floor_rows_in_one_step(self, strength):
+        rng = np.random.default_rng(11)
+        dense = log_row(rng.dirichlet(np.ones(12)))
+        floor = log_row([4.0, 0.0, 2.0] + [1.0] * 9)
+        tied = log_row(np.ones(12))
+        penalty = zero_penalty(len(dense))
+        penalty[[5, 9, 13]] = [-1.0, -2.0, -1.0]
+        for width in range(1, 4 * 12 + 2):
+            assert_selects_like_oracle([-0.5, -1.0, 0.0, -0.5], [floor, dense, tied, floor],
+                                       penalty, strength, width)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_bad_value_in_a_shared_row_is_rejected(self, bad):
+        row = log_row([3.0] + [1.0] * 6)
+        row[FIRST_GENERABLE_ID] = bad  # an exception: the floor is the other tokens' value
+        with pytest.raises(ValueError, match="NaN"):
+            expand_and_select([0.0, -1.0], [row, row], zero_penalty(len(row)), 0.0, 2)
+
+
+class TestColumnReduction:
+    """Whole decodes give the same bytes as decodes that select from every column."""
+
+    @staticmethod
+    def decode_both(monkeypatch, scorer, strength: float) -> dict:
+        """Story JSON with the decoder's selection, then with the oracle's; step counts."""
+        conditions = ["c1", "c2", "c3", "c4"]
+        config = DecodeConfig(beam_width=4, diversity_strength=strength, max_len=8,
+                              num_segments=len(conditions))
+        columns = decoding._columns_that_can_win
+        kept = {"reduced": 0, "all": 0}
+
+        def counting(*args):
+            chosen = columns(*args)
+            kept["all" if chosen is None else "reduced"] += 1
+            return chosen
+
+        monkeypatch.setattr(decoding, "_columns_that_can_win", counting)
+        fast = story_to_json(inter_sentence_dbs(scorer, conditions, scorer.vocab, config),
+                             scorer.vocab)
+        monkeypatch.setattr(decoding, "_select", lambda beam_aug, rows, segment, width:
+                            exhaustive_step_select(beam_aug, rows, segment.penalty,
+                                                   segment.strength, width))
+        slow = story_to_json(inter_sentence_dbs(scorer, conditions, scorer.vocab, config),
+                             scorer.vocab)
+        assert fast == slow
+        return kept
+
+    def test_flat_table_at_zero_strength(self, monkeypatch):
+        # tie-heavy in miniature: every word ties and EOS is all but impossible
+        words = [f"w{i:03d}" for i in range(300)]
+        scorer = make_table(words + ["<eos>"], [(1 - 1e-6) / 300] * 300 + [1e-6])
+        kept = self.decode_both(monkeypatch, scorer, 0.0)
+        assert kept == {"reduced": 4 * 8, "all": 0}
+
+    @pytest.mark.parametrize("strength", [1e-20, 2.0])
+    def test_ngram_model(self, monkeypatch, strength):
+        rng = np.random.default_rng(3)
+        words = [f"w{i:02d}" for i in range(60)]
+        lines = [" ".join(rng.choice(words, size=int(rng.integers(4, 12)),
+                                     p=np.arange(60, 0, -1) / 1830))
+                 for _ in range(80)]
+        corpus = Corpus.from_text("\n".join(lines))
+        model = train_ngram(corpus, build_vocabulary(corpus, min_count=1), order=2, alpha=0.1)
+        kept = self.decode_both(monkeypatch, model, strength)
+        assert kept["reduced"] > 0
+        if strength == 1e-20:  # the penalty rounds away, so penalized segments keep all
+            assert kept["all"] > 0
 
 
 class TestBeamSearch:

@@ -288,6 +288,18 @@ class TestNGram:
             with pytest.raises(ValueError, match="alpha"):
                 train_ngram(corpus, vocab, order=1, alpha=alpha)
 
+    # train-lm --alpha 0 counted a 100000-line corpus (1.9 s) before rejecting alpha
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, math.inf, math.nan, True, 1e308])
+    def test_bad_alpha_is_rejected_before_the_corpus_is_read(self, alpha):
+        vocab = build_vocabulary(tiny_corpus("a b"), min_count=1)
+
+        class UnreadCorpus:
+            def __iter__(self):
+                pytest.fail("train_ngram read the corpus before checking alpha")
+
+        with pytest.raises(ValueError, match="alpha"):
+            train_ngram(UnreadCorpus(), vocab, order=2, alpha=alpha)
+
     @pytest.mark.parametrize("kwargs, match", [
         ({"alpha": 0.0}, "alpha"),
         ({"alpha": -0.5}, "alpha"),
