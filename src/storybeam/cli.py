@@ -16,10 +16,10 @@ import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-from .config import PENALTY_NAMES, DecodeConfig
+from .config import PENALTY_NAMES, DecodeConfig, check_count
 from .corpus import DEFAULT_MIN_COUNT, Corpus, build_vocabulary, split_lines
 from .metrics import diversity_report, report_to_json
-from .ngram import _is_token_list, dump_ngram, train_ngram
+from .ngram import _check_alpha, _check_order, _is_token_list, dump_ngram, train_ngram
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -98,6 +98,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_train_lm(args: argparse.Namespace) -> int:
+    # the settings' owners check them before the corpus is read; only the
+    # alpha * (V - 2) part of the alpha rule waits for the vocabulary
+    _check_order(args.order)
+    _check_alpha(args.alpha)
+    check_count("min_count", args.min_count)
     corpus = Corpus.from_file(args.corpus)
     vocab = build_vocabulary(corpus, args.min_count)
     if not vocab.non_special_tokens:

@@ -23,15 +23,22 @@ next beam keeps the unfinished hypotheses scoring strictly above it.
 Only the segment's winner is walked back into a ``Hypothesis``. The same
 frozen penalty gives the segment one token order by contribution, built
 once, from which each step picks the few columns that can still be
-selected (see ``expand_and_select``).
+selected (see ``expand_and_select``). A step reads a row through its
+summary: the floor, the exception ids and the NaN/``+inf`` check. A
+read-only row that owns its data is never changed, so its summary is
+computed once per row object, however many steps and stories see it. Only
+the kept columns of each row are read, and a row is copied whole only on
+a step that keeps every column.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import json
 import math
 import sys
+import weakref
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -85,18 +92,19 @@ class StoryResult:
 class _SegmentOrder(NamedTuple):
     """A segment's frozen selection data, built once per penalty and strength.
 
-    ``order`` lists the generable tokens (as offsets past PAD and BOS) by
-    contribution (``strength * penalty``) descending, then id ascending;
-    ``ranked`` is their contributions in that order, and ``bounds`` the
-    positions where a new contribution value starts, between 0 and
-    ``len(order)``.
+    ``ranking`` lists the columns a step may keep, best first: PAD and BOS
+    (which the kernel expects), then the generable token ids by
+    contribution (``strength * penalty``) descending, then id ascending.
+    ``ranked`` holds those tokens' contributions in that order, and
+    ``bounds`` the positions in ``ranked`` where a new contribution value
+    starts, between 0 and ``len(ranked)``.
     """
 
     penalty: np.ndarray
     strength: float
     contributions: np.ndarray
-    order: np.ndarray
-    ranked: np.ndarray
+    ranking: np.ndarray
+    ranked: list[float]
     bounds: list[int]
 
 
@@ -109,8 +117,45 @@ def _segment_order(penalty: np.ndarray, strength: float) -> _SegmentOrder:
     order = np.argsort(-generable, kind="stable")  # ties stay in id order
     ranked = generable[order]
     starts = np.flatnonzero(ranked[1:] != ranked[:-1]) + 1
-    return _SegmentOrder(penalty, strength, contributions, order, ranked,
+    ranking = np.concatenate((np.arange(FIRST_GENERABLE_ID), order + FIRST_GENERABLE_ID))
+    return _SegmentOrder(penalty, strength, contributions, ranking, ranked.tolist(),
                          [0, *starts.tolist(), len(order)])
+
+
+# Summaries of read-only rows by id(row): (weak reference to the row, summary).
+# An entry is dropped while its row is freed, before the id can be reused.
+# Threads that summarize one row at once both store a right entry, so the
+# memo needs no lock.
+_SUMMARIES: dict[int, tuple[weakref.ref, tuple[float, np.ndarray]]] = {}
+
+
+def _summary(row: np.ndarray, vocab_size: int) -> tuple[float, np.ndarray]:
+    """A score row's floor (its last value) and exceptions (the generable ids valued otherwise).
+
+    Raises ``ValueError`` on a wrong shape, or a NaN or ``+inf`` anywhere in
+    the row. A row that is read-only and owns its data is never changed
+    (see ``scoring``), so its summary is computed once and kept while the
+    row lives; any other row is summarized afresh at every step.
+    """
+    if row.shape != (vocab_size,):
+        raise ValueError(f"step scores have shape {row.shape}, expected ({vocab_size},)")
+    fixed = not row.flags.writeable and row.flags.owndata
+    if fixed:
+        entry = _SUMMARIES.get(id(row))
+        if entry is not None and entry[0]() is row:
+            return entry[1]
+    floor = row[-1]
+    exceptions = (row[FIRST_GENERABLE_ID:] != floor).nonzero()[0] + FIRST_GENERABLE_ID
+    # a NaN differs from any floor, so a NaN or +inf past BOS is the floor or an exception
+    if not (floor < np.inf and (row[exceptions] < np.inf).all()
+            and (row[:FIRST_GENERABLE_ID] < np.inf).all()):
+        raise ValueError("step scores contain NaN or +inf")
+    summary = (float(floor), exceptions)
+    if fixed:
+        # the callback calls pop(id, ref), which needs no module global at shutdown
+        _SUMMARIES[id(row)] = (weakref.ref(row, functools.partial(_SUMMARIES.pop, id(row))),
+                               summary)
+    return summary
 
 
 def _select(beam_aug: Sequence[float], scores_per_hypothesis: Sequence[np.ndarray],
@@ -123,24 +168,24 @@ def _select(beam_aug: Sequence[float], scores_per_hypothesis: Sequence[np.ndarra
     if len(scores_per_hypothesis) != len(base_aug):
         raise ValueError(
             f"got {len(scores_per_hypothesis)} score vectors for {len(base_aug)} hypotheses")
-    # hypotheses often share a row object; each distinct one is stacked and checked once
-    distinct = {id(row): row for row in scores_per_hypothesis}
-    slots = {key: slot for slot, key in enumerate(distinct)}
-    which = np.array([slots[id(row)] for row in scores_per_hypothesis], dtype=np.intp)
-    for row in distinct.values():
-        if row.shape != (vocab_size,):
-            raise ValueError(f"step scores have shape {row.shape}, expected ({vocab_size},)")
-    matrix = np.array(list(distinct.values()), dtype=np.float64).reshape(
-        len(distinct), vocab_size)
-    if not (matrix < np.inf).all():
-        raise ValueError("step scores contain NaN or +inf")
+    # hypotheses often share a row object; each distinct one is summarized once.
+    # The list keeps every row alive for the step, so no two rows share an id.
+    rows = list(scores_per_hypothesis)
+    summaries = {}
+    for row in rows:
+        if id(row) not in summaries:
+            summaries[id(row)] = _summary(row, vocab_size)
+    floors = [summaries[id(row)][0] for row in rows]
+    exceptions = [ids for _, ids in summaries.values()]
 
-    columns = _columns_that_can_win(base_aug, matrix, which, segment, beam_width)
-    penalty = segment.penalty
-    if columns is not None:
-        matrix, penalty = matrix[:, columns], penalty[columns]
+    columns = _columns_that_can_win(base_aug.tolist(), floors, exceptions, segment, beam_width)
+    if columns is None:
+        matrix, penalty = np.array(rows, dtype=np.float64), segment.penalty
+    else:
+        matrix = np.array([row[columns] for row in rows], dtype=np.float64)
+        penalty = segment.penalty[columns]
     positions, tokens, scores = select_top_candidates(
-        base_aug, matrix[which], penalty, segment.strength,
+        base_aug, matrix.reshape(len(base_aug), len(penalty)), penalty, segment.strength,
         np.arange(len(base_aug), dtype=np.int64), np.empty(0), np.empty(0, dtype=np.int64),
         beam_width)
     if columns is not None:
@@ -148,41 +193,44 @@ def _select(beam_aug: Sequence[float], scores_per_hypothesis: Sequence[np.ndarra
     return positions, tokens, scores
 
 
-def _columns_that_can_win(base_aug: np.ndarray, matrix: np.ndarray, which: np.ndarray,
-                          segment: _SegmentOrder, beam_width: int) -> np.ndarray | None:
+def _columns_that_can_win(beam_aug: list[float], floors: list[float],
+                          exceptions: list[np.ndarray], segment: _SegmentOrder,
+                          beam_width: int) -> np.ndarray | None:
     """The columns that hold the exact top B, ascending; None keeps them all.
 
-    A row's floor is the value of its last token, and its exceptions are
-    the generable tokens valued otherwise. With ``E`` the most exceptions
-    of any row, the first ``B + E`` tokens of the segment order hold at
-    least ``B`` floor tokens of every row, each scoring at least as high
-    as any later floor token of that row. So every exception plus that
-    prefix holds the top B, and extra columns change nothing. Rounding can
-    merge different contributions, and then the id tie-break may prefer a
-    later token: so when some row's floor scores at the prefix's last
-    position and the next are equal, and that tie run reaches a second
-    contribution value, every column is kept. PAD and BOS lead the
-    returned columns, as the kernel expects.
+    ``floors`` holds each hypothesis's row floor, and ``exceptions`` each
+    distinct row's exception ids. With ``E`` the most exceptions of any
+    row, the first ``B + E`` tokens of the segment order hold at least
+    ``B`` floor tokens of every row, each scoring at least as high as any
+    later floor token of that row. So every exception plus that prefix
+    holds the top B, and extra columns change nothing. Rounding can merge
+    different contributions, and then the id tie-break may prefer a later
+    token: so when some row's floor scores at the prefix's last position
+    and the next are equal, and that tie run reaches a second contribution
+    value, every column is kept. PAD and BOS lead the returned columns, as
+    the kernel expects.
     """
-    generable = matrix[:, FIRST_GENERABLE_ID:]
-    floor = generable[:, -1]
-    exceptions = generable != floor[:, None]
-    keep = beam_width + int(exceptions.sum(axis=1).max(initial=0))
-    n_generable = len(segment.order)
-    if keep >= n_generable:
+    keep = beam_width + max(map(len, exceptions), default=0)
+    ranked = segment.ranked
+    if keep >= len(ranked):
         return None
     # the floor scores at the prefix's last position, the next one, and the
-    # nearest positions on either side holding another contribution value
+    # nearest positions on either side holding another contribution value;
+    # float arithmetic here rounds as the kernel's float64 arithmetic does
     bounds = segment.bounds
     block = bisect.bisect_right(bounds, keep - 1)
-    edges = [edge for edge in (bounds[block - 1] - 1, bounds[block]) if 0 <= edge < n_generable]
-    scores = (base_aug + floor[which])[:, None] + segment.ranked[[keep - 1, keep, *edges]]
-    last = scores[:, :1]
-    if ((scores[:, 1] == last[:, 0]) & (scores[:, 2:] == last).any(axis=1)).any():
-        return None
-    kept = np.concatenate((np.ones(FIRST_GENERABLE_ID, dtype=bool), exceptions.any(axis=0)))
-    kept[segment.order[:keep] + FIRST_GENERABLE_ID] = True
-    return np.flatnonzero(kept)
+    below, above = bounds[block - 1] - 1, bounds[block]
+    at, past = ranked[keep - 1], ranked[keep]
+    below = ranked[below] if below >= 0 else math.nan  # nan: no neighbour, equal to nothing
+    above = ranked[above] if above < len(ranked) else math.nan
+    for aug, floor in zip(beam_aug, floors):
+        base = aug + floor
+        last = base + at
+        if base + past == last and (base + below == last or base + above == last):
+            return None
+    kept = np.zeros(len(segment.penalty), dtype=bool)
+    kept[np.concatenate((segment.ranking[:FIRST_GENERABLE_ID + keep], *exceptions))] = True
+    return kept.nonzero()[0]
 
 
 def expand_and_select(beam_aug: Sequence[float],
@@ -207,8 +255,10 @@ def expand_and_select(beam_aug: Sequence[float],
     exceptions in one row. The selection is exactly the one over all
     columns; when rounding merges different penalty contributions into
     one score at the cut, or the prefix covers every token, the step
-    selects from all columns. ``beam_search`` runs the same step with the
-    order built once per segment.
+    selects from all columns. A row's floor, exceptions and NaN/``+inf``
+    check are computed once per row object when the row is read-only and
+    owns its data, and at every call otherwise. ``beam_search`` runs the
+    same step with the order built once per segment.
     """
     check_count("beam_width", beam_width)
     check_strength("strength", strength)

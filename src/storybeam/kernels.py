@@ -6,22 +6,23 @@ strength * penalty[token]``. The best ``beam_width`` survive under a
 strict total order: score descending, then token id ascending, then beam
 position ascending. Laid out token-major (all rows of one token together,
 tokens ascending), the flat candidate order is that tie-break order.
-Selection never sorts more than it keeps: a partition finds the score of
-the last kept candidate (the cut-off), one stable sort orders the fewer
-candidates strictly above it, and the remaining slots go to the
-candidates at the cut-off in flat order. Identical inputs therefore
-select identical candidates, whatever the number of ties.
+A partition finds the score of the last kept candidate (the cut-off), and
+one stable sort orders the candidates at or above it, which stand in flat
+order, so candidates at the cut-off keep the tie-break order. Identical
+inputs therefore select identical candidates, whatever the number of ties.
 
 The decoder hands the kernel only the columns that can still be selected
 (``decoding._columns_that_can_win``). A segment's penalty is frozen and
 depends only on the token, so the tokens have one order by ``strength *
 penalty`` descending, then id ascending; and most score rows are one floor
-value plus a few exceptions. Every exception plus the first ``B + E``
-tokens of that order, ``E`` being the most exceptions of one row, hold the
-exact top B. The kept columns stay in id order, so the flat order is still
-the tie-break order, and the kernel's column indices map back to token ids.
-When rounding merges two contributions into one score at the cut, the id
-tie-break could reach past that prefix, so such a step keeps every column.
+value plus a few exceptions, which the decoder reads from each row's
+summary, computed once per read-only row. Every exception plus the first
+``B + E`` tokens of that order, ``E`` being the most exceptions of one row,
+hold the exact top B. The kept columns stay in id order, so the flat order
+is still the tie-break order, and the kernel's column indices map back to
+token ids. When rounding merges two contributions into one score at the
+cut, the id tie-break could reach past that prefix, so such a step keeps
+every column.
 """
 
 from __future__ import annotations
@@ -57,9 +58,7 @@ def select_top_candidates(base_aug: np.ndarray, logprobs: np.ndarray,
         top = np.empty(0, dtype=np.intp)
     else:
         cut = np.partition(scores, n - k)[n - k]
-        above = np.flatnonzero(scores > cut)  # fewer than k
-        above = above[np.argsort(-scores[above], kind="stable")]
-        ties = np.flatnonzero(scores == cut)[:k - len(above)]
-        top = np.concatenate((above, ties))
+        top = (scores >= cut).nonzero()[0]  # in flat order, so a stable sort breaks ties
+        top = top[np.argsort(-scores[top], kind="stable")[:k]]
     tokens, rows = np.divmod(top, n_rows)
     return rows, tokens + FIRST_GENERABLE_ID, scores[top]

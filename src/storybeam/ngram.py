@@ -142,11 +142,16 @@ def _check_order(order) -> None:
         raise ValueError(f"order must be an integer from 1 to {MAX_ORDER}, got {order!r}")
 
 
-def _check_alpha(alpha, vocab_size: int) -> float:
-    """``alpha`` as a float; ``ValueError`` unless finite, > 0, with ``alpha * (V - 2)`` finite."""
+def _check_alpha(alpha, vocab_size: int | None = None) -> float:
+    """``alpha`` as a float; ``ValueError`` unless finite and > 0.
+
+    With a vocabulary size, ``alpha * (V - 2)`` must be finite too.
+    """
     if not (_is_finite_number(alpha) and alpha > 0):
         raise ValueError(f"alpha must be a finite number > 0, got {alpha!r}")
     alpha = float(alpha)
+    if vocab_size is None:
+        return alpha
     # score_step divides by total + alpha * (V - 2), and no count exceeds
     # its context's total; an infinite term turns every score into nan or -inf
     generable = vocab_size - FIRST_GENERABLE_ID

@@ -8,7 +8,9 @@ scorer obeys the same contract:
 * PAD and BOS get ``-inf`` (they are structural, never generated),
 * the probabilities of the remaining tokens sum to 1,
 * identical arguments always produce identical vectors,
-* a vector may be shared and read-only: callers must not write into it.
+* a vector may be shared and read-only: callers must not write into it;
+  a read-only vector that owns its data, once returned, is never changed,
+  so the decoder summarizes each such vector once.
 
 Two concrete scorers ship: a Laplace-smoothed n-gram model trained from
 a corpus (``ngram``, re-exported here, which counts and reads models

@@ -149,7 +149,9 @@ def random_step_case(rng: np.random.Generator):
     penalties of 0-2 earlier steps, or is ``-inf``; the beam comes in no
     particular order. A row is dense, a floor with 0-3 exceptions, all
     tied, or a ``-inf`` floor with 1-3 exceptions, and one row object may
-    serve several hypotheses. The beam may be wider than the candidate set.
+    serve several hypotheses. About half the row objects are read-only, as
+    the shipped scorers' rows are, so the step memoizes their summaries. The
+    beam may be wider than the candidate set.
     """
     vocab_size = int(rng.integers(4, 17))
     n_generable = vocab_size - FIRST_GENERABLE_ID
@@ -174,6 +176,9 @@ def random_step_case(rng: np.random.Generator):
         shared = rng.choice(n_hyps, size=int(rng.integers(2, n_hyps + 1)), replace=False)
         for i in shared:
             scores[i] = scores[shared[0]]
+    for row in {id(row): row for row in scores}.values():  # a shared row counts once
+        if rng.random() < 0.5:
+            row.flags.writeable = False
     penalty = np.zeros(vocab_size)
     penalty[4:] = -rng.integers(0, 3, size=vocab_size - 4).astype(float)
     strength = float(rng.choice(STEP_STRENGTHS))
@@ -208,7 +213,10 @@ def step_cases(draw):
                                   min_size=fewest, max_size=most))
             for i in where:
                 weights[i] = draw(st.sampled_from(EXCEPTION_WEIGHTS[kind == "-inf floor":]))
-        scores.append(log_row(weights))
+        row = log_row(weights)
+        if draw(st.booleans()):  # read-only, so the step memoizes its summary
+            row.flags.writeable = False
+        scores.append(row)
     penalty = np.zeros(vocab_size)
     penalty[4:] = [-float(draw(st.integers(0, 2))) for _ in range(vocab_size - 4)]
     strength = draw(st.sampled_from(STEP_STRENGTHS))

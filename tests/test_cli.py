@@ -87,6 +87,24 @@ def test_flag_errors_are_the_owners(corpus_path, tmp_path, capsys, command, flag
     assert not out.exists()
 
 
+# every train-lm rule but alpha * (V - 2), which needs the vocabulary
+TRAIN_RULES_BEFORE_READING = [rule for rule in FLAG_RULES
+                              if rule[0] == "train-lm" and rule[2] != "1e308"]
+
+
+@pytest.mark.parametrize("command, flag, value, owner", TRAIN_RULES_BEFORE_READING,
+                         ids=[f"{flag}={value}" for _, flag, value, _ in TRAIN_RULES_BEFORE_READING])
+def test_train_lm_checks_settings_before_reading_the_corpus(tmp_path, capsys, command, flag,
+                                                             value, owner):
+    with pytest.raises(ValueError) as expected:
+        owner()
+    # the corpus does not exist: only a check made before reading it names the setting
+    argv = [command, str(tmp_path / "missing.txt"), flag, value,
+            "--out", str(tmp_path / "m.json")]
+    assert main(argv) == 2
+    assert f"error: {expected.value}\n" in capsys.readouterr().err
+
+
 class TestTrainLm:
     def test_trains_and_round_trips(self, corpus_path, tmp_path, capsys):
         out = tmp_path / "model.yaml"

@@ -9,9 +9,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from storybeam import config as config_module, decoding
+from storybeam import config as config_module, decoding, ngram
 from storybeam.cli import build_parser
-from storybeam.corpus import EOS_ID, FIRST_GENERABLE_ID, NUM_SPECIALS, Corpus, build_vocabulary
+from storybeam.corpus import (
+    BOS_ID,
+    EOS_ID,
+    FIRST_GENERABLE_ID,
+    NUM_SPECIALS,
+    PAD_ID,
+    Corpus,
+    build_vocabulary,
+)
 from storybeam.decoding import (
     DecodeConfig,
     Hypothesis,
@@ -214,6 +222,77 @@ class TestColumnReduction:
         assert kept["reduced"] > 0
         if strength == 1e-20:  # the penalty rounds away, so penalized segments keep all
             assert kept["all"] > 0
+
+
+def floor_row(exception: int, read_only: bool = False) -> np.ndarray:
+    """Eight generable tokens on one floor, but ``exception`` (an offset) four times likelier."""
+    weights = np.ones(8)
+    weights[exception] = 4.0
+    row = log_row(weights)
+    if read_only:
+        row.flags.writeable = False
+    return row
+
+
+class TestRowSummaries:
+    """A step summarizes a row once while it can rely on it, and never a different row."""
+
+    @staticmethod
+    def best_token(rows) -> int:
+        _, tokens, _ = assert_selects_like_oracle([0.0] * len(rows), rows,
+                                                  zero_penalty(len(rows[0])), 0.0, 1)
+        return int(tokens[0])
+
+    def test_a_writable_row_changed_between_steps(self):
+        row = floor_row(0)
+        assert self.best_token([row]) == FIRST_GENERABLE_ID
+        row[:] = floor_row(5)
+        assert self.best_token([row]) == FIRST_GENERABLE_ID + 5
+
+    def test_a_read_only_view_of_a_changed_base(self):
+        base = floor_row(0)
+        view = base.view()
+        view.flags.writeable = False
+        assert self.best_token([view, view]) == FIRST_GENERABLE_ID
+        base[:] = floor_row(5)
+        assert self.best_token([view, view]) == FIRST_GENERABLE_ID + 5
+
+    def test_freed_rows_whose_ids_are_reused(self):
+        rng = np.random.default_rng(5)
+        seen, reused = set(), 0
+        for _ in range(40):
+            row = floor_row(int(rng.integers(8)), read_only=True)
+            reused += id(row) in seen
+            seen.add(id(row))
+            assert_selects_like_oracle([0.0, -1.0], [row, row], zero_penalty(len(row)), 1.0, 3)
+            del row
+        assert reused  # the allocator did hand a freed row's id to a new row
+
+    def test_rows_of_one_matrix(self):
+        # iterating a 2-D array makes a new view per row each time; the step
+        # keeps them alive, so no two of them are taken for one row
+        rows = np.stack([floor_row(3), floor_row(6), floor_row(3)])
+        assert_selects_like_oracle([0.0, -1.0, -0.5], rows, zero_penalty(rows.shape[1]), 1.0, 4)
+
+    def test_entries_die_with_their_rows(self):
+        rows = [floor_row(i, read_only=True) for i in range(3)]
+        keys = {id(row) for row in rows}
+        expand_and_select([0.0, -1.0, -2.0], rows, zero_penalty(len(rows[0])), 0.0, 2)
+        assert keys <= decoding._SUMMARIES.keys()
+        del rows
+        assert not keys & decoding._SUMMARIES.keys()
+
+    @pytest.mark.parametrize("read_only", [False, True])
+    @pytest.mark.parametrize("position", [PAD_ID, BOS_ID])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nan_or_inf_at_pad_or_bos_rejected(self, bad, position, read_only):
+        row = floor_row(0)
+        row[position] = bad
+        if read_only:
+            row.flags.writeable = False
+        for _ in range(2):  # a rejected row is not memoized
+            with pytest.raises(ValueError, match="NaN"):
+                expand_and_select([0.0], [row], zero_penalty(len(row)), 0.0, 2)
 
 
 class TestBeamSearch:
@@ -596,6 +675,37 @@ class TestDeterminism:
             results = list(pool.map(decode, range(16)))
         assert len(set(results)) == 1
 
+
+    def test_threads_share_row_summaries_while_rows_are_evicted(self, monkeypatch):
+        # a one-row cache frees rows while other threads look up their summaries,
+        # as --jobs 2 does; a tiny switch interval interleaves the threads often
+        rng = np.random.default_rng(9)
+        words = [f"w{i:02d}" for i in range(30)]
+        corpus = Corpus.from_text("\n".join(" ".join(rng.choice(words, size=8))
+                                             for _ in range(40)))
+        vocab = build_vocabulary(corpus, min_count=1)
+        cached = train_ngram(corpus, vocab, order=2, alpha=0.1)  # keeps every row
+        monkeypatch.setattr(ngram, "ROW_CACHE_BYTES", 0)
+        evicting = train_ngram(corpus, vocab, order=2, alpha=0.1)
+        stories = [(["c1", "c2", "c3"][:2 + i % 2], strength)
+                   for i, strength in enumerate([0.0, 0.5, 1.0, 2.0, 3.0, 1e-20, 2.0, 0.5])]
+
+        def decode(story, model=evicting):
+            conditions, strength = story
+            config = DecodeConfig(beam_width=4, diversity_strength=strength, max_len=6,
+                                  num_segments=len(conditions))
+            return story_to_json(inter_sentence_dbs(model, conditions, model.vocab, config),
+                                 model.vocab)
+
+        serial = [decode(story, cached) for story in stories]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                threaded = list(pool.map(decode, stories * 2))
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial * 2
 
 class TestStoryJson:
     def test_schema_fields_and_float_format(self, skewed_table):
