@@ -44,6 +44,7 @@ _EXPORTS = {
     "dump_ngram": "ngram",
     "load_ngram": "ngram",
     "train_ngram": "ngram",
+    "ScoreRow": "scoring",
     "TableScorer": "scoring",
     "ValidatingScorer": "scoring",
     "load_scorer": "scoring",

@@ -44,6 +44,17 @@ _FILE_MODE = _default_file_mode()
 
 
 def _atomic_write(path: Path, text: str) -> None:
+    """Write ``text`` to ``path``, replacing a regular file atomically.
+
+    Through a symlink, the link's target is replaced and the link kept. An
+    existing target that is not a regular file, such as a FIFO or a
+    character device, is written in place.
+    """
+    path = Path(os.path.realpath(path))
+    if path.exists() and not path.is_file():
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        return
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:

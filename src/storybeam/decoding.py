@@ -23,22 +23,21 @@ next beam keeps the unfinished hypotheses scoring strictly above it.
 Only the segment's winner is walked back into a ``Hypothesis``. The same
 frozen penalty gives the segment one token order by contribution, built
 once, from which each step picks the few columns that can still be
-selected (see ``expand_and_select``). A step reads a row through its
-summary: the floor, the exception ids and the NaN/``+inf`` check. A
-read-only row that owns its data is never changed, so its summary is
-computed once per row object, however many steps and stories see it. Only
-the kept columns of each row are read, and a row is copied whole only on
-a step that keeps every column.
+selected (see ``expand_and_select``). A step reads each row as a
+``scoring.ScoreRow``: its floor and its exception ids and values. The
+shipped scorers return one; a dense row from any other scorer is
+summarized afresh at every step. The kernel's matrix holds only the kept
+columns: it is filled from the floors, and the exceptions are scattered
+into it. The kernel returns each kept candidate's step log-probability,
+so the decoder never reads a row by token.
 """
 
 from __future__ import annotations
 
 import bisect
-import functools
 import json
 import math
 import sys
-import weakref
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -48,7 +47,7 @@ from .config import DecodeConfig, check_count, check_strength
 from .corpus import BOS_TOKEN, EOS_ID, EOS_TOKEN, FIRST_GENERABLE_ID, PAD_TOKEN, Vocabulary
 from .diversity import PenaltyFn, hamming_diversity, validate_penalty, zero_penalty
 from .kernels import select_top_candidates
-from .scoring import Condition, Scorer
+from .scoring import Condition, Scorer, Scores, summarize
 
 
 @dataclass(frozen=True)
@@ -108,6 +107,11 @@ class _SegmentOrder(NamedTuple):
     bounds: list[int]
 
 
+# the kernel's carry arguments, always empty (see kernels.select_top_candidates)
+_NO_CARRY = np.empty(0)
+_NO_IDS = np.empty(0, dtype=np.int64)
+
+
 def _segment_order(penalty: np.ndarray, strength: float) -> _SegmentOrder:
     """The selection data of a validated penalty at ``strength``."""
     strength = float(strength)
@@ -122,95 +126,67 @@ def _segment_order(penalty: np.ndarray, strength: float) -> _SegmentOrder:
                          [0, *starts.tolist(), len(order)])
 
 
-# Summaries of read-only rows by id(row): (weak reference to the row, summary).
-# An entry is dropped while its row is freed, before the id can be reused.
-# Threads that summarize one row at once both store a right entry, so the
-# memo needs no lock.
-_SUMMARIES: dict[int, tuple[weakref.ref, tuple[float, np.ndarray]]] = {}
-
-
-def _summary(row: np.ndarray, vocab_size: int) -> tuple[float, np.ndarray]:
-    """A score row's floor (its last value) and exceptions (the generable ids valued otherwise).
-
-    Raises ``ValueError`` on a wrong shape, or a NaN or ``+inf`` anywhere in
-    the row. A row that is read-only and owns its data is never changed
-    (see ``scoring``), so its summary is computed once and kept while the
-    row lives; any other row is summarized afresh at every step.
-    """
-    if row.shape != (vocab_size,):
-        raise ValueError(f"step scores have shape {row.shape}, expected ({vocab_size},)")
-    fixed = not row.flags.writeable and row.flags.owndata
-    if fixed:
-        entry = _SUMMARIES.get(id(row))
-        if entry is not None and entry[0]() is row:
-            return entry[1]
-    floor = row[-1]
-    exceptions = (row[FIRST_GENERABLE_ID:] != floor).nonzero()[0] + FIRST_GENERABLE_ID
-    # a NaN differs from any floor, so a NaN or +inf past BOS is the floor or an exception
-    if not (floor < np.inf and (row[exceptions] < np.inf).all()
-            and (row[:FIRST_GENERABLE_ID] < np.inf).all()):
-        raise ValueError("step scores contain NaN or +inf")
-    summary = (float(floor), exceptions)
-    if fixed:
-        # the callback calls pop(id, ref), which needs no module global at shutdown
-        _SUMMARIES[id(row)] = (weakref.ref(row, functools.partial(_SUMMARIES.pop, id(row))),
-                               summary)
-    return summary
-
-
-def _select(beam_aug: Sequence[float], scores_per_hypothesis: Sequence[np.ndarray],
+def _select(beam_aug: Sequence[float], scores_per_hypothesis: Sequence[Scores],
             segment: _SegmentOrder, beam_width: int) -> tuple[np.ndarray, ...]:
-    """``expand_and_select`` on a segment's prebuilt order; the decoder's selection step."""
+    """``expand_and_select`` on a segment's prebuilt order; the decoder's selection step.
+
+    Also returns the kept candidates' step log-probabilities.
+    """
     vocab_size = len(segment.penalty)
-    base_aug = np.array(beam_aug, dtype=np.float64)
-    if not (base_aug < np.inf).all():
+    beam_aug = [float(aug) for aug in beam_aug]
+    if not all(aug < math.inf for aug in beam_aug):
         raise ValueError("beam aug scores contain NaN or +inf")
-    if len(scores_per_hypothesis) != len(base_aug):
+    if len(scores_per_hypothesis) != len(beam_aug):
         raise ValueError(
-            f"got {len(scores_per_hypothesis)} score vectors for {len(base_aug)} hypotheses")
+            f"got {len(scores_per_hypothesis)} score vectors for {len(beam_aug)} hypotheses")
     # hypotheses often share a row object; each distinct one is summarized once.
     # The list keeps every row alive for the step, so no two rows share an id.
-    rows = list(scores_per_hypothesis)
+    scores = list(scores_per_hypothesis)
     summaries = {}
-    for row in rows:
+    for row in scores:
         if id(row) not in summaries:
-            summaries[id(row)] = _summary(row, vocab_size)
-    floors = [summaries[id(row)][0] for row in rows]
-    exceptions = [ids for _, ids in summaries.values()]
+            summaries[id(row)] = summarize(row, vocab_size)
+    rows = [summaries[id(row)] for row in scores]
+    floors = [row.floor for row in rows]
+    counts = [len(row.ids) for row in rows]
+    ids = np.concatenate([row.ids for row in rows] or [_NO_IDS])
 
-    columns = _columns_that_can_win(base_aug.tolist(), floors, exceptions, segment, beam_width)
-    if columns is None:
-        matrix, penalty = np.array(rows, dtype=np.float64), segment.penalty
-    else:
-        matrix = np.array([row[columns] for row in rows], dtype=np.float64)
-        penalty = segment.penalty[columns]
-    positions, tokens, scores = select_top_candidates(
-        base_aug, matrix.reshape(len(base_aug), len(penalty)), penalty, segment.strength,
-        np.arange(len(base_aug), dtype=np.int64), np.empty(0), np.empty(0, dtype=np.int64),
-        beam_width)
+    columns = _columns_that_can_win(beam_aug, floors, ids, max(counts, default=0), segment,
+                                    beam_width)
+    # each row of the kernel's matrix is its floor, but at its exceptions
+    matrix = np.empty((len(rows), vocab_size if columns is None else len(columns)))
+    matrix.T[...] = floors
+    if len(ids):
+        at = ids if columns is None else np.searchsorted(columns, ids)
+        matrix[np.arange(len(rows)).repeat(counts), at] = \
+            np.concatenate([row.values for row in rows])
+    positions, tokens, augs, logprobs = select_top_candidates(
+        np.array(beam_aug), matrix,
+        segment.penalty if columns is None else segment.penalty[columns], segment.strength,
+        np.arange(len(rows)), _NO_CARRY, _NO_IDS, beam_width)
     if columns is not None:
         tokens = columns[tokens]
-    return positions, tokens, scores
+    return positions, tokens, augs, logprobs
 
 
-def _columns_that_can_win(beam_aug: list[float], floors: list[float],
-                          exceptions: list[np.ndarray], segment: _SegmentOrder,
+def _columns_that_can_win(beam_aug: list[float], floors: list[float], ids: np.ndarray,
+                          most: int, segment: _SegmentOrder,
                           beam_width: int) -> np.ndarray | None:
     """The columns that hold the exact top B, ascending; None keeps them all.
 
-    ``floors`` holds each hypothesis's row floor, and ``exceptions`` each
-    distinct row's exception ids. With ``E`` the most exceptions of any
-    row, the first ``B + E`` tokens of the segment order hold at least
-    ``B`` floor tokens of every row, each scoring at least as high as any
-    later floor token of that row. So every exception plus that prefix
-    holds the top B, and extra columns change nothing. Rounding can merge
-    different contributions, and then the id tie-break may prefer a later
-    token: so when some row's floor scores at the prefix's last position
-    and the next are equal, and that tie run reaches a second contribution
-    value, every column is kept. PAD and BOS lead the returned columns, as
-    the kernel expects.
+    ``floors`` holds each hypothesis's row floor, ``ids`` the exception ids
+    of every row, and ``most`` the most exceptions of one row, ``E``. The
+    first ``B + E`` tokens of the segment order hold at least ``B`` floor
+    tokens of every row, each scoring at least as high as any later floor
+    token of that row. So every exception plus that prefix holds the top
+    B, and extra columns change nothing. Rounding can merge different
+    contributions, and then the id tie-break may prefer a later token: so
+    when some row's floor scores at the prefix's last position and the
+    next are equal, and that tie run reaches a second contribution value,
+    every column is kept. PAD and BOS lead the returned columns, as the
+    kernel expects.
     """
-    keep = beam_width + max(map(len, exceptions), default=0)
+    keep = beam_width + most
     ranked = segment.ranked
     if keep >= len(ranked):
         return None
@@ -229,42 +205,43 @@ def _columns_that_can_win(beam_aug: list[float], floors: list[float],
         if base + past == last and (base + below == last or base + above == last):
             return None
     kept = np.zeros(len(segment.penalty), dtype=bool)
-    kept[np.concatenate((segment.ranking[:FIRST_GENERABLE_ID + keep], *exceptions))] = True
+    kept[segment.ranking[:FIRST_GENERABLE_ID + keep]] = True
+    kept[ids] = True
     return kept.nonzero()[0]
 
 
 def expand_and_select(beam_aug: Sequence[float],
-                      scores_per_hypothesis: Sequence[np.ndarray], penalty: np.ndarray,
+                      scores_per_hypothesis: Sequence[Scores], penalty: np.ndarray,
                       strength: float, beam_width: int) -> tuple[np.ndarray, ...]:
     """One selection step: expand every live hypothesis and keep the top B.
 
     ``beam_aug`` holds the live hypotheses' augmented scores in any
     order, and ``scores_per_hypothesis`` their score rows in the same
-    order. Each candidate scores ``aug + logprob + strength *
-    penalty[token]``; PAD and BOS are never candidates. ``beam_width`` and
-    ``strength`` follow ``DecodeConfig``'s rules. A NaN has no
-    place in the total order, and ``+inf`` plus ``-inf`` makes one, so a
-    NaN or ``+inf`` in ``beam_aug`` or in a score row raises
-    ``ValueError`` (``-inf`` is legal). Returns the kept candidates' beam
-    positions, token ids and scores, in selection order.
+    order, each a ``ScoreRow`` or a dense row (see ``scoring``). Each
+    candidate scores ``aug + logprob + strength * penalty[token]``; PAD and
+    BOS are never candidates. ``beam_width`` and ``strength`` follow
+    ``DecodeConfig``'s rules. A NaN has no place in the total order, and
+    ``+inf`` plus ``-inf`` makes one, so a NaN or ``+inf`` in ``beam_aug``
+    or in a score row raises ``ValueError`` (``-inf`` is legal). Returns
+    the kept candidates' beam positions, token ids and scores, in
+    selection order.
 
     The kernel sees only the columns that can still be selected: every
-    token whose value differs from its row's floor (the value most tokens
-    of the row share), plus the first ``B + E`` tokens by ``strength *
-    penalty`` descending, then id ascending, where ``E`` is the most such
-    exceptions in one row. The selection is exactly the one over all
-    columns; when rounding merges different penalty contributions into
-    one score at the cut, or the prefix covers every token, the step
-    selects from all columns. A row's floor, exceptions and NaN/``+inf``
-    check are computed once per row object when the row is read-only and
-    owns its data, and at every call otherwise. ``beam_search`` runs the
-    same step with the order built once per segment.
+    exception of every row (the tokens a ``ScoreRow`` lists apart from
+    its floor; a dense row is summarized at every call), plus the first
+    ``B + E`` tokens by ``strength * penalty`` descending, then id
+    ascending, where ``E`` is the most exceptions of one row. The
+    selection is exactly the one over all columns; when rounding merges
+    different penalty contributions into one score at the cut, or the
+    prefix covers every token, the step selects from all columns.
+    ``beam_search`` runs the same step with the order built once per
+    segment.
     """
     check_count("beam_width", beam_width)
     check_strength("strength", strength)
     validate_penalty(penalty, len(penalty))
     return _select(beam_aug, scores_per_hypothesis, _segment_order(penalty, strength),
-                   beam_width)
+                   beam_width)[:3]
 
 
 def _hypothesis(node: tuple) -> Hypothesis:
@@ -330,13 +307,11 @@ def beam_search(scorer: Scorer, condition: Condition, vocab: Vocabulary,
     while beam and len(trace) < config.max_len:
         trace.append(StepTrace(candidate_count=len(beam) * n_generable))
         scores = [scorer.score_step(condition, node[0]) for node in beam]
-        positions, tokens, augs = _select(
-            [node[1] for node in beam], scores, segment, beam_width)
+        selected = _select([node[1] for node in beam], scores, segment, beam_width)
         live = []
-        for pos, token, aug in zip(positions.tolist(), tokens.tolist(), augs.tolist()):
+        for pos, token, aug, logprob in zip(*(a.tolist() for a in selected)):
             parent = beam[pos]
-            node = (parent[0] + (token,), aug, float(scores[pos][token]),
-                    float(contributions[token]), parent)
+            node = (parent[0] + (token,), aug, logprob, float(contributions[token]), parent)
             if token != EOS_ID:
                 live.append(node)
             elif best is None or aug > best[1]:  # strict: the earlier finisher wins ties

@@ -35,7 +35,15 @@ def zero_penalty(vocab_size: int) -> np.ndarray:
 
 
 def validate_penalty(values: np.ndarray, vocab_size: int) -> None:
-    """Raise ``ValueError`` unless ``values`` is a legal penalty vector."""
+    """Raise ``ValueError`` unless ``values`` is a legal penalty vector.
+
+    A legal penalty is a float64 numpy array of shape ``(vocab_size,)``,
+    finite and ``<= 0``, and zero on the special tokens.
+    """
+    if not isinstance(values, np.ndarray):
+        raise ValueError(f"penalty must be a numpy array, got {type(values).__name__}")
+    if values.dtype != np.float64:
+        raise ValueError(f"penalty must be float64, got {values.dtype}")
     if values.shape != (vocab_size,):
         raise ValueError(f"penalty has shape {values.shape}, expected ({vocab_size},)")
     if not np.isfinite(values).all():

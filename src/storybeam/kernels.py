@@ -14,15 +14,15 @@ inputs therefore select identical candidates, whatever the number of ties.
 The decoder hands the kernel only the columns that can still be selected
 (``decoding._columns_that_can_win``). A segment's penalty is frozen and
 depends only on the token, so the tokens have one order by ``strength *
-penalty`` descending, then id ascending; and most score rows are one floor
-value plus a few exceptions, which the decoder reads from each row's
-summary, computed once per read-only row. Every exception plus the first
-``B + E`` tokens of that order, ``E`` being the most exceptions of one row,
-hold the exact top B. The kept columns stay in id order, so the flat order
-is still the tie-break order, and the kernel's column indices map back to
-token ids. When rounding merges two contributions into one score at the
-cut, the id tie-break could reach past that prefix, so such a step keeps
-every column.
+penalty`` descending, then id ascending; and each score row reaches the
+decoder as a ``scoring.ScoreRow``, one floor value plus a few exceptions.
+Every exception plus the first ``B + E`` tokens of that order, ``E`` being
+the most exceptions of one row, hold the exact top B. The decoder fills
+the kernel's matrix from the floors and scatters the exceptions into it.
+The kept columns stay in id order, so the flat order is still the
+tie-break order, and the kernel's column indices map back to token ids.
+When rounding merges two contributions into one score at the cut, the id
+tie-break could reach past that prefix, so such a step keeps every column.
 """
 
 from __future__ import annotations
@@ -36,8 +36,11 @@ def select_top_candidates(base_aug: np.ndarray, logprobs: np.ndarray,
                           penalty: np.ndarray, strength: float,
                           unfinished_idx: np.ndarray, carry_scores: np.ndarray,
                           carry_idx: np.ndarray, beam_width: int
-                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Return (beam positions, token ids, scores) of the kept candidates, best first.
+                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Return (beam positions, token ids, scores, step logprobs) of the kept candidates, best first.
+
+    ``logprobs`` holds one row per hypothesis and one column per token
+    (columns below ``FIRST_GENERABLE_ID``, PAD and BOS, are never read).
 
     ``unfinished_idx``, ``carry_scores`` and ``carry_idx`` are kept only for
     the signature the benchmark's tracing wrapper (``perfbench/tracing.py``)
@@ -45,7 +48,7 @@ def select_top_candidates(base_aug: np.ndarray, logprobs: np.ndarray,
     ``ValueError``.
     """
     n_rows = logprobs.shape[0]
-    if not np.array_equal(unfinished_idx, np.arange(n_rows)):
+    if np.asarray(unfinished_idx).tolist() != list(range(n_rows)):  # array_equal, in 1/10 the time
         raise ValueError("unfinished_idx must be arange(n_rows): every row is expanded")
     if len(carry_scores) or len(carry_idx):
         raise ValueError("carryovers are not supported: beams hold only live hypotheses")
@@ -61,4 +64,5 @@ def select_top_candidates(base_aug: np.ndarray, logprobs: np.ndarray,
         top = (scores >= cut).nonzero()[0]  # in flat order, so a stable sort breaks ties
         top = top[np.argsort(-scores[top], kind="stable")[:k]]
     tokens, rows = np.divmod(top, n_rows)
-    return rows, tokens + FIRST_GENERABLE_ID, scores[top]
+    tokens += FIRST_GENERABLE_ID
+    return rows, tokens, scores[top], logprobs[rows, tokens]

@@ -2,19 +2,19 @@
 
 Training a Laplace-smoothed n-gram model, writing it as JSON and reading
 a model document (JSON, or YAML where JSON does not apply) are pure
-Python, so ``train-lm`` never imports numpy. Only ``NGramModel``'s row
-builder does, the first time a row is scored. The table scorer and the
-scorer contract live in ``scoring``, which re-exports the n-gram API.
+Python, so ``train-lm`` never imports numpy. Only scoring a step does:
+``NGramModel`` summarizes a context as a ``scoring.ScoreRow`` the first
+time it is scored. The table scorer and the scorer contract live in
+``scoring``, which re-exports the n-gram API.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import re
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .config import _is_finite_number
 from .corpus import (
@@ -29,7 +29,7 @@ from .corpus import (
 )
 
 if TYPE_CHECKING:
-    import numpy as np
+    from .scoring import ScoreRow
 
 # The PyYAML loader class for documents that are neither JSON nor a flat
 # table (see _parse_flat_table). None picks libyaml's, which parses several
@@ -42,11 +42,6 @@ YAML_LOADER = None
 # deep; libyaml's composer recurses once per level and overflows the C stack
 # some ten thousand levels down.
 MAX_YAML_DEPTH = 100
-
-# Memory an NGramModel may spend on cached log rows (8 bytes per vocabulary
-# id each). Decoding revisits the same few hundred contexts story after
-# story; 4 MiB holds 522 rows at V = 1004.
-ROW_CACHE_BYTES = 4 << 20
 
 # Past this order every scored step would pad its context with thousands of
 # BOS ids; an order beyond the index range cannot build a context at all.
@@ -73,8 +68,11 @@ class NGramModel:
     counts (non-negative integers, finite totals once smoothed), then
     derives ``totals``. Immutable after that; safe for concurrent scoring.
 
-    ``score_step`` returns one shared, read-only row per context from a
-    bounded LRU cache of ``ROW_CACHE_BYTES // (8 * V)`` rows (at least one).
+    ``score_step`` returns one shared ``ScoreRow`` per counted context: the
+    floor is the smoothed ``log(alpha / denominator)`` and the exceptions
+    are the counted tokens. Every unseen context shares one more. Each is
+    built the first time it is scored and kept, so the cache holds at most
+    one entry per counted context, plus one.
     """
 
     order: int
@@ -82,8 +80,9 @@ class NGramModel:
     vocab: Vocabulary
     counts: dict[tuple[int, ...], dict[int, int]] = field(default_factory=dict)
     totals: dict[tuple[int, ...], int] = field(init=False)
-    _row: Callable[[tuple[int, ...]], np.ndarray] = field(
-        init=False, repr=False, compare=False)
+    # counted context, or None for every unseen one -> its summary
+    _rows: dict[tuple[int, ...] | None, ScoreRow] = field(
+        init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         _check_order(self.order)
@@ -107,8 +106,6 @@ class NGramModel:
                 raise ValueError(
                     f"counts in context {self.vocab.decode(context)!r} overflow "
                     "float range once smoothed")
-        capacity = max(1, ROW_CACHE_BYTES // (8 * vocab_size))
-        self._row = functools.lru_cache(maxsize=capacity)(self._build_row)
 
     def context_for(self, prefix: Sequence[int]) -> tuple[int, ...]:
         if self.order == 1:
@@ -116,22 +113,28 @@ class NGramModel:
         padded = (BOS_ID,) * (self.order - 1) + tuple(prefix)
         return padded[-(self.order - 1):]
 
-    def score_step(self, condition: str, prefix: Sequence[int]) -> np.ndarray:
+    def score_step(self, condition: str, prefix: Sequence[int]) -> ScoreRow:
         _check_step_args(condition, prefix)
-        return self._row(self.context_for(prefix))
+        context = self.context_for(prefix)
+        if context not in self.counts:
+            context = None
+        row = self._rows.get(context)
+        if row is None:
+            # threads that build one context at once all keep the first entry
+            row = self._rows.setdefault(context, self._summary(context))
+        return row
 
-    def _build_row(self, context: tuple[int, ...]) -> np.ndarray:
-        # the one numpy use in this module: counting and model I/O run without it
-        import numpy as np
+    def _summary(self, context: tuple[int, ...] | None) -> ScoreRow:
+        # scoring imports numpy, which counting and model I/O run without
+        from .scoring import ScoreRow
 
         generable = len(self.vocab) - FIRST_GENERABLE_ID
         denominator = self.totals.get(context, 0) + self.alpha * generable
-        scores = np.full(len(self.vocab), _log_or_minus_inf(self.alpha / denominator))
-        scores[:FIRST_GENERABLE_ID] = -math.inf
-        for token, count in self.counts.get(context, {}).items():
-            scores[token] = _log_or_minus_inf((count + self.alpha) / denominator)
-        scores.flags.writeable = False
-        return scores
+        bucket = self.counts.get(context, {})
+        return ScoreRow(
+            _log_or_minus_inf(self.alpha / denominator), list(bucket),
+            [_log_or_minus_inf((count + self.alpha) / denominator) for count in bucket.values()],
+            len(self.vocab))
 
 
 def _log_or_minus_inf(probability: float) -> float:

@@ -16,7 +16,7 @@ import numpy as np
 from .config import check_count, check_strength
 from .corpus import EOS_ID, FIRST_GENERABLE_ID, Vocabulary
 from .diversity import validate_penalty
-from .scoring import Condition, Scorer
+from .scoring import Condition, Scorer, Scores, dense_row
 
 SEARCH_SPACE_LIMIT = 10 ** 6
 
@@ -30,7 +30,7 @@ class OracleResult:
 
 
 def exhaustive_step_select(beam_aug: Sequence[float],
-                           scores_per_hypothesis: Sequence[np.ndarray],
+                           scores_per_hypothesis: Sequence[Scores],
                            penalty: np.ndarray, strength: float,
                            beam_width: int) -> tuple[np.ndarray, ...]:
     """Reference for ``expand_and_select``: materialize and sort everything.
@@ -43,12 +43,14 @@ def exhaustive_step_select(beam_aug: Sequence[float],
     """
     check_count("beam_width", beam_width)
     check_strength("strength", strength)
+    validate_penalty(penalty, len(penalty))
     if len(scores_per_hypothesis) != len(beam_aug):
         raise ValueError(
             f"got {len(scores_per_hypothesis)} score vectors for {len(beam_aug)} hypotheses")
 
     candidates = []
     for pos, (aug, scores) in enumerate(zip(beam_aug, scores_per_hypothesis)):
+        scores = dense_row(scores)
         for token in range(FIRST_GENERABLE_ID, len(penalty)):
             score = (float(aug) + float(scores[token])) + strength * float(penalty[token])
             candidates.append((score, token, pos))
@@ -91,7 +93,7 @@ def exhaustive_best(scorer: Scorer, condition: Condition, vocab: Vocabulary,
             best_tokens = tokens
 
     def visit(prefix: tuple[int, ...], aug: float) -> None:
-        scores = scorer.score_step(condition, prefix)
+        scores = dense_row(scorer.score_step(condition, prefix))
         for token in range(FIRST_GENERABLE_ID, len(vocab)):
             new_aug = (aug + float(scores[token])) + strength * float(penalty[token])
             extended = prefix + (token,)

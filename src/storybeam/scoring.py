@@ -1,36 +1,49 @@
 """Step scorers: next-token log-probability distributions.
 
-A scorer maps ``(condition, prefix)`` to a vector of natural-log
-probabilities over the whole vocabulary (one entry per token id). Every
-scorer obeys the same contract:
+A scorer maps ``(condition, prefix)`` to natural-log probabilities over
+the whole vocabulary, one per token id. ``score_step`` returns either a
+``ScoreRow``, the summary a selection step reads (a floor value shared by
+most tokens, plus exception ids and their values), or a dense float64
+vector with one entry per vocabulary id. Either way the row obeys the
+same contract:
 
-* the vector has one float64 entry per vocabulary id,
 * PAD and BOS get ``-inf`` (they are structural, never generated),
 * the probabilities of the remaining tokens sum to 1,
-* identical arguments always produce identical vectors,
-* a vector may be shared and read-only: callers must not write into it;
-  a read-only vector that owns its data, once returned, is never changed,
-  so the decoder summarizes each such vector once.
+* identical arguments always produce identical rows,
+* a row may be shared and read-only: callers must not write into it.
 
-Two concrete scorers ship: a Laplace-smoothed n-gram model trained from
-a corpus (``ngram``, re-exported here, which counts and reads models
-without numpy), and the table scorer defined here, driven by explicit
-probability rows (useful for tests, demos, and hand-constructed
-fixtures). The condition argument is an opaque non-empty string naming
-the conditioning input of one segment; the n-gram model ignores it, the
-table scorer may dispatch on it.
+The decoder reads a dense row through ``summarize`` at every step, and
+``dense_row`` expands a ``ScoreRow`` where a dense vector is needed.
+
+Two concrete scorers ship, and both return ``ScoreRow``s: a
+Laplace-smoothed n-gram model trained from a corpus (``ngram``,
+re-exported here, which counts and reads models without numpy), and the
+table scorer defined here, driven by explicit probability rows (useful
+for tests, demos, and hand-constructed fixtures). The condition argument
+is an opaque non-empty string naming the conditioning input of one
+segment; the n-gram model ignores it, the table scorer may dispatch on
+it.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Protocol, Sequence
 
 import numpy as np
 
 from .config import _is_finite_number
-from .corpus import BOS_ID, BOS_TOKEN, PAD_ID, PAD_TOKEN, SPECIAL_TOKENS, Vocabulary
+from .corpus import (
+    BOS_ID,
+    BOS_TOKEN,
+    FIRST_GENERABLE_ID,
+    PAD_ID,
+    PAD_TOKEN,
+    SPECIAL_TOKENS,
+    Vocabulary,
+)
 from .ngram import (  # noqa: F401 - storybeam.scoring keeps naming the n-gram API
     NGramModel,
     _check_step_args,
@@ -50,13 +63,95 @@ ROW_SUM_TOLERANCE = 1e-6
 Condition = str
 
 
+@dataclass(frozen=True, eq=False)
+class ScoreRow:
+    """A score row as a selection step reads it: a floor plus exceptions.
+
+    Every generable token scores ``floor`` except ``ids[i]``, which scores
+    ``values[i]``; PAD and BOS score ``-inf``. ``ids`` holds distinct
+    generable ids below ``vocab_size``, in any order, and may list a
+    token at the floor value. Construction copies ``ids`` to a read-only
+    int64 array and ``values`` to a read-only float64 array, and raises
+    ``ValueError`` on mismatched lengths, an id that is PAD, BOS, out of
+    range or repeated, or a NaN or ``+inf`` score (``-inf`` is legal).
+    """
+
+    floor: float
+    ids: np.ndarray
+    values: np.ndarray
+    vocab_size: int
+
+    def __post_init__(self):
+        vocab_size = operator.index(self.vocab_size)
+        if vocab_size <= FIRST_GENERABLE_ID:
+            raise ValueError(f"score row vocab_size must exceed {FIRST_GENERABLE_ID}, "
+                             f"got {vocab_size}")
+        ids = np.asarray(self.ids)
+        if ids.ndim != 1 or (ids.size and ids.dtype.kind not in "iu"):
+            raise ValueError("score row ids must be a 1-D sequence of integers")
+        ids = ids.astype(np.int64)
+        values = np.array(self.values, dtype=np.float64)
+        if values.shape != ids.shape:
+            raise ValueError(
+                f"score row has {ids.size} ids but values of shape {values.shape}")
+        # rows hold a few exceptions, where Python sets and loops beat numpy calls
+        listed = set(ids.tolist())
+        if listed and not (FIRST_GENERABLE_ID <= min(listed) and max(listed) < vocab_size):
+            raise ValueError(f"score row ids must be generable ids below {vocab_size}")
+        if len(listed) != ids.size:
+            raise ValueError("score row ids must be distinct")
+        floor = float(self.floor)
+        if not (floor < math.inf and all(value < math.inf for value in values.tolist())):
+            raise ValueError("step scores contain NaN or +inf")
+        ids.flags.writeable = values.flags.writeable = False
+        for name, value in (("floor", floor), ("ids", ids), ("values", values),
+                            ("vocab_size", vocab_size)):
+            object.__setattr__(self, name, value)
+
+
+Scores = ScoreRow | np.ndarray
+
+
 class Scorer(Protocol):
     """Anything that can produce next-token log-probabilities."""
 
     @property
     def vocab(self) -> Vocabulary: ...
 
-    def score_step(self, condition: Condition, prefix: Sequence[int]) -> np.ndarray: ...
+    def score_step(self, condition: Condition, prefix: Sequence[int]) -> Scores: ...
+
+
+def summarize(scores: Scores, vocab_size: int) -> ScoreRow:
+    """A step's row as a ``ScoreRow`` over ``vocab_size`` tokens.
+
+    A ``ScoreRow`` is returned as it is. A dense row is summarized: its
+    last value is the floor, and the generable ids valued otherwise are
+    the exceptions. Raises ``ValueError`` on a wrong size, or a NaN or
+    ``+inf`` anywhere in a dense row, PAD and BOS included.
+    """
+    if isinstance(scores, ScoreRow):
+        if scores.vocab_size != vocab_size:
+            raise ValueError(
+                f"score row covers {scores.vocab_size} tokens, expected {vocab_size}")
+        return scores
+    row = np.asarray(scores, dtype=np.float64)
+    if row.shape != (vocab_size,):
+        raise ValueError(f"step scores have shape {row.shape}, expected ({vocab_size},)")
+    if not (row[:FIRST_GENERABLE_ID] < math.inf).all():
+        raise ValueError("step scores contain NaN or +inf")
+    floor = row[-1]
+    ids = (row[FIRST_GENERABLE_ID:] != floor).nonzero()[0] + FIRST_GENERABLE_ID
+    return ScoreRow(floor, ids, row[ids], vocab_size)
+
+
+def dense_row(scores: Scores) -> np.ndarray:
+    """A step's row as a dense vector: a ``ScoreRow`` expanded, a dense row as it is."""
+    if not isinstance(scores, ScoreRow):
+        return scores
+    row = np.full(scores.vocab_size, scores.floor)
+    row[:FIRST_GENERABLE_ID] = -math.inf
+    row[scores.ids] = scores.values
+    return row
 
 
 def log_sum_exp(values: np.ndarray) -> float:
@@ -67,9 +162,10 @@ def log_sum_exp(values: np.ndarray) -> float:
     return m + math.log(float(np.sum(np.exp(values - m))))
 
 
-def validate_step_scores(scores: np.ndarray, vocab_size: int,
+def validate_step_scores(scores: Scores, vocab_size: int,
                          tolerance: float = LOGSUMEXP_TOLERANCE) -> None:
     """Raise ``ValueError`` unless ``scores`` is a valid log-distribution."""
+    scores = dense_row(scores)
     if scores.shape != (vocab_size,):
         raise ValueError(f"step scores have shape {scores.shape}, expected ({vocab_size},)")
     if scores.dtype != np.float64:
@@ -93,7 +189,7 @@ class TableRule:
 
     condition: str | None
     context: tuple[int, ...]
-    log_row: np.ndarray
+    row: ScoreRow
 
     def matches(self, condition: Condition, prefix: Sequence[int]) -> bool:
         if self.condition is not None and self.condition != condition:
@@ -110,23 +206,23 @@ class TableScorer:
 
     Rows are tried in declaration order; the first whose condition and
     context-suffix pattern match wins, otherwise the default row
-    applies. Rows are validated and renormalized at load time so every
-    returned vector is an exact distribution.
+    applies. Rows are validated, renormalized and summarized at load time,
+    so every returned ``ScoreRow`` is an exact distribution.
     """
 
     vocab: Vocabulary
-    default_log_row: np.ndarray
+    default_row: ScoreRow
     rules: tuple[TableRule, ...] = ()
 
-    def score_step(self, condition: Condition, prefix: Sequence[int]) -> np.ndarray:
+    def score_step(self, condition: Condition, prefix: Sequence[int]) -> ScoreRow:
         _check_step_args(condition, prefix)
         for rule in self.rules:
             if rule.matches(condition, prefix):
-                return rule.log_row
-        return self.default_log_row
+                return rule.row
+        return self.default_row
 
 
-def _expand_row(probs: list, listed_ids: list[int], vocab_size: int, label: str) -> np.ndarray:
+def _load_row(probs: list, listed_ids: list[int], vocab_size: int, label: str) -> ScoreRow:
     if not isinstance(probs, list) or not all(_is_finite_number(p) for p in probs):
         raise ValueError(f"{label}: probabilities must be a list of finite numbers")
     if len(probs) != len(listed_ids):
@@ -143,8 +239,7 @@ def _expand_row(probs: list, listed_ids: list[int], vocab_size: int, label: str)
     logs = {p: _log_or_minus_inf(p) for p in set(probs)}
     log_row = np.full(vocab_size, -np.inf)
     log_row[listed_ids] = [logs[p] for p in probs]
-    log_row.flags.writeable = False
-    return log_row
+    return summarize(log_row, vocab_size)
 
 
 def table_from_dict(doc: dict) -> TableScorer:
@@ -166,7 +261,7 @@ def table_from_dict(doc: dict) -> TableScorer:
             raise ValueError(f"{tok} is never generated and cannot carry probability")
     listed_ids = [vocab.token_to_id(t) for t in listed]
     vocab_size = len(vocab)
-    default_log_row = _expand_row(default_probs, listed_ids, vocab_size, "default_row")
+    default_row = _load_row(default_probs, listed_ids, vocab_size, "default_row")
     rows = [] if doc.get("rows") is None else doc["rows"]
     if not isinstance(rows, list):
         raise ValueError(f"rows must be a list of row mappings, got {type(rows).__name__}")
@@ -186,9 +281,9 @@ def table_from_dict(doc: dict) -> TableScorer:
             if tok not in vocab:
                 raise ValueError(f"{label}: unknown context token {tok!r}")
         context = tuple(vocab.token_to_id(t) for t in context_tokens)
-        log_row = _expand_row(raw["probs"], listed_ids, vocab_size, label)
-        rules.append(TableRule(condition=condition, context=context, log_row=log_row))
-    return TableScorer(vocab=vocab, default_log_row=default_log_row, rules=tuple(rules))
+        row = _load_row(raw["probs"], listed_ids, vocab_size, label)
+        rules.append(TableRule(condition=condition, context=context, row=row))
+    return TableScorer(vocab=vocab, default_row=default_row, rules=tuple(rules))
 
 
 def load_table_scorer(text: str) -> TableScorer:
@@ -206,7 +301,7 @@ def load_scorer(text: str) -> NGramModel | TableScorer:
 
 
 class ValidatingScorer:
-    """Wraps a scorer and checks every returned vector against the contract.
+    """Wraps a scorer and checks every returned row against the contract.
 
     Used by the verification suite to certify that all distributions seen
     during decoding are proper; also handy when developing a new scorer.
@@ -221,7 +316,7 @@ class ValidatingScorer:
     def vocab(self) -> Vocabulary:
         return self._inner.vocab
 
-    def score_step(self, condition: Condition, prefix: Sequence[int]) -> np.ndarray:
+    def score_step(self, condition: Condition, prefix: Sequence[int]) -> Scores:
         scores = self._inner.score_step(condition, prefix)
         validate_step_scores(scores, len(self._inner.vocab), self._tolerance)
         self.calls += 1

@@ -16,7 +16,7 @@ import storybeam
 from storybeam.corpus import FIRST_GENERABLE_ID
 from storybeam.decoding import expand_and_select
 from storybeam.oracle import exhaustive_step_select
-from storybeam.scoring import TableScorer, table_from_dict
+from storybeam.scoring import ScoreRow, TableScorer, summarize, table_from_dict
 
 
 
@@ -158,6 +158,23 @@ def log_row(weights) -> np.ndarray:
     return row
 
 
+# How a step case hands a row to the step: dense, as its summary, or as a
+# summary that lists a floor-valued token too and its ids in descending order
+ROW_FORMS = ("dense", "summary", "padded summary")
+
+
+def row_form(row: np.ndarray, form: str):
+    """``row`` in one of ``ROW_FORMS``; every form expands to the same scores."""
+    if form == "dense":
+        return row
+    summary = summarize(row, len(row))
+    if form == "summary":
+        return summary
+    # summarize's floor is the last token's value, so that token is floor-valued
+    ids = np.union1d(summary.ids, [len(row) - 1])[::-1]
+    return ScoreRow(summary.floor, ids, row[ids], len(row))
+
+
 def random_step_case(rng: np.random.Generator):
     """A random one-step selection problem: beam aug scores, step scores, penalty.
 
@@ -165,9 +182,9 @@ def random_step_case(rng: np.random.Generator):
     penalties of 0-2 earlier steps, or is ``-inf``; the beam comes in no
     particular order. A row is dense, a floor with 0-3 exceptions, all
     tied, or a ``-inf`` floor with 1-3 exceptions, and one row object may
-    serve several hypotheses. About half the row objects are read-only, as
-    the shipped scorers' rows are, so the step memoizes their summaries. The
-    beam may be wider than the candidate set.
+    serve several hypotheses. Each row object comes in one of ``ROW_FORMS``,
+    so one step mixes dense rows and ``ScoreRow``s. The beam may be wider
+    than the candidate set.
     """
     vocab_size = int(rng.integers(4, 17))
     n_generable = vocab_size - FIRST_GENERABLE_ID
@@ -188,13 +205,13 @@ def random_step_case(rng: np.random.Generator):
                                replace=False)
             weights[where] = rng.choice(EXCEPTION_WEIGHTS[kind == "-inf floor":], size=len(where))
         scores.append(log_row(weights))
-    if n_hyps > 1 and rng.random() < 0.3:  # one row object, as the n-gram row cache shares
+    if n_hyps > 1 and rng.random() < 0.3:  # one row object, as the n-gram model shares per context
         shared = rng.choice(n_hyps, size=int(rng.integers(2, n_hyps + 1)), replace=False)
         for i in shared:
             scores[i] = scores[shared[0]]
-    for row in {id(row): row for row in scores}.values():  # a shared row counts once
-        if rng.random() < 0.5:
-            row.flags.writeable = False
+    forms = {id(row): row_form(row, str(rng.choice(ROW_FORMS)))  # a shared row counts once
+             for row in scores}
+    scores = [forms[id(row)] for row in scores]
     penalty = np.zeros(vocab_size)
     penalty[4:] = -rng.integers(0, 3, size=vocab_size - 4).astype(float)
     strength = float(rng.choice(STEP_STRENGTHS))
@@ -229,10 +246,7 @@ def step_cases(draw):
                                   min_size=fewest, max_size=most))
             for i in where:
                 weights[i] = draw(st.sampled_from(EXCEPTION_WEIGHTS[kind == "-inf floor":]))
-        row = log_row(weights)
-        if draw(st.booleans()):  # read-only, so the step memoizes its summary
-            row.flags.writeable = False
-        scores.append(row)
+        scores.append(row_form(log_row(weights), draw(st.sampled_from(ROW_FORMS))))
     penalty = np.zeros(vocab_size)
     penalty[4:] = [-float(draw(st.integers(0, 2))) for _ in range(vocab_size - 4)]
     strength = draw(st.sampled_from(STEP_STRENGTHS))

@@ -101,7 +101,7 @@ def test_criterion_2_step_selection_matches_oracle():
         for _ in range(1000):
             beam_aug, scores, penalty, strength, width = random_step_case(rng)
             for row in scores:
-                validate_step_scores(row, len(row), DISTRIBUTION_TOLERANCE)
+                validate_step_scores(row, len(penalty), DISTRIBUTION_TOLERANCE)
             assert_selects_like_oracle(beam_aug, scores, penalty, strength, width)
         elapsed = time.perf_counter() - start
         assert elapsed < 5.0, f"took {elapsed:.1f} s, budget 5 s"

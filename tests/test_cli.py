@@ -15,7 +15,7 @@ from storybeam.cli import main
 from storybeam.config import DecodeConfig
 from storybeam.corpus import Corpus, build_vocabulary
 from storybeam.ngram import MAX_ORDER, NGramModel, _check_order
-from storybeam.scoring import load_ngram, ngram_to_dict
+from storybeam.scoring import dense_row, load_ngram, ngram_to_dict
 
 from conftest import run_python
 
@@ -112,8 +112,8 @@ class TestTrainLm:
         model = load_ngram(out.read_text(encoding="utf-8"))
         the = model.vocab.token_to_id("the")
         again = load_ngram(out.read_text(encoding="utf-8"))
-        assert (model.score_step("x", [the]).tobytes()
-                == again.score_step("x", [the]).tobytes())
+        assert (dense_row(model.score_step("x", [the])).tobytes()
+                == dense_row(again.score_step("x", [the])).tobytes())
 
     def test_degenerate_vocabulary_warns_but_succeeds(self, corpus_path, tmp_path, capsys):
         out = tmp_path / "model.yaml"
@@ -232,6 +232,40 @@ class TestDecode:
         assert code == 2
         assert sorted(p.name for p in tmp_path.iterdir()) == ["table.yaml", "taken"]
         assert not any(out.iterdir())
+
+    def test_out_through_a_symlink_replaces_its_target(self, table_path, tmp_path):
+        real = tmp_path / "real"
+        real.mkdir()
+        (real / "story.json").write_text("old", encoding="utf-8")
+        link, dangling = tmp_path / "link.json", tmp_path / "dangling.json"
+        link.symlink_to(real / "story.json")
+        dangling.symlink_to(real / "new.json")
+        for out in (link, dangling):
+            code = main(["decode", "--model", str(table_path), "--conditions", "c1",
+                         "--beam-width", "1", "--max-len", "2", "--out", str(out)])
+            assert code == 0
+            assert out.is_symlink()
+        story = (real / "story.json").read_text(encoding="utf-8")
+        assert json.loads(story)["segments"]
+        assert (real / "new.json").read_text(encoding="utf-8") == story
+        assert (real / "story.json").stat().st_mode == table_path.stat().st_mode
+        assert sorted(p.name for p in real.iterdir()) == ["new.json", "story.json"]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs on this platform")
+    def test_out_to_a_fifo_writes_into_it(self, table_path, tmp_path):
+        fifo = tmp_path / "story.fifo"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            code = main(["decode", "--model", str(table_path), "--conditions", "c1",
+                         "--beam-width", "1", "--max-len", "2", "--out", str(fifo)])
+            assert code == 0
+            text = os.read(reader, 1 << 16).decode("utf-8")
+        finally:
+            os.close(reader)
+        assert json.loads(text)["segments"]
+        assert fifo.is_fifo()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["story.fifo", "table.yaml"]
 
     def test_unknown_penalty_rejected(self, table_path, tmp_path):
         code = main(["decode", "--model", str(table_path),

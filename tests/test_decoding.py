@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from storybeam import config as config_module, decoding, ngram
+from storybeam import config as config_module, decoding
 from storybeam.cli import build_parser
 from storybeam.corpus import (
     BOS_ID,
@@ -31,7 +31,7 @@ from storybeam.decoding import (
 from storybeam.diversity import PENALTIES, zero_penalty
 from storybeam.ngram import train_ngram
 from storybeam.oracle import exhaustive_best, exhaustive_step_select
-from storybeam.scoring import ValidatingScorer
+from storybeam.scoring import ScoreRow, ValidatingScorer, dense_row, summarize
 
 from conftest import (
     INVALID_SETTINGS,
@@ -106,7 +106,10 @@ class TestExpandAndSelect:
             expand_and_select([0.0], [scores, scores],
                               zero_penalty(len(vocab)), 0.0, 2)
         with pytest.raises(ValueError, match="shape"):
-            expand_and_select([0.0], [scores[:-1]],
+            expand_and_select([0.0], [dense_row(scores)[:-1]],
+                              zero_penalty(len(vocab)), 0.0, 2)
+        with pytest.raises(ValueError, match="covers"):
+            expand_and_select([0.0], [summarize(log_row(np.ones(5)), 7)],
                               zero_penalty(len(vocab)), 0.0, 2)
 
     def test_invalid_width_and_strength_rejected(self, skewed_table):
@@ -129,7 +132,7 @@ class TestExpandAndSelect:
 
     def test_nan_step_scores_rejected(self, skewed_table):
         scores = skewed_table.score_step("img", [])
-        nan_scores, inf_scores = scores.copy(), scores.copy()
+        nan_scores, inf_scores = dense_row(scores).copy(), dense_row(scores).copy()
         nan_scores[-1] = np.nan
         inf_scores[-1] = np.inf
         # -inf stays legal: -inf rows are selectable; +inf plus -inf is NaN
@@ -139,6 +142,15 @@ class TestExpandAndSelect:
             with pytest.raises(ValueError, match="NaN"):
                 expand_and_select(beam_aug, rows,
                                   zero_penalty(len(skewed_table.vocab)), 0.0, 2)
+
+    # float32 contributions round differently from the oracle's float64 ones
+    @pytest.mark.parametrize("penalty", [
+        np.zeros(6, dtype=np.float32), np.zeros(6, dtype=np.int64), [0.0] * 6],
+        ids=["float32", "int64", "list"])
+    def test_penalty_must_be_a_float64_array(self, skewed_table, penalty):
+        scores = skewed_table.score_step("img", [])
+        with pytest.raises(ValueError, match="penalty must be"):
+            expand_and_select([0.0], [scores], penalty, 1.0, 2)
 
     @settings(max_examples=200, deadline=None)
     @given(step_cases())
@@ -194,9 +206,13 @@ class TestColumnReduction:
         monkeypatch.setattr(decoding, "_columns_that_can_win", counting)
         fast = story_to_json(inter_sentence_dbs(scorer, conditions, scorer.vocab, config),
                              scorer.vocab)
-        monkeypatch.setattr(decoding, "_select", lambda beam_aug, rows, segment, width:
-                            exhaustive_step_select(beam_aug, rows, segment.penalty,
-                                                   segment.strength, width))
+        def exhaustive(beam_aug, rows, segment, width):
+            positions, tokens, augs = exhaustive_step_select(
+                beam_aug, rows, segment.penalty, segment.strength, width)
+            logprobs = [dense_row(rows[p])[t] for p, t in zip(positions, tokens)]
+            return positions, tokens, augs, np.array(logprobs, dtype=np.float64)
+
+        monkeypatch.setattr(decoding, "_select", exhaustive)
         slow = story_to_json(inter_sentence_dbs(scorer, conditions, scorer.vocab, config),
                              scorer.vocab)
         assert fast == slow
@@ -235,7 +251,7 @@ def floor_row(exception: int, read_only: bool = False) -> np.ndarray:
 
 
 class TestRowSummaries:
-    """A step summarizes a row once while it can rely on it, and never a different row."""
+    """A step reads every row as it is at that step, dense or summarized."""
 
     @staticmethod
     def best_token(rows) -> int:
@@ -247,6 +263,15 @@ class TestRowSummaries:
         row = floor_row(0)
         assert self.best_token([row]) == FIRST_GENERABLE_ID
         row[:] = floor_row(5)
+        assert self.best_token([row]) == FIRST_GENERABLE_ID + 5
+
+    # a read-only flag is no promise: numpy lets the owner lift it and rewrite the row
+    def test_a_read_only_row_rewritten_between_steps(self):
+        row = floor_row(0, read_only=True)
+        assert self.best_token([row]) == FIRST_GENERABLE_ID
+        row.flags.writeable = True
+        row[:] = floor_row(5)
+        row.flags.writeable = False
         assert self.best_token([row]) == FIRST_GENERABLE_ID + 5
 
     def test_a_read_only_view_of_a_changed_base(self):
@@ -274,14 +299,6 @@ class TestRowSummaries:
         rows = np.stack([floor_row(3), floor_row(6), floor_row(3)])
         assert_selects_like_oracle([0.0, -1.0, -0.5], rows, zero_penalty(rows.shape[1]), 1.0, 4)
 
-    def test_entries_die_with_their_rows(self):
-        rows = [floor_row(i, read_only=True) for i in range(3)]
-        keys = {id(row) for row in rows}
-        expand_and_select([0.0, -1.0, -2.0], rows, zero_penalty(len(rows[0])), 0.0, 2)
-        assert keys <= decoding._SUMMARIES.keys()
-        del rows
-        assert not keys & decoding._SUMMARIES.keys()
-
     @pytest.mark.parametrize("read_only", [False, True])
     @pytest.mark.parametrize("position", [PAD_ID, BOS_ID])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -290,9 +307,38 @@ class TestRowSummaries:
         row[position] = bad
         if read_only:
             row.flags.writeable = False
-        for _ in range(2):  # a rejected row is not memoized
+        for _ in range(2):  # rejected at every step
             with pytest.raises(ValueError, match="NaN"):
                 expand_and_select([0.0], [row], zero_penalty(len(row)), 0.0, 2)
+
+    @pytest.mark.parametrize("fields, match", [
+        ({"floor": np.nan}, "NaN"),
+        ({"floor": np.inf}, "NaN"),
+        ({"values": [-1.0, np.nan]}, "NaN"),
+        ({"values": [-1.0, np.inf]}, "NaN"),
+        ({"ids": [PAD_ID, 5]}, "generable"),
+        ({"ids": [BOS_ID, 5]}, "generable"),
+        ({"ids": [4, 10]}, "generable"),
+        ({"ids": [-1, 5]}, "generable"),
+        ({"ids": [5, 5]}, "distinct"),
+        ({"ids": [4.0, 5.0]}, "integers"),
+        ({"values": [-1.0]}, "values of shape"),
+        ({"values": [-1.0, -2.0, -3.0]}, "values of shape"),
+        ({"vocab_size": 2}, "vocab_size"),
+    ], ids=["nan-floor", "inf-floor", "nan-value", "inf-value", "pad-id", "bos-id",
+            "id-past-vocab", "negative-id", "repeated-id", "float-ids", "fewer-values",
+            "more-values", "no-generable-token"])
+    def test_malformed_score_row_rejected(self, fields, match):
+        good = {"floor": -2.0, "ids": [4, 5], "values": [-1.0, -3.0], "vocab_size": 10}
+        ScoreRow(**good)
+        with pytest.raises(ValueError, match=match):
+            ScoreRow(**{**good, **fields})
+
+    def test_score_row_of_another_vocabulary_rejected(self):
+        row = ScoreRow(-2.0, [4], [-1.0], 10)
+        for vocab_size in (9, 11):
+            with pytest.raises(ValueError, match="covers 10 tokens"):
+                expand_and_select([0.0], [row], zero_penalty(vocab_size), 0.0, 1)
 
 
 class TestBeamSearch:
@@ -318,7 +364,7 @@ class TestBeamSearch:
             vocab = skewed_table.vocab
 
             def score_step(self, condition, prefix):
-                scores = skewed_table.score_step(condition, prefix).copy()
+                scores = dense_row(skewed_table.score_step(condition, prefix)).copy()
                 if prefix:
                     scores[FIRST_GENERABLE_ID] = np.nan
                 return scores
@@ -391,7 +437,7 @@ def carryover_step(beam, scores_per_unfinished, penalty, strength, beam_width
         if parent.finished:
             candidates.append((parent.aug_score, -1, pos, parent))
             continue
-        row = next(rows)
+        row = dense_row(next(rows))
         for token in range(FIRST_GENERABLE_ID, len(penalty)):
             logprob = float(row[token])
             contribution = strength * float(penalty[token])
@@ -583,6 +629,18 @@ class TestInterSentenceDbs:
             inter_sentence_dbs(skewed_table, ["c1", "c2"], skewed_table.vocab,
                                config, penalty_fn=rogue)
 
+    @pytest.mark.parametrize("convert", [
+        lambda values: values.astype(np.float32), lambda values: values.astype(np.int64),
+        lambda values: values.tolist()], ids=["float32", "int64", "list"])
+    def test_penalty_fn_must_return_a_float64_array(self, skewed_table, convert):
+        def penalty_fn(segments, vocab):
+            return convert(PENALTIES["hamming"](segments, vocab))
+
+        config = DecodeConfig(beam_width=2, max_len=3, num_segments=2)
+        with pytest.raises(ValueError, match="penalty must be"):
+            inter_sentence_dbs(skewed_table, ["c1", "c2"], skewed_table.vocab, config,
+                               penalty_fn=penalty_fn)
+
     # 1e308 overflows a single contribution; 1e307 only the ten-step total
     @pytest.mark.parametrize("listed, probs, strength, max_len", [
         (["a", "b", "<eos>"], [0.5, 0.3, 0.2], 1e308, 3),
@@ -675,37 +733,6 @@ class TestDeterminism:
             results = list(pool.map(decode, range(16)))
         assert len(set(results)) == 1
 
-
-    def test_threads_share_row_summaries_while_rows_are_evicted(self, monkeypatch):
-        # a one-row cache frees rows while other threads look up their summaries,
-        # as --jobs 2 does; a tiny switch interval interleaves the threads often
-        rng = np.random.default_rng(9)
-        words = [f"w{i:02d}" for i in range(30)]
-        corpus = Corpus.from_text("\n".join(" ".join(rng.choice(words, size=8))
-                                             for _ in range(40)))
-        vocab = build_vocabulary(corpus, min_count=1)
-        cached = train_ngram(corpus, vocab, order=2, alpha=0.1)  # keeps every row
-        monkeypatch.setattr(ngram, "ROW_CACHE_BYTES", 0)
-        evicting = train_ngram(corpus, vocab, order=2, alpha=0.1)
-        stories = [(["c1", "c2", "c3"][:2 + i % 2], strength)
-                   for i, strength in enumerate([0.0, 0.5, 1.0, 2.0, 3.0, 1e-20, 2.0, 0.5])]
-
-        def decode(story, model=evicting):
-            conditions, strength = story
-            config = DecodeConfig(beam_width=4, diversity_strength=strength, max_len=6,
-                                  num_segments=len(conditions))
-            return story_to_json(inter_sentence_dbs(model, conditions, model.vocab, config),
-                                 model.vocab)
-
-        serial = [decode(story, cached) for story in stories]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=4) as pool:
-                threaded = list(pool.map(decode, stories * 2))
-        finally:
-            sys.setswitchinterval(interval)
-        assert threaded == serial * 2
 
 class TestStoryJson:
     def test_schema_fields_and_float_format(self, skewed_table):

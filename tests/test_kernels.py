@@ -34,13 +34,15 @@ def test_orders_by_score_then_token_then_beam():
     logprobs = np.full((3, 6), -np.inf)
     logprobs[:, 2:] = np.log(1 / 4)  # twelve-way tie across three rows
     penalty = np.zeros(6)
-    beams, tokens, scores = kernels.select_top_candidates(
+    beams, tokens, scores, steps = kernels.select_top_candidates(
         base, logprobs, penalty, 0.0,
         np.arange(3, dtype=np.int64), np.empty(0), np.empty(0, dtype=np.int64), 20)
     assert beams.tolist() == [0, 1, 2] * 4
     assert tokens.tolist() == [t for t in range(2, 6) for _ in range(3)]
     assert np.allclose(scores, np.log(1 / 4))
-    assert (beams.dtype, tokens.dtype, scores.dtype) == (np.int64, np.int64, np.float64)
+    assert steps.tolist() == logprobs[beams, tokens].tolist()
+    assert (beams.dtype, tokens.dtype, scores.dtype, steps.dtype) == (
+        np.int64, np.int64, np.float64, np.float64)
 
 
 def sorted_selection(base_aug, logprobs, penalty, strength, beam_width):
@@ -50,7 +52,8 @@ def sorted_selection(base_aug, logprobs, penalty, strength, beam_width):
     scores = expanded.T.ravel()
     top = np.argsort(-scores, kind="stable")[:beam_width]
     tokens, rows = np.divmod(top, logprobs.shape[0])
-    return rows, tokens + FIRST_GENERABLE_ID, scores[top]
+    tokens += FIRST_GENERABLE_ID
+    return rows, tokens, scores[top], logprobs[rows, tokens]
 
 
 LEVELS = (0.0, -0.5, -1.0, -np.inf)
@@ -90,6 +93,7 @@ def test_cut_off_selects_what_a_full_stable_sort_selects(step):
         base, logprobs, penalty, strength, np.arange(len(base), dtype=np.int64),
         np.empty(0), np.empty(0, dtype=np.int64), beam_width)
     want = sorted_selection(base, logprobs, penalty, strength, beam_width)
+    assert len(got) == len(want)
     for g, w in zip(got, want):
         assert g.dtype == w.dtype
         assert g.tolist() == w.tolist()
@@ -101,7 +105,7 @@ def test_ties_straddling_the_cut_off_fill_in_flat_order():
     logprobs = np.full((3, 8), -np.inf)
     logprobs[:, 2:] = np.log(1 / 8)
     logprobs[0, 7] = logprobs[1, 7] = logprobs[2, 6] = logprobs[1, 3] = np.log(1 / 4)
-    beams, tokens, scores = kernels.select_top_candidates(
+    beams, tokens, scores, _ = kernels.select_top_candidates(
         np.zeros(3), logprobs, np.zeros(8), 0.0,
         np.arange(3, dtype=np.int64), np.empty(0), np.empty(0, dtype=np.int64), 7)
     assert list(zip(tokens.tolist(), beams.tolist())) == [
@@ -134,7 +138,7 @@ def test_beam_width_larger_than_candidates_returns_everything():
     base = np.array([-1.0])
     logprobs = np.full((1, 5), -np.inf)
     logprobs[0, 2:] = np.log(1 / 3)
-    beams, tokens, scores = kernels.select_top_candidates(
+    beams, tokens, scores, _ = kernels.select_top_candidates(
         base, logprobs, np.zeros(5), 1.0,
         np.array([0], dtype=np.int64), np.empty(0), np.empty(0, dtype=np.int64), 99)
     assert len(tokens) == 3

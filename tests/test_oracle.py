@@ -96,6 +96,14 @@ class TestExhaustiveStepSelect:
             exhaustive_step_select([0.0], scores, zero_penalty(len(skewed_table.vocab)),
                                    **arguments)
 
+    @pytest.mark.parametrize("penalty", [
+        np.zeros(6, dtype=np.float32), np.zeros(6, dtype=np.int64), [0.0] * 6],
+        ids=["float32", "int64", "list"])
+    def test_penalty_must_be_a_float64_array(self, skewed_table, penalty):
+        scores = [skewed_table.score_step("c", [])]
+        with pytest.raises(ValueError, match="penalty must be"):
+            exhaustive_step_select([0.0], scores, penalty, 1.0, 2)
+
     def test_zero_strength_is_plain_expansion(self, skewed_table):
         vocab = skewed_table.vocab
         scores = [skewed_table.score_step("c", [])]
