@@ -885,6 +885,51 @@ class TestRowCache:
         contexts = {model.context_for(p) for p in every_prefix(model, length=3)}
         assert len(model._rows) == len(contexts & model.counts.keys()) + 1
 
+    # The model never evicts, but an entry dropped from its cache is rebuilt
+    # equal to the first build, and the decoder keeps no state keyed on an
+    # entry: a story decoded while the test trims the cache to `capacity`
+    # entries before every step is the story of a model that keeps them all.
+    @pytest.mark.parametrize("capacity", [1, 2, 5])
+    def test_eviction_keeps_rows_correct_and_the_cache_bounded(self, capacity):
+        def evict(rows: dict) -> None:
+            while len(rows) >= capacity:
+                del rows[next(iter(rows))]  # the oldest entry
+
+        class Evicting:
+            """The model, with its cache trimmed before each step."""
+
+            def __init__(self, model):
+                self.vocab = model.vocab
+                self._model = model
+
+            def score_step(self, condition, prefix):
+                evict(self._model._rows)
+                return self._model.score_step(condition, prefix)
+
+        model = trigram_model()
+        prefixes = every_prefix(model)
+        first = {}
+        builds = 0
+        rng = np.random.default_rng(capacity)
+        for i in rng.integers(0, len(prefixes), size=300):
+            context = model.context_for(prefixes[i])
+            evict(model._rows)
+            builds += (context if context in model.counts else None) not in model._rows
+            row = model.score_step("x", prefixes[i])
+            assert len(model._rows) <= capacity
+            assert dense_row(row).tobytes() == reference_row(model, prefixes[i]).tobytes()
+            was = first.setdefault(context, row)
+            assert row.floor == was.floor and row.vocab_size == was.vocab_size
+            assert row.ids.tobytes() == was.ids.tobytes()
+            assert row.values.tobytes() == was.values.tobytes()
+        assert builds > len({model.context_for(p) for p in prefixes} & model.counts.keys())
+        config = DecodeConfig(beam_width=3, diversity_strength=2.0, max_len=6, num_segments=3)
+        stories = [story_to_json(inter_sentence_dbs(ValidatingScorer(scorer), ["c1", "c2", "c3"],
+                                                    model.vocab, config), model.vocab)
+                   for scorer in (Evicting(model), trigram_model())]
+        assert stories[0] == stories[1]
+        assert len(model._rows) <= capacity
+
     # the check runs before the cache, so a cached context still rejects bad input
     def test_step_arguments_checked_on_every_call(self):
         model = trigram_model()
