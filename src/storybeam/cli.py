@@ -26,13 +26,6 @@ EXIT_INTERNAL = 1
 EXIT_USAGE = 2
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
 def _default_file_mode() -> int:
     umask = os.umask(0)
     os.umask(umask)
@@ -92,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     decode.add_argument("--batch",
                         help="file of stories: one line of condition keys each; "
                              "--out names a directory")
-    decode.add_argument("--jobs", type=_positive_int, default=1,
+    decode.add_argument("--jobs", type=int, default=1,
                         help="concurrent stories in batch mode (default: 1)")
     decode.add_argument("--beam-width", type=int, default=DecodeConfig.beam_width)
     decode.add_argument("--lambda", dest="strength", type=float,
@@ -154,6 +147,7 @@ def _cmd_decode(args: argparse.Namespace) -> int:
     # checked once, before any file is read
     config = DecodeConfig(beam_width=args.beam_width, diversity_strength=args.strength,
                           max_len=args.max_len)
+    check_count("jobs", args.jobs)
     scorer = load_scorer(Path(args.model).read_text(encoding="utf-8"))
     vocab = scorer.vocab
     penalty_fn = get_penalty_fn(args.penalty)

@@ -24,12 +24,14 @@ Only the segment's winner is walked back into a ``Hypothesis``. The same
 frozen penalty gives the segment one token order by contribution, built
 once, from which each step picks the few columns that can still be
 selected (see ``expand_and_select``). A step reads each row as a
-``scoring.ScoreRow``: its floor and its exception ids and values. The
-shipped scorers return one; a dense row from any other scorer is
-summarized afresh at every step. The kernel's matrix holds only the kept
-columns: it is filled from the floors, and the exceptions are scattered
-into it. The kernel returns each kept candidate's step log-probability,
-so the decoder never reads a row by token.
+``scoring.ScoreRow``: its floor and its exception ids and values. Rows
+pass through ``scoring.summarize`` where they enter the decoder: the
+shipped scorers return ``ScoreRow``s, which it returns as they are, and a
+dense row from any other scorer is summarized for each hypothesis that
+scores it. The kernel's matrix holds only the kept columns: it is filled
+from the floors, and the exceptions are scattered into it. The kernel
+returns each kept candidate's step log-probability, so the decoder never
+reads a row by token.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from .config import DecodeConfig, check_count, check_strength
 from .corpus import BOS_TOKEN, EOS_ID, EOS_TOKEN, FIRST_GENERABLE_ID, PAD_TOKEN, Vocabulary
 from .diversity import PenaltyFn, hamming_diversity, validate_penalty, zero_penalty
 from .kernels import select_top_candidates
-from .scoring import Condition, Scorer, Scores, summarize
+from .scoring import Condition, ScoreRow, Scorer, Scores, summarize
 
 
 @dataclass(frozen=True)
@@ -126,27 +128,18 @@ def _segment_order(penalty: np.ndarray, strength: float) -> _SegmentOrder:
                          [0, *starts.tolist(), len(order)])
 
 
-def _select(beam_aug: Sequence[float], scores_per_hypothesis: Sequence[Scores],
-            segment: _SegmentOrder, beam_width: int) -> tuple[np.ndarray, ...]:
-    """``expand_and_select`` on a segment's prebuilt order; the decoder's selection step.
+def _select(beam_aug: Sequence[float], rows: Sequence[ScoreRow], segment: _SegmentOrder,
+            beam_width: int) -> tuple[np.ndarray, ...]:
+    """``expand_and_select`` on summarized rows and a segment's prebuilt order.
 
-    Also returns the kept candidates' step log-probabilities.
+    The decoder's selection step. Also returns the kept candidates' step
+    log-probabilities.
     """
-    vocab_size = len(segment.penalty)
     beam_aug = [float(aug) for aug in beam_aug]
     if not all(aug < math.inf for aug in beam_aug):
         raise ValueError("beam aug scores contain NaN or +inf")
-    if len(scores_per_hypothesis) != len(beam_aug):
-        raise ValueError(
-            f"got {len(scores_per_hypothesis)} score vectors for {len(beam_aug)} hypotheses")
-    # hypotheses often share a row object; each distinct one is summarized once.
-    # The list keeps every row alive for the step, so no two rows share an id.
-    scores = list(scores_per_hypothesis)
-    summaries = {}
-    for row in scores:
-        if id(row) not in summaries:
-            summaries[id(row)] = summarize(row, vocab_size)
-    rows = [summaries[id(row)] for row in scores]
+    if len(rows) != len(beam_aug):
+        raise ValueError(f"got {len(rows)} score vectors for {len(beam_aug)} hypotheses")
     floors = [row.floor for row in rows]
     counts = [len(row.ids) for row in rows]
     ids = np.concatenate([row.ids for row in rows] or [_NO_IDS])
@@ -154,25 +147,20 @@ def _select(beam_aug: Sequence[float], scores_per_hypothesis: Sequence[Scores],
     columns = _columns_that_can_win(beam_aug, floors, ids, max(counts, default=0), segment,
                                     beam_width)
     # each row of the kernel's matrix is its floor, but at its exceptions
-    matrix = np.empty((len(rows), vocab_size if columns is None else len(columns)))
+    matrix = np.empty((len(rows), len(columns)))
     matrix.T[...] = floors
     if len(ids):
-        at = ids if columns is None else np.searchsorted(columns, ids)
-        matrix[np.arange(len(rows)).repeat(counts), at] = \
+        matrix[np.arange(len(rows)).repeat(counts), np.searchsorted(columns, ids)] = \
             np.concatenate([row.values for row in rows])
     positions, tokens, augs, logprobs = select_top_candidates(
-        np.array(beam_aug), matrix,
-        segment.penalty if columns is None else segment.penalty[columns], segment.strength,
+        np.array(beam_aug), matrix, segment.penalty[columns], segment.strength,
         np.arange(len(rows)), _NO_CARRY, _NO_IDS, beam_width)
-    if columns is not None:
-        tokens = columns[tokens]
-    return positions, tokens, augs, logprobs
+    return positions, columns[tokens], augs, logprobs
 
 
 def _columns_that_can_win(beam_aug: list[float], floors: list[float], ids: np.ndarray,
-                          most: int, segment: _SegmentOrder,
-                          beam_width: int) -> np.ndarray | None:
-    """The columns that hold the exact top B, ascending; None keeps them all.
+                          most: int, segment: _SegmentOrder, beam_width: int) -> np.ndarray:
+    """The columns that hold the exact top B, ascending.
 
     ``floors`` holds each hypothesis's row floor, ``ids`` the exception ids
     of every row, and ``most`` the most exceptions of one row, ``E``. The
@@ -183,13 +171,13 @@ def _columns_that_can_win(beam_aug: list[float], floors: list[float], ids: np.nd
     contributions, and then the id tie-break may prefer a later token: so
     when some row's floor scores at the prefix's last position and the
     next are equal, and that tie run reaches a second contribution value,
-    every column is kept. PAD and BOS lead the returned columns, as the
-    kernel expects.
+    every column is kept, as it is when the prefix covers every token.
+    PAD and BOS lead the returned columns, as the kernel expects.
     """
     keep = beam_width + most
     ranked = segment.ranked
     if keep >= len(ranked):
-        return None
+        return np.arange(len(segment.penalty))
     # the floor scores at the prefix's last position, the next one, and the
     # nearest positions on either side holding another contribution value;
     # float arithmetic here rounds as the kernel's float64 arithmetic does
@@ -203,7 +191,7 @@ def _columns_that_can_win(beam_aug: list[float], floors: list[float], ids: np.nd
         base = aug + floor
         last = base + at
         if base + past == last and (base + below == last or base + above == last):
-            return None
+            return np.arange(len(segment.penalty))
     kept = np.zeros(len(segment.penalty), dtype=bool)
     kept[segment.ranking[:FIRST_GENERABLE_ID + keep]] = True
     kept[ids] = True
@@ -228,7 +216,7 @@ def expand_and_select(beam_aug: Sequence[float],
 
     The kernel sees only the columns that can still be selected: every
     exception of every row (the tokens a ``ScoreRow`` lists apart from
-    its floor; a dense row is summarized at every call), plus the first
+    its floor; a dense row is summarized first), plus the first
     ``B + E`` tokens by ``strength * penalty`` descending, then id
     ascending, where ``E`` is the most exceptions of one row. The
     selection is exactly the one over all columns; when rounding merges
@@ -240,8 +228,8 @@ def expand_and_select(beam_aug: Sequence[float],
     check_count("beam_width", beam_width)
     check_strength("strength", strength)
     validate_penalty(penalty, len(penalty))
-    return _select(beam_aug, scores_per_hypothesis, _segment_order(penalty, strength),
-                   beam_width)[:3]
+    rows = [summarize(scores, len(penalty)) for scores in scores_per_hypothesis]
+    return _select(beam_aug, rows, _segment_order(penalty, strength), beam_width)[:3]
 
 
 def _hypothesis(node: tuple) -> Hypothesis:
@@ -306,8 +294,8 @@ def beam_search(scorer: Scorer, condition: Condition, vocab: Vocabulary,
     n_generable = len(vocab) - FIRST_GENERABLE_ID
     while beam and len(trace) < config.max_len:
         trace.append(StepTrace(candidate_count=len(beam) * n_generable))
-        scores = [scorer.score_step(condition, node[0]) for node in beam]
-        selected = _select([node[1] for node in beam], scores, segment, beam_width)
+        rows = [summarize(scorer.score_step(condition, node[0]), len(vocab)) for node in beam]
+        selected = _select([node[1] for node in beam], rows, segment, beam_width)
         live = []
         for pos, token, aug, logprob in zip(*(a.tolist() for a in selected)):
             parent = beam[pos]

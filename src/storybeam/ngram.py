@@ -31,13 +31,6 @@ from .corpus import (
 if TYPE_CHECKING:
     from .scoring import ScoreRow
 
-# The PyYAML loader class for documents that are neither JSON nor a flat
-# table (see _parse_flat_table). None picks libyaml's, which parses several
-# times faster, where PyYAML has it, and the pure-Python one otherwise. yaml is
-# imported on first use only: JSON models, flat tables and train-lm never need
-# it, and importing it is a visible share of CLI start-up.
-YAML_LOADER = None
-
 # Deepest collection nesting a YAML model document may have. A model nests 4
 # deep; libyaml's composer recurses once per level and overflows the C stack
 # some ten thousand levels down.
@@ -300,18 +293,8 @@ def _parse_json(text: str) -> dict | None:
     return doc
 
 
-# Every collection a YAML document opens starts at one of these: a flow
-# bracket, a mapping's ":" or "?", or a block sequence's "-" before a space
-# or line break (a tab there is a scanner error). Their count bounds the
-# nesting depth from above.
-_NESTING_MARKS = ("[", "{", ":", "?", "- ", "-\n", "-\r", "-\x85", "-\u2028", "-\u2029")
-
-
 def _check_yaml_depth(text: str, loader) -> None:
     """Raise ``ValueError`` if the document nests deeper than ``MAX_YAML_DEPTH``."""
-    marks = sum(text.count(mark) for mark in _NESTING_MARKS) + text.endswith("-")
-    if marks <= MAX_YAML_DEPTH:
-        return
     import yaml
 
     # the parser keeps its own stack, so counting its events cannot overflow
@@ -386,9 +369,12 @@ def _parse_yaml(text: str):
     doc = _parse_flat_table(text)
     if doc is not None:
         return doc
+    # yaml is imported on first use only: JSON models, flat tables and train-lm
+    # never need it, and importing it is a visible share of CLI start-up
     import yaml
 
-    loader = YAML_LOADER or getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+    # libyaml's loader, where PyYAML has it, parses several times faster
+    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
     try:
         _check_yaml_depth(text, loader)
         return yaml.load(text, Loader=loader)

@@ -12,7 +12,7 @@ same contract:
 * identical arguments always produce identical rows,
 * a row may be shared and read-only: callers must not write into it.
 
-The decoder reads a dense row through ``summarize`` at every step, and
+The decoder passes every row through ``summarize`` as it receives it, and
 ``dense_row`` expands a ``ScoreRow`` where a dense vector is needed.
 
 Two concrete scorers ship, and both return ``ScoreRow``s: a

@@ -12,7 +12,7 @@ import yaml
 import storybeam
 from storybeam import diversity
 from storybeam.cli import main
-from storybeam.config import DecodeConfig
+from storybeam.config import DecodeConfig, check_count
 from storybeam.corpus import Corpus, build_vocabulary
 from storybeam.ngram import MAX_ORDER, NGramModel, _check_order
 from storybeam.scoring import dense_row, load_ngram, ngram_to_dict
@@ -62,6 +62,8 @@ FLAG_RULES = [
     ("decode", "--max-len", "0", lambda: DecodeConfig(max_len=0)),
     ("decode", "--lambda", "-1", lambda: DecodeConfig(diversity_strength=-1.0)),
     ("decode", "--lambda", "inf", lambda: DecodeConfig(diversity_strength=math.inf)),
+    ("decode", "--jobs", "0", lambda: check_count("jobs", 0)),
+    ("decode", "--jobs", "-1", lambda: check_count("jobs", -1)),
 ]
 
 
@@ -80,6 +82,35 @@ def test_flag_errors_are_the_owners(corpus_path, tmp_path, capsys, command, flag
     assert main(argv + [flag, value, "--out", str(out)]) == 2
     assert f"error: {expected.value}\n" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_outputs_are_byte_identical_across_hash_seeds(corpus_path, tmp_path):
+    """train-lm, a batch decode and eval write the same bytes in fresh interpreters."""
+    runs = []
+    for seed in ("0", "4242"):
+        work = tmp_path / seed
+        work.mkdir()
+        (work / "batch.txt").write_text("c1 c2 c3\nc4 c5\n", encoding="utf-8")
+        result = run_python(
+            "import os\n"
+            "from storybeam.cli import main\n"
+            f"os.chdir({str(work)!r})\n"
+            "print(hash('storybeam'))\n"
+            f"assert main(['train-lm', {str(corpus_path)!r}, '--order', '3', '--alpha', '0.1',"
+            " '--min-count', '1', '--out', 'model.json']) == 0\n"
+            "assert main(['decode', '--model', 'model.json', '--batch', 'batch.txt',"
+            " '--max-len', '8', '--out', 'stories']) == 0\n"
+            "assert main(['eval', 'stories/story_0000.json']) == 0\n",
+            PYTHONHASHSEED=seed)
+        assert result.returncode == 0, result.stderr
+        salt, stdout = result.stdout.split("\n", 1)
+        files = {path.relative_to(work).as_posix(): path.read_bytes()
+                 for path in work.rglob("*") if path.is_file()}
+        runs.append((salt, stdout, files))
+    (first_salt, *first), (second_salt, *second) = runs
+    assert first_salt != second_salt  # the two interpreters hash strings differently
+    assert len(first[1]) == 4  # the batch file, the model and two stories
+    assert first == second
 
 
 # every train-lm rule but alpha * (V - 2), which needs the vocabulary
