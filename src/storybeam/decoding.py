@@ -20,18 +20,27 @@ hypothesis is a plain tuple ``(prefix tokens, aug, step logprob, step
 contribution, parent)``, and a step copies no score history. After each
 step the finishers update the segment's single running best, and the
 next beam keeps the unfinished hypotheses scoring strictly above it.
-Only the segment's winner is walked back into a ``Hypothesis``. The same
-frozen penalty gives the segment one token order by contribution, built
-once, from which each step picks the few columns that can still be
-selected (see ``expand_and_select``). A step reads each row as a
-``scoring.ScoreRow``: its floor and its exception ids and values. Rows
+Only the segment's winner is walked back into a ``Hypothesis``. Rows
 pass through ``scoring.summarize`` where they enter the decoder: the
-shipped scorers return ``ScoreRow``s, which it returns as they are, and a
-dense row from any other scorer is summarized for each hypothesis that
-scores it. The kernel's matrix holds only the kept columns: it is filled
-from the floors, and the exceptions are scattered into it. The kernel
-returns each kept candidate's step log-probability, so the decoder never
-reads a row by token.
+shipped scorers return ``ScoreRow``s (a floor plus exception ids and
+values), which it returns as they are, and a dense row from any other
+scorer is summarized for each hypothesis that scores it.
+
+A selection step runs in this order:
+
+* ``_columns_that_can_win`` picks the columns that can still be
+  selected, from the segment's token order by contribution, built once
+  per segment (``_segment_order``). The kept columns stay in id order,
+  with PAD and BOS first.
+* ``_select`` fills a matrix over those columns from the rows' floors
+  and scatters the exceptions into it.
+* ``select_top_candidates`` ranks the candidates. Laid out token-major
+  (all rows of one token together, tokens ascending), the flat candidate
+  order is the tie-break order. A partition finds the score of the last
+  kept candidate (the cut-off), and one stable sort orders the
+  candidates at or above it, so candidates at the cut-off keep the
+  tie-break order. It returns each kept candidate's step log-probability,
+  so the decoder never reads a row by token.
 """
 
 from __future__ import annotations
@@ -48,7 +57,6 @@ import numpy as np
 from .config import DecodeConfig, check_count, check_strength
 from .corpus import BOS_TOKEN, EOS_ID, EOS_TOKEN, FIRST_GENERABLE_ID, PAD_TOKEN, Vocabulary
 from .diversity import PenaltyFn, hamming_diversity, validate_penalty, zero_penalty
-from .kernels import select_top_candidates
 from .scoring import Condition, ScoreRow, Scorer, Scores, summarize
 
 
@@ -109,7 +117,7 @@ class _SegmentOrder(NamedTuple):
     bounds: list[int]
 
 
-# the kernel's carry arguments, always empty (see kernels.select_top_candidates)
+# the kernel's carry arguments, always empty (see select_top_candidates)
 _NO_CARRY = np.empty(0)
 _NO_IDS = np.empty(0, dtype=np.int64)
 
@@ -126,6 +134,46 @@ def _segment_order(penalty: np.ndarray, strength: float) -> _SegmentOrder:
     ranking = np.concatenate((np.arange(FIRST_GENERABLE_ID), order + FIRST_GENERABLE_ID))
     return _SegmentOrder(penalty, strength, contributions, ranking, ranked.tolist(),
                          [0, *starts.tolist(), len(order)])
+
+
+def select_top_candidates(base_aug: np.ndarray, logprobs: np.ndarray,
+                          penalty: np.ndarray, strength: float,
+                          unfinished_idx: np.ndarray, carry_scores: np.ndarray,
+                          carry_idx: np.ndarray, beam_width: int
+                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Return (beam positions, token ids, scores, step logprobs) of the kept candidates, best first.
+
+    The selection kernel: each candidate scores ``base_aug[row] +
+    logprobs[row, column] + strength * penalty[column]``, and the best
+    ``beam_width`` are kept in the module's selection order.
+
+    ``logprobs`` holds one row per hypothesis and one column per token
+    (columns below ``FIRST_GENERABLE_ID``, PAD and BOS, are never read).
+
+    ``unfinished_idx``, ``carry_scores`` and ``carry_idx`` are kept only for
+    the signature the benchmark's tracing wrapper (``perfbench/tracing.py``)
+    forwards; anything but ``arange(n_rows)`` and two empty arrays raises
+    ``ValueError``.
+    """
+    n_rows = logprobs.shape[0]
+    if np.asarray(unfinished_idx).tolist() != list(range(n_rows)):  # array_equal, in 1/10 the time
+        raise ValueError("unfinished_idx must be arange(n_rows): every row is expanded")
+    if len(carry_scores) or len(carry_idx):
+        raise ValueError("carryovers are not supported: beams hold only live hypotheses")
+    expanded = (base_aug[:, None] + logprobs[:, FIRST_GENERABLE_ID:]) \
+        + (strength * penalty[FIRST_GENERABLE_ID:])[None, :]
+    scores = expanded.T.ravel()
+    n = scores.size
+    k = min(beam_width, n)
+    if k == 0:
+        top = np.empty(0, dtype=np.intp)
+    else:
+        cut = np.partition(scores, n - k)[n - k]
+        top = (scores >= cut).nonzero()[0]  # in flat order, so a stable sort breaks ties
+        top = top[np.argsort(-scores[top], kind="stable")[:k]]
+    tokens, rows = np.divmod(top, n_rows)
+    tokens += FIRST_GENERABLE_ID
+    return rows, tokens, scores[top], logprobs[rows, tokens]
 
 
 def _select(beam_aug: Sequence[float], rows: Sequence[ScoreRow], segment: _SegmentOrder,
@@ -172,7 +220,6 @@ def _columns_that_can_win(beam_aug: list[float], floors: list[float], ids: np.nd
     when some row's floor scores at the prefix's last position and the
     next are equal, and that tie run reaches a second contribution value,
     every column is kept, as it is when the prefix covers every token.
-    PAD and BOS lead the returned columns, as the kernel expects.
     """
     keep = beam_width + most
     ranked = segment.ranked
@@ -214,16 +261,10 @@ def expand_and_select(beam_aug: Sequence[float],
     the kept candidates' beam positions, token ids and scores, in
     selection order.
 
-    The kernel sees only the columns that can still be selected: every
-    exception of every row (the tokens a ``ScoreRow`` lists apart from
-    its floor; a dense row is summarized first), plus the first
-    ``B + E`` tokens by ``strength * penalty`` descending, then id
-    ascending, where ``E`` is the most exceptions of one row. The
-    selection is exactly the one over all columns; when rounding merges
-    different penalty contributions into one score at the cut, or the
-    prefix covers every token, the step selects from all columns.
-    ``beam_search`` runs the same step with the order built once per
-    segment.
+    The selection is exactly the one over all columns, though the kernel
+    sees only the columns that can still be selected (see
+    ``_columns_that_can_win``). ``beam_search`` runs the same step with
+    the order built once per segment.
     """
     check_count("beam_width", beam_width)
     check_strength("strength", strength)
@@ -276,13 +317,12 @@ def beam_search(scorer: Scorer, condition: Condition, vocab: Vocabulary,
     beam_width = config.beam_width
     strength = config.diversity_strength
     # a hypothesis collects at most max_len penalty contributions; their total
-    # must stay finite or the kernel's score sums overflow to -inf
+    # must stay finite or the kernel's score sums overflow to -inf; contributions
+    # are <= 0, so the last of the descending ``ranked`` is the most negative
     steps = min(config.max_len, sys.float_info.max)  # an int may exceed float range
     segment = _segment_order(penalty, strength)
     contributions = segment.contributions
-    with np.errstate(over="ignore"):
-        worst_total = steps * contributions
-    if not np.isfinite(worst_total).all():
+    if not math.isfinite(steps * segment.ranked[-1]):
         raise ValueError(
             f"diversity strength {strength} overflows this segment's penalty "
             f"total over {config.max_len} steps")

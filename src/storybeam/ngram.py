@@ -48,7 +48,7 @@ def _check_step_args(condition: str, prefix: Sequence[int]) -> None:
         raise ValueError("prefix must not contain EOS; finished hypotheses are not scored")
 
 
-@dataclass
+@dataclass(frozen=True)
 class NGramModel:
     """Laplace-smoothed n-gram model over a fixed vocabulary.
 
@@ -80,10 +80,10 @@ class NGramModel:
     def __post_init__(self):
         _check_order(self.order)
         vocab_size = len(self.vocab)
-        self.alpha = _check_alpha(self.alpha, vocab_size)
+        object.__setattr__(self, "alpha", _check_alpha(self.alpha, vocab_size))
         generable = vocab_size - FIRST_GENERABLE_ID
         # ``type(x) is int`` rather than isinstance keeps bools out
-        self.totals = {}
+        object.__setattr__(self, "totals", {})
         for context, bucket in self.counts.items():
             if not (type(context) is tuple and len(context) == self.order - 1
                     and all(type(i) is int and 0 <= i < vocab_size for i in context)):

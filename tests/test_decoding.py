@@ -670,6 +670,42 @@ class TestInterSentenceDbs:
             inter_sentence_dbs(table, ["c1", "c2"], table.vocab,
                                replace(config, diversity_strength=2.0))
 
+    # Explicit penalties on both sides of float max. The check must reject
+    # exactly when some step total, max_len (capped at float max) times one
+    # contribution, is not finite; "b" is the most negative token, and it is
+    # neither the first generable id nor the first regular one.
+    @pytest.mark.parametrize("max_len, strength, penalty_a, penalty_b", [
+        (10**400, 1.0, -0.5, -1.0),
+        (10**400, 1.0, -0.5, math.nextafter(-1.0, -math.inf)),
+        (10**400, 1e-300, -1.0, -1e300),
+        (10**400, 1e-300, -1.0, -1e301),
+        (2, 1.0, -1.0, -sys.float_info.max / 2),
+        (2, 1.0, -1.0, math.nextafter(-sys.float_info.max / 2, -math.inf)),
+        (3, 1.0, -1.0, -sys.float_info.max / 2),
+        (2, 0.5, -1.0, -sys.float_info.max),
+        (2, 0.5, -sys.float_info.max / 4, -sys.float_info.max),
+        (1, 2.0, -1.0, -sys.float_info.max),
+    ])
+    def test_overflow_check_matches_the_total_over_max_len(
+            self, max_len, strength, penalty_a, penalty_b):
+        # every hypothesis ends after "a" or "b" then "<eos>"
+        table = make_table(["a", "b", "<eos>"], [0.5, 0.3, 0.2],
+                           rows=[{"context": [word], "probs": [0.0, 0.0, 1.0]}
+                                 for word in ("a", "b")])
+        vocab = table.vocab
+        penalty = zero_penalty(len(vocab))
+        penalty[vocab.token_to_id("a")] = penalty_a
+        penalty[vocab.token_to_id("b")] = penalty_b
+        with np.errstate(over="ignore"):
+            finite = np.isfinite(min(max_len, sys.float_info.max) * (strength * penalty)).all()
+        config = DecodeConfig(beam_width=2, diversity_strength=strength, max_len=max_len,
+                              num_segments=1)
+        if finite:
+            assert len(beam_search(table, "c", vocab, config, penalty).best.tokens) <= 2
+        else:
+            with pytest.raises(ValueError, match="overflows"):
+                beam_search(table, "c", vocab, config, penalty)
+
     @settings(max_examples=80, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1),
            strength=st.sampled_from(

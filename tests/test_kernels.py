@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from storybeam import kernels
+from storybeam import decoding
 from storybeam.corpus import EOS_ID, FIRST_GENERABLE_ID, NUM_SPECIALS
 from storybeam.decoding import expand_and_select
 
@@ -34,7 +34,7 @@ def test_orders_by_score_then_token_then_beam():
     logprobs = np.full((3, 6), -np.inf)
     logprobs[:, 2:] = np.log(1 / 4)  # twelve-way tie across three rows
     penalty = np.zeros(6)
-    beams, tokens, scores, steps = kernels.select_top_candidates(
+    beams, tokens, scores, steps = decoding.select_top_candidates(
         base, logprobs, penalty, 0.0,
         np.arange(3, dtype=np.int64), np.empty(0), np.empty(0, dtype=np.int64), 20)
     assert beams.tolist() == [0, 1, 2] * 4
@@ -89,7 +89,7 @@ def selection_steps(draw):
 @given(selection_steps())
 def test_cut_off_selects_what_a_full_stable_sort_selects(step):
     base, logprobs, penalty, strength, beam_width = step
-    got = kernels.select_top_candidates(
+    got = decoding.select_top_candidates(
         base, logprobs, penalty, strength, np.arange(len(base), dtype=np.int64),
         np.empty(0), np.empty(0, dtype=np.int64), beam_width)
     want = sorted_selection(base, logprobs, penalty, strength, beam_width)
@@ -105,7 +105,7 @@ def test_ties_straddling_the_cut_off_fill_in_flat_order():
     logprobs = np.full((3, 8), -np.inf)
     logprobs[:, 2:] = np.log(1 / 8)
     logprobs[0, 7] = logprobs[1, 7] = logprobs[2, 6] = logprobs[1, 3] = np.log(1 / 4)
-    beams, tokens, scores, _ = kernels.select_top_candidates(
+    beams, tokens, scores, _ = decoding.select_top_candidates(
         np.zeros(3), logprobs, np.zeros(8), 0.0,
         np.arange(3, dtype=np.int64), np.empty(0), np.empty(0, dtype=np.int64), 7)
     assert list(zip(tokens.tolist(), beams.tolist())) == [
@@ -125,8 +125,8 @@ def test_legacy_parameters_accept_only_what_the_decoder_passes(
     logprobs = np.full((2, 5), -np.inf)
     logprobs[:, 2:] = np.log(1 / 3)
     with pytest.raises(ValueError):
-        kernels.select_top_candidates(np.zeros(2), logprobs, np.zeros(5), 0.0,
-                                      unfinished_idx, carry_scores, carry_idx, 3)
+        decoding.select_top_candidates(np.zeros(2), logprobs, np.zeros(5), 0.0,
+                                       unfinished_idx, carry_scores, carry_idx, 3)
 
 
 def test_empty_beam_selects_nothing():
@@ -138,7 +138,7 @@ def test_beam_width_larger_than_candidates_returns_everything():
     base = np.array([-1.0])
     logprobs = np.full((1, 5), -np.inf)
     logprobs[0, 2:] = np.log(1 / 3)
-    beams, tokens, scores, _ = kernels.select_top_candidates(
+    beams, tokens, scores, _ = decoding.select_top_candidates(
         base, logprobs, np.zeros(5), 1.0,
         np.array([0], dtype=np.int64), np.empty(0), np.empty(0, dtype=np.int64), 99)
     assert len(tokens) == 3

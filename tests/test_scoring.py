@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -868,6 +869,17 @@ class TestRowCache:
         row = model.score_step("img1", [a, b])
         assert model.score_step("img2", [b, b, a, b]) is row
         assert model.score_step("img1", [a, a]) is not row
+
+    # a rebound alpha would leave cached rows at the old one, and alpha 0
+    # would divide by zero on an unseen context
+    @pytest.mark.parametrize("name, value", [("alpha", 100.0), ("alpha", 0.0), ("order", 2),
+                                             ("counts", {})])
+    def test_fields_cannot_be_rebound(self, name, value):
+        model = trigram_model()
+        row = model.score_step("x", [])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(model, name, value)
+        assert model.score_step("x", []) is row
 
     def test_unseen_contexts_share_one_entry(self):
         model = trigram_model()
