@@ -12,7 +12,6 @@ import dataclasses
 import json
 import os
 import sys
-import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -24,16 +23,6 @@ from .ngram import _check_alpha, _check_order, _is_token_list, dump_ngram, train
 EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_USAGE = 2
-
-
-def _default_file_mode() -> int:
-    umask = os.umask(0)
-    os.umask(umask)
-    return 0o666 & ~umask
-
-
-# mkstemp creates 0600 files; outputs get the mode a plain open() would give
-_FILE_MODE = _default_file_mode()
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -48,11 +37,12 @@ def _atomic_write(path: Path, text: str) -> None:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
         return
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    # os.open masks 0o666 at write time as open() does; mkstemp would give 0o600
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
-        os.chmod(tmp, _FILE_MODE)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -78,11 +68,12 @@ def build_parser() -> argparse.ArgumentParser:
     decode = sub.add_parser("decode", help="decode a story from a model file")
     decode.add_argument("--model", required=True,
                         help="n-gram model or scoring-table file")
-    decode.add_argument("--conditions", nargs="+", metavar="KEY",
+    source = decode.add_mutually_exclusive_group(required=True)
+    source.add_argument("--conditions", nargs="+", metavar="KEY",
                         help="one opaque condition key per segment")
-    decode.add_argument("--conditions-file",
+    source.add_argument("--conditions-file",
                         help="file with one condition key per line")
-    decode.add_argument("--batch",
+    source.add_argument("--batch",
                         help="file of stories: one line of condition keys each; "
                              "--out names a directory")
     decode.add_argument("--jobs", type=int, default=1,
@@ -139,11 +130,6 @@ def _cmd_decode(args: argparse.Namespace) -> int:
     from .diversity import get_penalty_fn
     from .scoring import load_scorer
 
-    sources = [args.conditions is not None, args.conditions_file is not None,
-               args.batch is not None]
-    if sum(sources) != 1:
-        raise ValueError(
-            "exactly one of --conditions, --conditions-file, --batch is required")
     # checked once, before any file is read
     config = DecodeConfig(beam_width=args.beam_width, diversity_strength=args.strength,
                           max_len=args.max_len)

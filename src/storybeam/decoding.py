@@ -176,18 +176,14 @@ def select_top_candidates(base_aug: np.ndarray, logprobs: np.ndarray,
     return rows, tokens, scores[top], logprobs[rows, tokens]
 
 
-def _select(beam_aug: Sequence[float], rows: Sequence[ScoreRow], segment: _SegmentOrder,
+def _select(beam_aug: list[float], rows: Sequence[ScoreRow], segment: _SegmentOrder,
             beam_width: int) -> tuple[np.ndarray, ...]:
-    """``expand_and_select`` on summarized rows and a segment's prebuilt order.
+    """``expand_and_select`` on checked inputs and a segment's prebuilt order.
 
-    The decoder's selection step. Also returns the kept candidates' step
-    log-probabilities.
+    The decoder's selection step: ``beam_aug`` holds Python floats below
+    ``+inf``, one per row, as ``beam_search`` builds them. Also returns the
+    kept candidates' step log-probabilities.
     """
-    beam_aug = [float(aug) for aug in beam_aug]
-    if not all(aug < math.inf for aug in beam_aug):
-        raise ValueError("beam aug scores contain NaN or +inf")
-    if len(rows) != len(beam_aug):
-        raise ValueError(f"got {len(rows)} score vectors for {len(beam_aug)} hypotheses")
     floors = [row.floor for row in rows]
     counts = [len(row.ids) for row in rows]
     ids = np.concatenate([row.ids for row in rows] or [_NO_IDS])
@@ -270,6 +266,11 @@ def expand_and_select(beam_aug: Sequence[float],
     check_strength("strength", strength)
     validate_penalty(penalty, len(penalty))
     rows = [summarize(scores, len(penalty)) for scores in scores_per_hypothesis]
+    beam_aug = [float(aug) for aug in beam_aug]
+    if not all(aug < math.inf for aug in beam_aug):
+        raise ValueError("beam aug scores contain NaN or +inf")
+    if len(rows) != len(beam_aug):
+        raise ValueError(f"got {len(rows)} score vectors for {len(beam_aug)} hypotheses")
     return _select(beam_aug, rows, _segment_order(penalty, strength), beam_width)[:3]
 
 
@@ -370,10 +371,7 @@ def inter_sentence_dbs(scorer: Scorer, conditions: Sequence[Condition],
             f"got {len(conditions)} conditions for num_segments={config.num_segments}")
     segments: list[SegmentResult] = []
     for i, condition in enumerate(conditions):
-        if i == 0:
-            penalty = zero_penalty(len(vocab))
-        else:
-            penalty = penalty_fn([seg.best.tokens for seg in segments], vocab)
+        penalty = penalty_fn([seg.best.tokens for seg in segments], vocab) if i else None
         segments.append(beam_search(scorer, condition, vocab, config, penalty))
     return StoryResult(segments=tuple(segments))
 

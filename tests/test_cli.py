@@ -282,6 +282,20 @@ class TestDecode:
         assert (real / "story.json").stat().st_mode == table_path.stat().st_mode
         assert sorted(p.name for p in real.iterdir()) == ["new.json", "story.json"]
 
+    def test_out_mode_follows_the_umask_at_write_time(self, corpus_path, table_path,
+                                                      tmp_path):
+        # the umask changes after storybeam.cli is imported: a mode fixed at import is 0o644
+        model, story = tmp_path / "model.json", tmp_path / "story.json"
+        previous = os.umask(0o077)
+        try:
+            assert main(["train-lm", str(corpus_path), "--min-count", "1",
+                         "--out", str(model)]) == 0
+            assert main(["decode", "--model", str(table_path), "--conditions", "c1",
+                         "--beam-width", "1", "--max-len", "2", "--out", str(story)]) == 0
+        finally:
+            os.umask(previous)
+        assert [path.stat().st_mode & 0o777 for path in (model, story)] == [0o600, 0o600]
+
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs on this platform")
     def test_out_to_a_fifo_writes_into_it(self, table_path, tmp_path):
         fifo = tmp_path / "story.fifo"
@@ -435,6 +449,21 @@ class TestDecode:
         code = main(["decode", "--model", str(table_path),
                      "--conditions", "c1", "--conditions-file", str(conditions)])
         assert code == 2
+
+    @pytest.mark.parametrize("sources, message", [
+        ([], "one of the arguments --conditions --conditions-file --batch is required"),
+        (["--conditions", "c1", "--batch", "missing.txt"],
+         "argument --batch: not allowed with argument --conditions"),
+        (["--conditions", "c1", "--conditions-file", "missing.txt", "--batch", "missing.txt"],
+         "argument --conditions-file: not allowed with argument --conditions"),
+    ], ids=["none", "two", "three"])
+    def test_exactly_one_source_is_parsed(self, tmp_path, capsys, sources, message):
+        # a missing model: the parser rejects the sources before any file is read
+        argv = ["decode", "--model", str(tmp_path / "missing.json"), *sources,
+                "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert f"error: {message}\n" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     def test_decode_with_trained_ngram(self, corpus_path, tmp_path):
         model = tmp_path / "model.yaml"

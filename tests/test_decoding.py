@@ -55,7 +55,7 @@ class TestDecodeConfig:
     def test_cli_decode_defaults_are_the_config_defaults(self):
         # the parser reads the numpy-free module; the decoder's name is the same class
         assert DecodeConfig is config_module.DecodeConfig
-        args = build_parser().parse_args(["decode", "--model", "m"])
+        args = build_parser().parse_args(["decode", "--model", "m", "--conditions", "c"])
         config = DecodeConfig()
         assert (args.beam_width, args.strength, args.max_len) == (
             config.beam_width, config.diversity_strength, config.max_len)
@@ -239,6 +239,49 @@ class TestColumnReduction:
         assert kept["reduced"] > 0
         if strength == 1e-20:  # the penalty rounds away, so penalized segments keep all
             assert kept["all"] > 0
+
+
+class TestSelectInputs:
+    """``beam_search`` hands ``_select`` what ``expand_and_select`` checks for its callers."""
+
+    @staticmethod
+    def checked_rows(monkeypatch) -> list[ScoreRow]:
+        """Patch ``_select`` to check its inputs; returns the rows it saw."""
+        select = decoding._select
+        seen: list[ScoreRow] = []
+
+        def checking(beam_aug, rows, segment, beam_width):
+            assert all(type(aug) is float and aug < math.inf for aug in beam_aug)
+            assert len(rows) == len(beam_aug)
+            seen.extend(rows)
+            return select(beam_aug, rows, segment, beam_width)
+
+        monkeypatch.setattr(decoding, "_select", checking)
+        return seen
+
+    @pytest.mark.parametrize("strength", [0.0, 1e-20, 2.0])
+    def test_random_tables_with_minus_inf_rows(self, monkeypatch, strength):
+        seen = self.checked_rows(monkeypatch)
+        rng = np.random.default_rng(5)
+        conditions = ["c1", "c2", "c3"]
+        for _ in range(40):
+            scorer = random_table_scorer(rng, conditions=tuple(conditions), lattice=True)
+            config = DecodeConfig(beam_width=int(rng.integers(1, 6)),
+                                  diversity_strength=strength, max_len=5,
+                                  num_segments=len(conditions))
+            inter_sentence_dbs(scorer, conditions, scorer.vocab, config)
+        assert any(row.floor == -math.inf for row in seen)
+
+    @pytest.mark.parametrize("strength", [0.0, 1e-20, 2.0])
+    def test_ngram_model(self, monkeypatch, strength):
+        seen = self.checked_rows(monkeypatch)
+        corpus = Corpus.from_text("the cat sat\nthe dog ran\na cat ran away\n")
+        model = train_ngram(corpus, build_vocabulary(corpus, min_count=1), order=2, alpha=0.5)
+        conditions = ["c1", "c2", "c3", "c4"]
+        config = DecodeConfig(beam_width=3, diversity_strength=strength, max_len=6,
+                              num_segments=len(conditions))
+        inter_sentence_dbs(model, conditions, model.vocab, config)
+        assert seen
 
 
 def floor_row(exception: int, read_only: bool = False) -> np.ndarray:
