@@ -17,7 +17,6 @@ from pathlib import Path
 
 from .config import PENALTY_NAMES, DecodeConfig, check_count
 from .corpus import DEFAULT_MIN_COUNT, Corpus, build_vocabulary, split_lines
-from .metrics import diversity_report, report_to_json
 from .ngram import _check_alpha, _check_order, _is_token_list, dump_ngram, train_ngram
 
 EXIT_OK = 0
@@ -193,6 +192,9 @@ def _cmd_decode(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
+    # the only command that reports metrics, so the only one that imports them
+    from .metrics import diversity_report, report_to_json
+
     try:
         doc = json.loads(Path(args.story).read_text(encoding="utf-8"))
     except RecursionError:

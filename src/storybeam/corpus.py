@@ -93,6 +93,9 @@ class Vocabulary:
         self._index: dict[str, int] = {t: i for i, t in enumerate(self._tokens)}
         if len(self._index) != len(self._tokens):
             raise ValueError("vocabulary tokens must be unique")
+        # the id of a token string, KeyError for any other; the dict's own
+        # lookup, so a model loader pays no Python call per token
+        self.id_of = self._index.__getitem__
 
     def __len__(self) -> int:
         return len(self._tokens)

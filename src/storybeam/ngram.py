@@ -6,6 +6,16 @@ Python, so ``train-lm`` never imports numpy. Only scoring a step does:
 ``NGramModel`` summarizes a context as a ``scoring.ScoreRow`` the first
 time it is scored. The table scorer and the scorer contract live in
 ``scoring``, which re-exports the n-gram API.
+
+Loading checks each rule once. ``_parse_document`` owns the syntax (no
+``NaN``, no lone surrogate, bounded nesting). ``ngram_from_dict`` owns the
+document's shape: the four fields, the vocabulary, each count entry's
+types, known tokens and no repeated entry. It maps strings to ids through
+``Vocabulary.id_of``, so every id it makes is in range, and in the same
+pass it checks the rest of ``NGramModel``'s rules on what it maps. A model
+that passes is built without checking again; one that fails goes through
+``NGramModel`` itself, which names the fault. ``NGramModel`` owns those
+rules for every other caller.
 """
 
 from __future__ import annotations
@@ -59,7 +69,10 @@ class NGramModel:
     (finite, > 0, stored as a float, ``alpha * (V - 2)`` finite), contexts
     (``order - 1`` in-range ids), counted tokens (never PAD or BOS) and
     counts (non-negative integers, finite totals once smoothed), then
-    derives ``totals``. Immutable after that; safe for concurrent scoring.
+    derives ``totals``. ``ngram_from_dict`` checks these rules itself while
+    it maps a document, and builds a model that passes with
+    ``_from_checked``, which checks nothing. Immutable after that; safe for
+    concurrent scoring.
 
     ``score_step`` returns one shared ``ScoreRow`` per counted context: the
     floor is the smoothed ``log(alpha / denominator)`` and the exceptions
@@ -81,24 +94,38 @@ class NGramModel:
         _check_order(self.order)
         vocab_size = len(self.vocab)
         object.__setattr__(self, "alpha", _check_alpha(self.alpha, vocab_size))
-        generable = vocab_size - FIRST_GENERABLE_ID
+        smoothing = self.alpha * (vocab_size - FIRST_GENERABLE_ID)
+        width = self.order - 1
         # ``type(x) is int`` rather than isinstance keeps bools out
-        object.__setattr__(self, "totals", {})
+        totals = {}
         for context, bucket in self.counts.items():
-            if not (type(context) is tuple and len(context) == self.order - 1
-                    and all(type(i) is int and 0 <= i < vocab_size for i in context)):
-                raise ValueError(f"context {context!r} must be {self.order - 1} in-range ids")
+            if not (type(context) is tuple and len(context) == width
+                    and all([type(i) is int and 0 <= i < vocab_size for i in context])):
+                raise ValueError(f"context {context!r} must be {width} in-range ids")
+            total = 0
             for token, count in bucket.items():
                 if not (type(token) is int and FIRST_GENERABLE_ID <= token < vocab_size):
                     raise ValueError(f"counted token id {token!r} is PAD, BOS or out of range")
                 if not (type(count) is int and count >= 0):
                     raise ValueError(f"count must be a non-negative integer, got {count!r}")
-            total = self.totals[context] = sum(bucket.values())
-            if not (_is_finite_number(total)
-                    and math.isfinite(total + self.alpha * generable)):
+                total += count
+            if not _finite_once_smoothed(total, smoothing):
                 raise ValueError(
                     f"counts in context {self.vocab.decode(context)!r} overflow "
                     "float range once smoothed")
+            totals[context] = total
+        object.__setattr__(self, "totals", totals)
+
+    @classmethod
+    def _from_checked(cls, order: int, alpha: float, vocab: Vocabulary,
+                      counts: dict[tuple[int, ...], dict[int, int]],
+                      totals: dict[tuple[int, ...], int]) -> NGramModel:
+        """The model of values that already pass every rule above, built without re-checking."""
+        model = cls.__new__(cls)
+        for name, value in (("order", order), ("alpha", alpha), ("vocab", vocab),
+                            ("counts", counts), ("totals", totals), ("_rows", {})):
+            object.__setattr__(model, name, value)
+        return model
 
     def context_for(self, prefix: Sequence[int]) -> tuple[int, ...]:
         if self.order == 1:
@@ -138,6 +165,13 @@ def _log_or_minus_inf(probability: float) -> float:
     score of a token must not depend on the CPU that computed it.
     """
     return math.log(probability) if probability > 0 else -math.inf
+
+
+def _finite_once_smoothed(total: int, smoothing: float) -> bool:
+    try:
+        return math.isfinite(total + smoothing)
+    except OverflowError:  # a total beyond float range
+        return False
 
 
 def _check_order(order) -> None:
@@ -224,6 +258,10 @@ def _is_token_list(value) -> bool:
     return isinstance(value, list) and all(isinstance(t, str) for t in value)
 
 
+def _bad_entry(entry) -> ValueError:
+    return ValueError(f"count entry must be [context tokens, token string, int], got {entry!r}")
+
+
 def ngram_from_dict(doc: dict) -> NGramModel:
     if not isinstance(doc, dict):
         raise ValueError("n-gram model document must be a mapping")
@@ -242,22 +280,43 @@ def ngram_from_dict(doc: dict) -> NGramModel:
     if not isinstance(triples, list):
         raise ValueError(
             f"counts must be a list of [context, token, count], got {type(triples).__name__}")
+    # Strings become ids through the vocabulary's index, so every id is an
+    # in-range int; the rest of NGramModel's rules are checked here, once.
+    width = order - 1 if type(order) is int else None
+    id_of = vocab.id_of
     counts: dict[tuple[int, ...], dict[int, int]] = {}
+    totals: dict[tuple[int, ...], int] = {}
+    fits = True  # every context is order - 1 ids, every target generable, every count >= 0
     for entry in triples:
-        if not (isinstance(entry, list) and len(entry) == 3 and _is_token_list(entry[0])
-                and isinstance(entry[1], str) and type(entry[2]) is int):
-            raise ValueError(f"count entry must be [context tokens, token string, int], "
-                             f"got {entry!r}")
+        if not (isinstance(entry, list) and len(entry) == 3):
+            raise _bad_entry(entry)
         context_tokens, token, count = entry
-        for tok in context_tokens + [token]:
-            if tok not in vocab:
-                raise ValueError(f"token {tok!r} is not in the model vocabulary")
-        bucket = counts.setdefault(tuple(vocab.token_to_id(t) for t in context_tokens), {})
-        target = vocab.token_to_id(token)
+        if not (isinstance(context_tokens, list) and isinstance(token, str)
+                and type(count) is int):
+            raise _bad_entry(entry)
+        try:
+            context = tuple(map(id_of, context_tokens))
+            target = id_of(token)
+        except (KeyError, TypeError):  # an unknown token, or a context item that is no string
+            if not _is_token_list(context_tokens):
+                raise _bad_entry(entry) from None
+            unknown = next(t for t in context_tokens + [token] if t not in vocab)
+            raise ValueError(f"token {unknown!r} is not in the model vocabulary") from None
+        bucket = counts.setdefault(context, {})
         if target in bucket:
             # summing would let a negative count hide behind a positive one
             raise ValueError(f"count entry {entry!r} repeats an earlier context and token")
         bucket[target] = count
+        totals[context] = totals.get(context, 0) + count
+        if len(context) != width or target < FIRST_GENERABLE_ID or count < 0:
+            fits = False
+    _check_order(order)
+    alpha = _check_alpha(alpha, len(vocab))
+    # totals are >= 0 once every count is, so the largest overflows first
+    if fits and _finite_once_smoothed(max(totals.values(), default=0),
+                                      alpha * (len(vocab) - FIRST_GENERABLE_ID)):
+        return NGramModel._from_checked(order, alpha, vocab, counts, totals)
+    # construction names the first context at fault, as for any caller
     return NGramModel(order=order, alpha=alpha, vocab=vocab, counts=counts)
 
 
@@ -287,7 +346,8 @@ def _parse_json(text: str) -> dict | None:
         return None
     except RecursionError:
         raise ValueError("malformed model document: nested too deeply") from None
-    if _SURROGATE.search(text):
+    # a surrogate is a raw non-ASCII character or a \u escape: skip the scan without either
+    if not (text.isascii() and "\\u" not in text) and _SURROGATE.search(text):
         # raises UnicodeEncodeError on a lone surrogate, as libyaml does
         json.dumps(doc, ensure_ascii=False).encode("utf-8")
     return doc

@@ -1,21 +1,31 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
 
 import storybeam
 from storybeam import diversity
 from storybeam.cli import main
 from storybeam.config import DecodeConfig, check_count
-from storybeam.corpus import Corpus, build_vocabulary
+from storybeam.corpus import (
+    FIRST_GENERABLE_ID,
+    SPECIAL_TOKENS,
+    Corpus,
+    Vocabulary,
+    build_vocabulary,
+)
 from storybeam.ngram import MAX_ORDER, NGramModel, _check_order
-from storybeam.scoring import dense_row, load_ngram, ngram_to_dict
+from storybeam.scoring import dense_row, load_ngram, load_scorer, ngram_to_dict
 
 from conftest import run_python
 
@@ -129,6 +139,200 @@ def test_train_lm_checks_settings_before_reading_the_corpus(tmp_path, capsys, co
             "--out", str(tmp_path / "m.json")]
     assert main(argv) == 2
     assert f"error: {expected.value}\n" in capsys.readouterr().err
+
+
+def ngram_document(**fields) -> str:
+    """A JSON n-gram model over ``a`` and ``b``, with ``fields`` replaced; None drops one."""
+    doc = {"order": 2, "alpha": 1.0, "vocab": ["<pad>", "<bos>", "<eos>", "<unk>", "a", "b"],
+           "counts": [[["<bos>"], "a", 3], [["a"], "b", 1]]}
+    doc.update(fields)
+    return json.dumps({key: value for key, value in doc.items() if value is not None})
+
+
+# (n-gram model document, the whole message decode prints for it); one rule broken each
+BAD_NGRAM_DOCUMENTS = {
+    "missing-field": (ngram_document(counts=None),
+                      "n-gram model document is missing field 'counts'"),
+    "vocab-not-a-list": (ngram_document(vocab="ab"), "vocab must be a list of token strings"),
+    "no-special-tokens": (ngram_document(vocab=["a", "b"]),
+                          "model vocab must start with the special tokens "
+                          "('<pad>', '<bos>', '<eos>', '<unk>')"),
+    "reordered-special-tokens": (
+        ngram_document(vocab=["<bos>", "<pad>", "<eos>", "<unk>", "a", "b"]),
+        "model vocab must start with the special tokens ('<pad>', '<bos>', '<eos>', '<unk>')"),
+    "repeated-vocab-token": (ngram_document(vocab=["<pad>", "<bos>", "<eos>", "<unk>", "a", "a"]),
+                             "vocabulary tokens must be unique"),
+    "counts-not-a-list": (ngram_document(counts={"a": 1}),
+                          "counts must be a list of [context, token, count], got dict"),
+    "entry-not-a-triple": (ngram_document(counts=[[["a"], "b"]]),
+                           "count entry must be [context tokens, token string, int], "
+                           "got [['a'], 'b']"),
+    "context-not-a-list": (ngram_document(counts=[["a", "b", 1]]),
+                           "count entry must be [context tokens, token string, int], "
+                           "got ['a', 'b', 1]"),
+    "unknown-context-token": (ngram_document(counts=[[["zebra"], "a", 1]]),
+                              "token 'zebra' is not in the model vocabulary"),
+    "unknown-target": (ngram_document(counts=[[["a"], "zebra", 1]]),
+                       "token 'zebra' is not in the model vocabulary"),
+    "repeated-context-and-token": (ngram_document(counts=[[["a"], "b", 1], [["a"], "b", 1]]),
+                                   "count entry [['a'], 'b', 1] repeats an earlier context "
+                                   "and token"),
+    "negative-count": (ngram_document(counts=[[["a"], "b", -1]]),
+                       "count must be a non-negative integer, got -1"),
+    "bool-count": (ngram_document(counts=[[["a"], "b", True]]),
+                   "count entry must be [context tokens, token string, int], "
+                   "got [['a'], 'b', True]"),
+    "float-count": (ngram_document(counts=[[["a"], "b", 1.0]]),
+                    "count entry must be [context tokens, token string, int], "
+                    "got [['a'], 'b', 1.0]"),
+    "pad-target": (ngram_document(counts=[[["a"], "<pad>", 1]]),
+                   "counted token id 0 is PAD, BOS or out of range"),
+    "bos-target": (ngram_document(counts=[[["a"], "<bos>", 1]]),
+                   "counted token id 1 is PAD, BOS or out of range"),
+    "short-context": (ngram_document(counts=[[[], "b", 1]]), "context () must be 1 in-range ids"),
+    "long-context": (ngram_document(counts=[[["a", "b"], "b", 1]]),
+                     "context (4, 5) must be 1 in-range ids"),
+    "overflowing-total": (ngram_document(counts=[[["a"], "a", 10 ** 308], [["a"], "b", 10 ** 308]]),
+                          "counts in context ['a'] overflow float range once smoothed"),
+    "order-zero": (ngram_document(order=0), "order must be an integer from 1 to 1024, got 0"),
+    "order-too-large": (ngram_document(order=MAX_ORDER + 1),
+                        "order must be an integer from 1 to 1024, got 1025"),
+    "order-not-an-int": (ngram_document(order=2.0),
+                         "order must be an integer from 1 to 1024, got 2.0"),
+    "alpha-zero": (ngram_document(alpha=0), "alpha must be a finite number > 0, got 0"),
+    "alpha-not-a-number": (ngram_document(alpha="1"),
+                           "alpha must be a finite number > 0, got '1'"),
+    "alpha-overflows": (ngram_document(alpha=1e308),
+                        "alpha must keep alpha * 4 generable tokens finite, got 1e+308"),
+}
+
+
+@pytest.mark.parametrize("text, message", BAD_NGRAM_DOCUMENTS.values(),
+                         ids=BAD_NGRAM_DOCUMENTS.keys())
+def test_bad_ngram_document_exits_2_with_its_message(tmp_path, capsys, text, message):
+    model, out = tmp_path / "lm.json", tmp_path / "story.json"
+    model.write_text(text, encoding="utf-8")
+    assert main(["decode", "--model", str(model), "--conditions", "c1",
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"storybeam decode: error: {message}\n")
+    assert not out.exists()
+
+
+def test_good_ngram_document_decodes(tmp_path):
+    model, out = tmp_path / "lm.json", tmp_path / "story.json"
+    model.write_text(ngram_document(), encoding="utf-8")
+    assert main(["decode", "--model", str(model), "--conditions", "c1", "--out", str(out)]) == 0
+    assert json.loads(out.read_text(encoding="utf-8"))["segments"][0]["tokens"]
+
+
+LM_TOKENS = ["a", "b", "c"]
+ANY_JSON = st.one_of(st.none(), st.booleans(), st.integers(-2, 3), st.floats(-1, 3),
+                     st.text(max_size=3), st.lists(st.integers(0, 3), max_size=2),
+                     st.dictionaries(st.text(max_size=2), st.integers(), max_size=2))
+# faults only NGramModel's rules catch, and faults the loader's own rules catch
+MODEL_FAULTS = ["order", "alpha", "context-length", "pad-or-bos-target", "count"]
+DOCUMENT_FAULTS = ["drop-field", "retype-field", "bad-entry", "repeat-entry",
+                   "unknown-token", "bad-vocab"]
+
+
+@st.composite
+def ngram_documents(draw):
+    """``(doc, well_formed)``: an n-gram model document with up to two faults NGramModel
+    catches, and whether it also keeps the loader's own rules (fields present, vocab and
+    count entries well-formed, tokens known, no entry repeated)."""
+    vocab = list(SPECIAL_TOKENS) + draw(st.lists(st.sampled_from(LM_TOKENS), unique=True))
+    order = draw(st.integers(1, 3))
+    context = st.lists(st.sampled_from(vocab), min_size=order - 1, max_size=order - 1)
+    target = st.sampled_from(vocab[FIRST_GENERABLE_ID:])
+    count = st.integers(0, 9)
+    entries = draw(st.lists(st.tuples(context, target, count), max_size=5))
+    doc = {"order": order, "alpha": draw(st.floats(1e-3, 4)), "vocab": vocab}
+    for fault in draw(st.lists(st.sampled_from(MODEL_FAULTS), max_size=2)):
+        if fault == "order":
+            doc["order"] = draw(st.one_of(st.integers(-1, 4), ANY_JSON, st.sampled_from(
+                [MAX_ORDER, MAX_ORDER + 1, 10 ** 400])))
+        elif fault == "alpha":
+            doc["alpha"] = draw(st.one_of(st.sampled_from([0, -1, 1e300, 1e308]), ANY_JSON))
+        elif fault == "context-length":
+            entries.append((draw(st.lists(st.sampled_from(vocab), max_size=3)), draw(target),
+                            draw(count)))
+        elif fault == "pad-or-bos-target":
+            entries.append((draw(context), draw(st.sampled_from(vocab[:FIRST_GENERABLE_ID])),
+                            draw(count)))
+        else:
+            entries.append((draw(context), draw(target), draw(st.one_of(
+                st.integers(max_value=-1), st.sampled_from([10 ** 308, 10 ** 400])))))
+    # any order of entries, each context and token once
+    unique = {(tuple(c), t): [c, t, n] for c, t, n in entries}
+    doc["counts"] = draw(st.permutations(list(unique.values())))
+    fault = draw(st.sampled_from([None] * len(DOCUMENT_FAULTS) + DOCUMENT_FAULTS))
+    if fault == "drop-field":
+        del doc[draw(st.sampled_from(sorted(doc)))]
+    elif fault == "retype-field":
+        doc[draw(st.sampled_from(["vocab", "counts"]))] = draw(ANY_JSON)
+    elif fault == "bad-entry":
+        c, t, n = draw(context), draw(target), draw(count)
+        doc["counts"].append(draw(st.sampled_from([
+            [c, t], [c, t, n, 0], ["".join(c), t, n], [c + [0], t, n], [c, [t], n],
+            [c, t, 1.0], [c, t, True], n])))
+    elif fault == "repeat-entry":
+        c, t = draw(context), draw(target)
+        doc["counts"] += [[c, t, draw(count)], [c, t, draw(st.integers(-2, 9))]]
+    elif fault == "unknown-token":
+        doc["counts"].append(draw(st.sampled_from([[["zebra"], "a", 1], [[], "zebra", 1]])))
+    elif fault == "bad-vocab":
+        doc["vocab"] = draw(st.sampled_from([
+            LM_TOKENS, vocab + vocab[-1:], vocab + [3], vocab + [""], vocab[1:]]))
+    return doc, fault is None
+
+
+def directly_built(doc) -> NGramModel:
+    """``NGramModel`` over ``doc``'s counts, mapped to ids here rather than by the loader."""
+    vocab = Vocabulary(doc["vocab"][len(SPECIAL_TOKENS):])
+    counts = {}
+    for context, token, count in doc["counts"]:
+        ids = tuple(vocab.token_to_id(t) for t in context)
+        counts.setdefault(ids, {})[vocab.token_to_id(token)] = count
+    return NGramModel(order=doc["order"], alpha=doc["alpha"], vocab=vocab, counts=counts)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ngram_documents())
+def test_any_ngram_document_loads_as_built_directly_or_exits_2(document):
+    doc, well_formed = document
+    text = json.dumps(doc)
+    try:
+        loaded = load_scorer(text)
+        error = None
+    except ValueError as exc:
+        error = str(exc)
+    if well_formed:
+        # construction owns every rule the loader leaves: same model, or same message
+        try:
+            direct = directly_built(doc)
+        except ValueError as exc:
+            assert error == str(exc)
+        else:
+            assert error is None
+            assert vars(loaded) == vars(direct)
+            assert type(loaded.alpha) is float
+    elif error is None:
+        assert vars(loaded) == vars(directly_built(doc))
+    with tempfile.TemporaryDirectory() as work:
+        model, out = Path(work) / "lm.json", Path(work) / "story.json"
+        model.write_text(text, encoding="utf-8")
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = main(["decode", "--model", str(model), "--conditions", "c1", "c2",
+                         "--beam-width", "2", "--max-len", "3", "--out", str(out)])
+        if error is None:
+            assert code == 0, stderr.getvalue()
+            assert json.loads(out.read_text(encoding="utf-8"))["segments"]
+        else:
+            assert code == 2
+            assert stderr.getvalue() == f"storybeam decode: error: {error}\n"
+            assert not out.exists()
 
 
 class TestTrainLm:
@@ -443,20 +647,15 @@ class TestDecode:
         doc = json.loads(out.read_text(encoding="utf-8"))
         assert [seg["condition"] for seg in doc["segments"]] == ["c1", "c2", "c3"]
 
-    def test_conditions_sources_are_exclusive(self, table_path, tmp_path, capsys):
-        conditions = tmp_path / "conds.txt"
-        conditions.write_text("c1\n", encoding="utf-8")
-        code = main(["decode", "--model", str(table_path),
-                     "--conditions", "c1", "--conditions-file", str(conditions)])
-        assert code == 2
-
     @pytest.mark.parametrize("sources, message", [
         ([], "one of the arguments --conditions --conditions-file --batch is required"),
+        (["--conditions", "c1", "--conditions-file", "missing.txt"],
+         "argument --conditions-file: not allowed with argument --conditions"),
         (["--conditions", "c1", "--batch", "missing.txt"],
          "argument --batch: not allowed with argument --conditions"),
         (["--conditions", "c1", "--conditions-file", "missing.txt", "--batch", "missing.txt"],
          "argument --conditions-file: not allowed with argument --conditions"),
-    ], ids=["none", "two", "three"])
+    ], ids=["none", "conditions-and-file", "two", "three"])
     def test_exactly_one_source_is_parsed(self, tmp_path, capsys, sources, message):
         # a missing model: the parser rejects the sources before any file is read
         argv = ["decode", "--model", str(tmp_path / "missing.json"), *sources,
@@ -750,6 +949,28 @@ class TestUsage:
         reports = [line for line in result.stdout.splitlines()
                    if line.startswith("numpy loaded:")]
         assert reports == ["numpy loaded: False"] * 4
+
+    # only eval reports metrics
+    def test_help_train_lm_and_decode_never_import_metrics(self, corpus_path, tmp_path):
+        model, story = tmp_path / "model.json", tmp_path / "story.json"
+        result = run_python(
+            "import sys\n"
+            "def report(): print('metrics loaded:', 'storybeam.metrics' in sys.modules)\n"
+            "from storybeam.cli import main\n"
+            "report()\n"
+            "assert main(['--help']) == 0\n"
+            "report()\n"
+            f"assert main(['train-lm', {str(corpus_path)!r}, '--out', {str(model)!r}]) == 0\n"
+            "report()\n"
+            f"assert main(['decode', '--model', {str(model)!r}, '--conditions', 'c1', 'c2',"
+            f" '--out', {str(story)!r}]) == 0\n"
+            "report()\n"
+            f"assert main(['eval', {str(story)!r}]) == 0\n"
+            "report()\n")
+        assert result.returncode == 0, result.stderr
+        reports = [line for line in result.stdout.splitlines()
+                   if line.startswith("metrics loaded:")]
+        assert reports == ["metrics loaded: False"] * 4 + ["metrics loaded: True"]
 
     def test_decode_help_offers_every_registered_penalty(self, capsys):
         assert main(["decode", "--help"]) == 0
