@@ -12,7 +12,6 @@ import dataclasses
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .config import PENALTY_NAMES, DecodeConfig, check_count
@@ -143,6 +142,9 @@ def _cmd_decode(args: argparse.Namespace) -> int:
         return story_to_json(result, vocab)
 
     if args.batch is not None:
+        # only --batch runs a thread pool, so only --batch imports one
+        from concurrent.futures import ThreadPoolExecutor
+
         if not args.out:
             raise ValueError("--batch requires --out to name an output directory")
         stories = [(line_no, line.split())

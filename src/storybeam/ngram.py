@@ -7,15 +7,14 @@ Python, so ``train-lm`` never imports numpy. Only scoring a step does:
 time it is scored. The table scorer and the scorer contract live in
 ``scoring``, which re-exports the n-gram API.
 
-Loading checks each rule once. ``_parse_document`` owns the syntax (no
-``NaN``, no lone surrogate, bounded nesting). ``ngram_from_dict`` owns the
-document's shape: the four fields, the vocabulary, each count entry's
-types, known tokens and no repeated entry. It maps strings to ids through
-``Vocabulary.id_of``, so every id it makes is in range, and in the same
-pass it checks the rest of ``NGramModel``'s rules on what it maps. A model
-that passes is built without checking again; one that fails goes through
-``NGramModel`` itself, which names the fault. ``NGramModel`` owns those
-rules for every other caller.
+Loading checks each rule once, in the rule's one owner. ``_parse_document``
+owns the syntax (no ``NaN``, no lone surrogate, bounded nesting).
+``ngram_from_dict`` owns the document's rules: the four fields, the vocab
+list and its special tokens, each count entry's shape and types, known
+tokens and no repeated entry. It maps strings to ids through
+``Vocabulary.id_of`` and builds the model with ``NGramModel(...)``, which
+owns the model's rules for every caller: trained, loaded or built
+directly, no model skips them.
 """
 
 from __future__ import annotations
@@ -69,10 +68,9 @@ class NGramModel:
     (finite, > 0, stored as a float, ``alpha * (V - 2)`` finite), contexts
     (``order - 1`` in-range ids), counted tokens (never PAD or BOS) and
     counts (non-negative integers, finite totals once smoothed), then
-    derives ``totals``. ``ngram_from_dict`` checks these rules itself while
-    it maps a document, and builds a model that passes with
-    ``_from_checked``, which checks nothing. Immutable after that; safe for
-    concurrent scoring.
+    derives ``totals``. ``train_ngram``, ``ngram_from_dict`` and direct
+    callers all build through these checks; no constructor skips them.
+    Immutable after that; safe for concurrent scoring.
 
     ``score_step`` returns one shared ``ScoreRow`` per counted context: the
     floor is the smoothed ``log(alpha / denominator)`` and the exceptions
@@ -99,33 +97,26 @@ class NGramModel:
         # ``type(x) is int`` rather than isinstance keeps bools out
         totals = {}
         for context, bucket in self.counts.items():
-            if not (type(context) is tuple and len(context) == width
-                    and all([type(i) is int and 0 <= i < vocab_size for i in context])):
+            if not (type(context) is tuple and len(context) == width):
                 raise ValueError(f"context {context!r} must be {width} in-range ids")
-            total = 0
+            for i in context:
+                if not (type(i) is int and 0 <= i < vocab_size):
+                    raise ValueError(f"context {context!r} must be {width} in-range ids")
             for token, count in bucket.items():
                 if not (type(token) is int and FIRST_GENERABLE_ID <= token < vocab_size):
                     raise ValueError(f"counted token id {token!r} is PAD, BOS or out of range")
                 if not (type(count) is int and count >= 0):
                     raise ValueError(f"count must be a non-negative integer, got {count!r}")
-                total += count
-            if not _finite_once_smoothed(total, smoothing):
+            total = totals[context] = sum(bucket.values())
+            try:
+                finite = math.isfinite(total + smoothing)
+            except OverflowError:  # a total beyond float range
+                finite = False
+            if not finite:
                 raise ValueError(
                     f"counts in context {self.vocab.decode(context)!r} overflow "
                     "float range once smoothed")
-            totals[context] = total
         object.__setattr__(self, "totals", totals)
-
-    @classmethod
-    def _from_checked(cls, order: int, alpha: float, vocab: Vocabulary,
-                      counts: dict[tuple[int, ...], dict[int, int]],
-                      totals: dict[tuple[int, ...], int]) -> NGramModel:
-        """The model of values that already pass every rule above, built without re-checking."""
-        model = cls.__new__(cls)
-        for name, value in (("order", order), ("alpha", alpha), ("vocab", vocab),
-                            ("counts", counts), ("totals", totals), ("_rows", {})):
-            object.__setattr__(model, name, value)
-        return model
 
     def context_for(self, prefix: Sequence[int]) -> tuple[int, ...]:
         if self.order == 1:
@@ -165,13 +156,6 @@ def _log_or_minus_inf(probability: float) -> float:
     score of a token must not depend on the CPU that computed it.
     """
     return math.log(probability) if probability > 0 else -math.inf
-
-
-def _finite_once_smoothed(total: int, smoothing: float) -> bool:
-    try:
-        return math.isfinite(total + smoothing)
-    except OverflowError:  # a total beyond float range
-        return False
 
 
 def _check_order(order) -> None:
@@ -215,11 +199,13 @@ def train_ngram(corpus: Corpus, vocab: Vocabulary, order: int, alpha: float) -> 
 
 
 def ngram_to_dict(model: NGramModel) -> dict:
+    # construction checked every id, so they index the token list directly
+    tokens = model.vocab.tokens
     triples = []
     for context, bucket in model.counts.items():
-        context_tokens = model.vocab.decode(context)
+        context_tokens = [tokens[i] for i in context]
         for token, count in bucket.items():
-            triples.append([context_tokens, model.vocab.id_to_token(token), count])
+            triples.append([context_tokens, tokens[token], count])
     triples.sort(key=lambda t: (t[0], t[1]))
     return {
         "order": model.order,
@@ -280,13 +266,9 @@ def ngram_from_dict(doc: dict) -> NGramModel:
     if not isinstance(triples, list):
         raise ValueError(
             f"counts must be a list of [context, token, count], got {type(triples).__name__}")
-    # Strings become ids through the vocabulary's index, so every id is an
-    # in-range int; the rest of NGramModel's rules are checked here, once.
-    width = order - 1 if type(order) is int else None
+    # strings become ids through the vocabulary's own index; NGramModel checks the ids
     id_of = vocab.id_of
     counts: dict[tuple[int, ...], dict[int, int]] = {}
-    totals: dict[tuple[int, ...], int] = {}
-    fits = True  # every context is order - 1 ids, every target generable, every count >= 0
     for entry in triples:
         if not (isinstance(entry, list) and len(entry) == 3):
             raise _bad_entry(entry)
@@ -307,16 +289,6 @@ def ngram_from_dict(doc: dict) -> NGramModel:
             # summing would let a negative count hide behind a positive one
             raise ValueError(f"count entry {entry!r} repeats an earlier context and token")
         bucket[target] = count
-        totals[context] = totals.get(context, 0) + count
-        if len(context) != width or target < FIRST_GENERABLE_ID or count < 0:
-            fits = False
-    _check_order(order)
-    alpha = _check_alpha(alpha, len(vocab))
-    # totals are >= 0 once every count is, so the largest overflows first
-    if fits and _finite_once_smoothed(max(totals.values(), default=0),
-                                      alpha * (len(vocab) - FIRST_GENERABLE_ID)):
-        return NGramModel._from_checked(order, alpha, vocab, counts, totals)
-    # construction names the first context at fault, as for any caller
     return NGramModel(order=order, alpha=alpha, vocab=vocab, counts=counts)
 
 

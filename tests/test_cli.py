@@ -335,6 +335,126 @@ def test_any_ngram_document_loads_as_built_directly_or_exits_2(document):
             assert not out.exists()
 
 
+def run_main(argv: list[str]) -> tuple[int, str, str]:
+    """``main(argv)`` in this process: its exit code, stdout and stderr."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+def assert_one_error_line(command: str, stderr: str) -> None:
+    errors = [line for line in stderr.splitlines()
+              if line.startswith(f"storybeam {command}: error: ")]
+    assert len(errors) == 1, stderr
+
+
+CORPUS_WORDS = [b"the", b"Cat", b"sat", b"<pad>", b"<BOS>", b"<eos>", b"<Unk>", b"<unk>s",
+                "café".encode(), "\U0001f600".encode()]
+CORPUS_SPACES = [b" ", b"\t", b"\x0c", b"\x0b", "\u2028".encode(), "\u0085".encode()]
+CORPUS_LINE_ENDS = [b"\n", b"\r", b"\r\n"]
+NOT_UTF8 = [b"\xff", b"\xc3", b"\xed\xa0\x80"]
+# (command-line value, whether it keeps the setting's rule); None leaves the default
+TRAIN_SETTINGS = {
+    "--order": [(None, True), ("1", True), ("3", True), (str(MAX_ORDER), True), ("0", False),
+                ("-1", False), (str(MAX_ORDER + 1), False), ("2.5", False)],
+    "--alpha": [(None, True), ("0.01", True), ("5e-324", True), ("0", False), ("-1", False),
+                ("nan", False), ("inf", False), ("1e308", False), ("x", False)],
+    "--min-count": [(None, True), ("1", True), ("3", True), ("0", False), ("-2", False),
+                    ("1.5", False)],
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(corpus=st.lists(st.sampled_from(CORPUS_WORDS + CORPUS_SPACES + CORPUS_LINE_ENDS
+                                        + NOT_UTF8), max_size=30),
+       chosen=st.fixed_dictionaries({flag: st.sampled_from(values)
+                                     for flag, values in TRAIN_SETTINGS.items()}))
+def test_any_train_lm_input_exits_0_with_a_loadable_model_or_2(corpus, chosen):
+    data = b"".join(corpus)
+    try:
+        has_words = bool(data.decode("utf-8").split())
+    except UnicodeDecodeError:
+        has_words = False
+    with tempfile.TemporaryDirectory() as work:
+        corpus_file, out = Path(work) / "corpus.txt", Path(work) / "lm.json"
+        corpus_file.write_bytes(data)
+        argv = ["train-lm", str(corpus_file), "--out", str(out)]
+        argv += [f"{flag}={value}" for flag, (value, _) in chosen.items() if value is not None]
+        code, stdout, stderr = run_main(argv)
+        # V >= 4, so 1e308 * (V - 2) always overflows and the other alphas never do
+        assert code == (0 if has_words and all(ok for _, ok in chosen.values()) else 2), stderr
+        if code == 0:
+            model = load_scorer(out.read_text(encoding="utf-8"))
+            assert f"contexts: {len(model.counts)}\n" in stdout
+        else:
+            assert_one_error_line("train-lm", stderr)
+            assert sorted(os.listdir(work)) == ["corpus.txt"]
+
+
+def story_segments(good: bool):
+    words = st.sampled_from(["a", "b", "<eos>", "<unk>", "", "\ud800"])
+    if good:
+        return st.lists(st.fixed_dictionaries({"tokens": st.lists(words, max_size=4)},
+                                              optional={"text": st.text(max_size=2)}),
+                        max_size=4)
+    bad_tokens = st.one_of(ANY_JSON.filter(lambda v: not isinstance(v, list)),
+                           st.lists(st.one_of(words, ANY_JSON), min_size=1, max_size=3)
+                           .filter(lambda v: not all(isinstance(t, str) for t in v)))
+    bad_segment = st.one_of(ANY_JSON.filter(lambda v: not isinstance(v, dict)),
+                            st.fixed_dictionaries({}, optional={"text": st.text(max_size=2)}),
+                            st.fixed_dictionaries({"tokens": bad_tokens}))
+    return st.one_of(ANY_JSON.filter(lambda v: not isinstance(v, list)),
+                     st.lists(bad_segment, min_size=1, max_size=3))
+
+
+@st.composite
+def story_files(draw):
+    """``(bytes, good)``: a story file, and whether eval must accept it."""
+    if draw(st.booleans()):
+        doc = {"segments": draw(story_segments(True)), "story": draw(st.text(max_size=3))}
+        return json.dumps(doc).encode(), True
+    kind = draw(st.sampled_from(["bad-segments", "no-segments", "not-a-mapping", "empty",
+                                 "deep", "not-utf8"]))
+    if kind == "bad-segments":
+        data = json.dumps({"segments": draw(story_segments(False))})
+    elif kind == "no-segments":
+        data = json.dumps(draw(st.dictionaries(st.sampled_from(["story", "tokens"]), ANY_JSON)))
+    elif kind == "not-a-mapping":
+        data = json.dumps(draw(ANY_JSON.filter(lambda v: not isinstance(v, dict))))
+    elif kind == "empty":
+        data = ""
+    elif kind == "deep":
+        depth = draw(st.sampled_from([3, 50, 5000]))
+        data = draw(st.sampled_from(['{"segments": %s}', '{"segments": [{"tokens": %s}]}']))
+        data %= "[" * depth + "]" * depth
+    else:
+        good = json.dumps({"segments": draw(story_segments(True))}).encode()
+        cut = draw(st.integers(0, len(good)))
+        return good[:cut] + draw(st.sampled_from(NOT_UTF8)) + good[cut:], False
+    return data.encode(), False
+
+
+@settings(max_examples=150, deadline=None)
+@given(story_files())
+def test_any_story_file_evaluates_to_strict_json_or_exits_2(story):
+    data, good = story
+    with tempfile.NamedTemporaryFile(suffix=".json") as handle:
+        handle.write(data)
+        handle.flush()
+        code, stdout, stderr = run_main(["eval", handle.name])
+    assert code == (0 if good else 2), stderr
+    if code == 0:
+        report = json.loads(stdout, parse_constant=lambda name: pytest.fail(name))
+        assert list(report) == ["distinct_1", "distinct_2", "mean_pairwise_jaccard",
+                                "repeated_segment_pairs"]
+        assert all(0 <= report[key] <= 1 for key in list(report)[:3])
+        assert type(report["repeated_segment_pairs"]) is int
+    else:
+        assert stdout == ""
+        assert_one_error_line("eval", stderr)
+
+
 class TestTrainLm:
     def test_trains_and_round_trips(self, corpus_path, tmp_path, capsys):
         out = tmp_path / "model.yaml"
@@ -971,6 +1091,31 @@ class TestUsage:
         reports = [line for line in result.stdout.splitlines()
                    if line.startswith("metrics loaded:")]
         assert reports == ["metrics loaded: False"] * 4 + ["metrics loaded: True"]
+
+    # only --batch runs stories on a thread pool
+    def test_help_train_lm_and_single_decode_never_import_the_thread_pool(self, corpus_path,
+                                                                         tmp_path):
+        model, story, batch = tmp_path / "model.json", tmp_path / "story.json", tmp_path / "b.txt"
+        batch.write_text("c1 c2\n", encoding="utf-8")
+        result = run_python(
+            "import sys\n"
+            "def report(): print('pool loaded:', 'concurrent.futures' in sys.modules)\n"
+            "from storybeam.cli import main\n"
+            "report()\n"
+            "assert main(['--help']) == 0\n"
+            "report()\n"
+            f"assert main(['train-lm', {str(corpus_path)!r}, '--out', {str(model)!r}]) == 0\n"
+            "report()\n"
+            f"assert main(['decode', '--model', {str(model)!r}, '--conditions', 'c1', 'c2',"
+            f" '--out', {str(story)!r}]) == 0\n"
+            "report()\n"
+            f"assert main(['decode', '--model', {str(model)!r}, '--batch', {str(batch)!r},"
+            f" '--out', {str(tmp_path / 'stories')!r}]) == 0\n"
+            "report()\n")
+        assert result.returncode == 0, result.stderr
+        reports = [line for line in result.stdout.splitlines()
+                   if line.startswith("pool loaded:")]
+        assert reports == ["pool loaded: False"] * 4 + ["pool loaded: True"]
 
     def test_decode_help_offers_every_registered_penalty(self, capsys):
         assert main(["decode", "--help"]) == 0
