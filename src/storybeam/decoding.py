@@ -186,23 +186,23 @@ def _select(beam_aug: list[float], rows: Sequence[ScoreRow], segment: _SegmentOr
     """
     floors = [row.floor for row in rows]
     counts = [len(row.ids) for row in rows]
-    ids = np.concatenate([row.ids for row in rows] or [_NO_IDS])
+    ids = [token for row in rows for token in row.ids]
 
     columns = _columns_that_can_win(beam_aug, floors, ids, max(counts, default=0), segment,
                                     beam_width)
     # each row of the kernel's matrix is its floor, but at its exceptions
     matrix = np.empty((len(rows), len(columns)))
     matrix.T[...] = floors
-    if len(ids):
+    if ids:
         matrix[np.arange(len(rows)).repeat(counts), np.searchsorted(columns, ids)] = \
-            np.concatenate([row.values for row in rows])
+            [value for row in rows for value in row.values]
     positions, tokens, augs, logprobs = select_top_candidates(
         np.array(beam_aug), matrix, segment.penalty[columns], segment.strength,
         np.arange(len(rows)), _NO_CARRY, _NO_IDS, beam_width)
     return positions, columns[tokens], augs, logprobs
 
 
-def _columns_that_can_win(beam_aug: list[float], floors: list[float], ids: np.ndarray,
+def _columns_that_can_win(beam_aug: list[float], floors: list[float], ids: list[int],
                           most: int, segment: _SegmentOrder, beam_width: int) -> np.ndarray:
     """The columns that hold the exact top B, ascending.
 

@@ -10,19 +10,19 @@ same contract:
 * PAD and BOS get ``-inf`` (they are structural, never generated),
 * the probabilities of the remaining tokens sum to 1,
 * identical arguments always produce identical rows,
-* a row may be shared and read-only: callers must not write into it.
+* a row may be shared: a ``ScoreRow`` holds tuples and cannot be written,
+  and callers must not write into a dense row.
 
 The decoder passes every row through ``summarize`` as it receives it, and
 ``dense_row`` expands a ``ScoreRow`` where a dense vector is needed.
 
 Two concrete scorers ship, and both return ``ScoreRow``s: a
-Laplace-smoothed n-gram model trained from a corpus (``ngram``,
-re-exported here, which counts and reads models without numpy), and the
-table scorer defined here, driven by explicit probability rows (useful
-for tests, demos, and hand-constructed fixtures). The condition argument
-is an opaque non-empty string naming the conditioning input of one
-segment; the n-gram model ignores it, the table scorer may dispatch on
-it.
+Laplace-smoothed n-gram model trained from a corpus (``ngram``, which
+counts and reads models without numpy), and the table scorer defined
+here, driven by explicit probability rows (useful for tests, demos, and
+hand-constructed fixtures). The condition argument is an opaque
+non-empty string naming the conditioning input of one segment; the
+n-gram model ignores it, the table scorer may dispatch on it.
 """
 
 from __future__ import annotations
@@ -44,23 +44,25 @@ from .corpus import (
     SPECIAL_TOKENS,
     Vocabulary,
 )
-from .ngram import (  # noqa: F401 - storybeam.scoring keeps naming the n-gram API
-    NGramModel,
-    _check_step_args,
-    _is_token_list,
-    _log_or_minus_inf,
-    _parse_document,
-    dump_ngram,
-    load_ngram,
-    ngram_from_dict,
-    ngram_to_dict,
-    train_ngram,
-)
+from .ngram import (NGramModel, _check_step_args, _is_token_list, _log_or_minus_inf,
+                    _parse_document, ngram_from_dict)
+# perfbench/tracing.py imports these two from here until ROADMAP item 1
+from .ngram import dump_ngram, train_ngram  # noqa: F401
 
 LOGSUMEXP_TOLERANCE = 1e-9
 ROW_SUM_TOLERANCE = 1e-6
 
 Condition = str
+
+
+def _row_items(items, convert, name: str, kind: str) -> tuple:
+    """``items`` converted one by one, if it is a list, tuple, range or 1-D array."""
+    if isinstance(items, (list, tuple, range)) or getattr(items, "ndim", None) == 1:
+        try:
+            return tuple(map(convert, items))
+        except TypeError:  # a nested item, or one of another type
+            pass
+    raise ValueError(f"score row {name} must be a 1-D sequence of {kind}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,15 +72,16 @@ class ScoreRow:
     Every generable token scores ``floor`` except ``ids[i]``, which scores
     ``values[i]``; PAD and BOS score ``-inf``. ``ids`` holds distinct
     generable ids below ``vocab_size``, in any order, and may list a
-    token at the floor value. Construction copies ``ids`` to a read-only
-    int64 array and ``values`` to a read-only float64 array, and raises
-    ``ValueError`` on mismatched lengths, an id that is PAD, BOS, out of
-    range or repeated, or a NaN or ``+inf`` score (``-inf`` is legal).
+    token at the floor value. Construction copies ``ids`` to a tuple of
+    ints and ``values`` to a tuple of floats, so a row cannot be written,
+    and raises ``ValueError`` on mismatched lengths, an id that is PAD,
+    BOS, out of range or repeated, or a NaN or ``+inf`` score (``-inf``
+    is legal).
     """
 
     floor: float
-    ids: np.ndarray
-    values: np.ndarray
+    ids: tuple[int, ...]
+    values: tuple[float, ...]
     vocab_size: int
 
     def __post_init__(self):
@@ -86,24 +89,18 @@ class ScoreRow:
         if vocab_size <= FIRST_GENERABLE_ID:
             raise ValueError(f"score row vocab_size must exceed {FIRST_GENERABLE_ID}, "
                              f"got {vocab_size}")
-        ids = np.asarray(self.ids)
-        if ids.ndim != 1 or (ids.size and ids.dtype.kind not in "iu"):
-            raise ValueError("score row ids must be a 1-D sequence of integers")
-        ids = ids.astype(np.int64)
-        values = np.array(self.values, dtype=np.float64)
-        if values.shape != ids.shape:
-            raise ValueError(
-                f"score row has {ids.size} ids but values of shape {values.shape}")
-        # rows hold a few exceptions, where Python sets and loops beat numpy calls
-        listed = set(ids.tolist())
+        ids = _row_items(self.ids, operator.index, "ids", "integers")
+        values = _row_items(self.values, float, "values", "numbers")
+        if len(values) != len(ids):
+            raise ValueError(f"score row has {len(ids)} ids but {len(values)} values")
+        listed = set(ids)
         if listed and not (FIRST_GENERABLE_ID <= min(listed) and max(listed) < vocab_size):
             raise ValueError(f"score row ids must be generable ids below {vocab_size}")
-        if len(listed) != ids.size:
+        if len(listed) != len(ids):
             raise ValueError("score row ids must be distinct")
         floor = float(self.floor)
-        if not (floor < math.inf and all(value < math.inf for value in values.tolist())):
+        if not (floor < math.inf and all(value < math.inf for value in values)):
             raise ValueError("step scores contain NaN or +inf")
-        ids.flags.writeable = values.flags.writeable = False
         for name, value in (("floor", floor), ("ids", ids), ("values", values),
                             ("vocab_size", vocab_size)):
             object.__setattr__(self, name, value)
@@ -141,7 +138,7 @@ def summarize(scores: Scores, vocab_size: int) -> ScoreRow:
         raise ValueError("step scores contain NaN or +inf")
     floor = row[-1]
     ids = (row[FIRST_GENERABLE_ID:] != floor).nonzero()[0] + FIRST_GENERABLE_ID
-    return ScoreRow(floor, ids, row[ids], vocab_size)
+    return ScoreRow(floor, ids.tolist(), row[ids].tolist(), vocab_size)
 
 
 def dense_row(scores: Scores) -> np.ndarray:
@@ -150,7 +147,7 @@ def dense_row(scores: Scores) -> np.ndarray:
         return scores
     row = np.full(scores.vocab_size, scores.floor)
     row[:FIRST_GENERABLE_ID] = -math.inf
-    row[scores.ids] = scores.values
+    row[list(scores.ids)] = scores.values  # a tuple index would be multi-dimensional
     return row
 
 

@@ -171,7 +171,7 @@ def row_form(row: np.ndarray, form: str):
     if form == "summary":
         return summary
     # summarize's floor is the last token's value, so that token is floor-valued
-    ids = np.union1d(summary.ids, [len(row) - 1])[::-1]
+    ids = sorted({*summary.ids, len(row) - 1}, reverse=True)
     return ScoreRow(summary.floor, ids, row[ids], len(row))
 
 

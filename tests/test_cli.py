@@ -1,4 +1,5 @@
 import contextlib
+import importlib.util
 import io
 import json
 import math
@@ -16,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 import storybeam
 from storybeam import diversity
 from storybeam.cli import main
-from storybeam.config import DecodeConfig, check_count
+from storybeam.config import PENALTY_NAMES, DecodeConfig, check_count
 from storybeam.corpus import (
     FIRST_GENERABLE_ID,
     SPECIAL_TOKENS,
@@ -24,8 +25,8 @@ from storybeam.corpus import (
     Vocabulary,
     build_vocabulary,
 )
-from storybeam.ngram import MAX_ORDER, NGramModel, _check_order
-from storybeam.scoring import dense_row, load_ngram, load_scorer, ngram_to_dict
+from storybeam.ngram import MAX_ORDER, NGramModel, _check_order, load_ngram, ngram_to_dict
+from storybeam.scoring import dense_row, load_scorer
 
 from conftest import run_python
 
@@ -453,6 +454,150 @@ def test_any_story_file_evaluates_to_strict_json_or_exits_2(story):
     else:
         assert stdout == ""
         assert_one_error_line("eval", stderr)
+
+
+# perfbench's output gate, loaded by path because perfbench is not a package
+_checks_spec = importlib.util.spec_from_file_location(
+    "perfbench_checks", Path(__file__).parents[1] / "perfbench" / "checks.py")
+perfbench_checks = importlib.util.module_from_spec(_checks_spec)
+_checks_spec.loader.exec_module(perfbench_checks)
+
+TABLE_TOKENS = ["a", "b", "c", "<eos>", "<unk>", "café"]
+CONDITIONS = ["c1", "c2", "x", "é"]
+BLANKS = ["", " ", "\t", " \t "]
+TABLE_FAULTS = ["probs-length", "probs-sum", "negative-prob", "pad-token", "repeated-token",
+                "missing-default", "unknown-context"]
+# (command-line value, whether it keeps the setting's rule, or None where a story
+# may fail anyway: at 1e308 a story of more than one segment overflows)
+DECODE_SETTINGS = {
+    "--beam-width": [(None, True), ("1", True), ("3", True), ("0", False), ("x", False)],
+    "--lambda": [(None, True), ("0", True), ("1e-20", True), ("1e300", True), ("1e308", None),
+                 ("-1", False), ("nan", False)],
+    "--max-len": [(None, True), ("1", True), ("4", True), ("0", False)],
+    "--penalty": [(None, True), *((name, True) for name in PENALTY_NAMES), ("none", False)],
+}
+
+
+def table_file(draw, intact: bool) -> tuple[bytes, bool]:
+    """A scoring-table file, and whether decode must load it."""
+    kinds = ["flat-yaml", "rows-yaml", "json"] + ([] if intact else ["empty", "not-utf8"])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "empty":
+        return b"", False
+    tokens = draw(st.lists(st.sampled_from(TABLE_TOKENS), min_size=1, max_size=4, unique=True))
+
+    def probs() -> list[float]:
+        weights = draw(st.lists(st.integers(0, 3), min_size=len(tokens),
+                                max_size=len(tokens)).filter(any))
+        return [weight / sum(weights) for weight in weights]
+
+    doc = {"vocab": tokens, "default_row": probs()}
+    if kind != "flat-yaml":
+        doc["rows"] = [{"condition": draw(st.sampled_from([None, *CONDITIONS])),
+                        "context": draw(st.lists(st.sampled_from(tokens), max_size=2)),
+                        "probs": probs()} for _ in range(draw(st.integers(0, 2)))]
+    fault = None if intact else draw(st.sampled_from([None, *TABLE_FAULTS]))
+    if fault == "probs-length":
+        doc["default_row"] = doc["default_row"][:-1] or [1.0, 0.0]
+    elif fault == "probs-sum":
+        doc["default_row"] = [2 * p for p in doc["default_row"]]
+    elif fault == "negative-prob":
+        doc["default_row"][0] -= 0.5
+    elif fault in ("pad-token", "repeated-token"):
+        doc["vocab"] = [*tokens, "<pad>" if fault == "pad-token" else tokens[0]]
+        doc["default_row"] = [*doc["default_row"], 0.0]
+    elif fault == "missing-default":
+        del doc["default_row"]
+    elif fault == "unknown-context":
+        doc.setdefault("rows", []).append({"context": ["zzz"], "probs": doc["default_row"]})
+    if kind == "flat-yaml" and "rows" not in doc:
+        text = "".join(f"{key}: [{', '.join(map(str, value))}]\n" for key, value in doc.items())
+    elif kind == "json":
+        text = json.dumps(doc)
+    else:
+        text = yaml.safe_dump(doc, allow_unicode=True, sort_keys=False)
+    data = text.encode("utf-8")
+    if kind == "not-utf8":
+        cut = draw(st.integers(0, len(data)))
+        return data[:cut] + draw(st.sampled_from(NOT_UTF8)) + data[cut:], False
+    return data, fault is None
+
+
+def decode_source(draw, intact: bool) -> tuple[str, object, list, bool]:
+    """A condition source (``kind`` and argument or file bytes), its stories as
+    decode reads them (``(line number, conditions)``), and whether they must decode."""
+    kind = draw(st.sampled_from(["conditions", "conditions-file", "batch"]))
+    if kind == "conditions":
+        conditions = draw(st.lists(st.sampled_from(CONDITIONS + ([] if intact else [""])),
+                                   min_size=1, max_size=4))
+        return kind, conditions, [(1, conditions)], "" not in conditions
+    if kind == "conditions-file":
+        filled = st.sampled_from(CONDITIONS + [" c1 "])
+    else:
+        filled = st.lists(st.sampled_from(CONDITIONS), min_size=1, max_size=3).map(" ".join)
+    # an intact file has a non-blank line
+    lines = draw(st.lists(filled, min_size=int(intact), max_size=3))
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(BLANKS)))
+    if kind == "conditions-file":
+        stories = [(1, [line.strip() for line in lines if line.strip()])]
+    else:
+        stories = [(number, line.split()) for number, line in enumerate(lines, start=1)
+                   if line.split()]
+    data = "\n".join(lines).encode("utf-8")
+    if not intact and draw(st.booleans()):
+        return kind, data + draw(st.sampled_from(NOT_UTF8)), stories, False
+    return kind, data, stories, bool(stories and stories[0][1])
+
+
+@st.composite
+def decode_inputs(draw):
+    """A model file, a condition source and flags; in about half the cases all of
+    them keep every rule."""
+    intact = draw(st.booleans())
+    flags = {flag: draw(st.sampled_from([(value, ok) for value, ok in values
+                                         if ok is not False or not intact]))
+             for flag, values in DECODE_SETTINGS.items()}
+    return table_file(draw, intact), decode_source(draw, intact), flags
+
+
+# decode's boundary contract: exit 0 with strict JSON stories that replay, or
+# exit 2 with one error line and no file for a story that failed
+@settings(max_examples=120, deadline=None)
+@given(inputs=decode_inputs(), to_file=st.booleans())
+def test_any_decode_input_exits_0_with_stories_that_replay_or_2(inputs, to_file):
+    (model_bytes, good_model), (kind, value, stories, good_source), chosen = inputs
+    with tempfile.TemporaryDirectory() as work:
+        model, out = Path(work) / "table.yaml", Path(work) / "out"
+        model.write_bytes(model_bytes)
+        argv = ["decode", "--model", str(model)]
+        if kind == "conditions":
+            argv += ["--conditions", *value]
+        else:
+            (Path(work) / "source.txt").write_bytes(value)
+            argv += [f"--{kind}", str(Path(work) / "source.txt")]
+        if to_file or kind == "batch":
+            argv += ["--out", str(out)]
+        argv += [f"{flag}={value}" for flag, (value, _) in chosen.items() if value is not None]
+        code, stdout, stderr = run_main(argv)
+        oks = [good_model, good_source, *(ok for _, ok in chosen.values())]
+        assert code in ((2,) if False in oks else (0,) if None not in oks else (0, 2)), stderr
+        if kind != "batch":
+            written = out.read_text(encoding="utf-8") if out.exists() else stdout
+            assert (written == "") == (code == 2)
+            if code == 0:
+                assert perfbench_checks.story_problems(written, stories[0][1]) == []
+        else:
+            failed = {int(line.split(":")[0].split()[-1]) for line in stderr.splitlines()
+                      if line.startswith("batch line ")}
+            for index, (number, conditions) in enumerate(stories):
+                story = out / f"story_{index:04d}.json"
+                assert story.exists() == (out.exists() and number not in failed)
+                if story.exists():
+                    text = story.read_text(encoding="utf-8")
+                    assert perfbench_checks.story_problems(text, conditions) == []
+        if code == 2:
+            assert_one_error_line("decode", stderr)
 
 
 class TestTrainLm:

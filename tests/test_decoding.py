@@ -365,17 +365,31 @@ class TestRowSummaries:
         ({"ids": [-1, 5]}, "generable"),
         ({"ids": [5, 5]}, "distinct"),
         ({"ids": [4.0, 5.0]}, "integers"),
-        ({"values": [-1.0]}, "values of shape"),
-        ({"values": [-1.0, -2.0, -3.0]}, "values of shape"),
+        ({"ids": 5}, "integers"),
+        ({"ids": [[4], [5]]}, "integers"),
+        ({"ids": "45"}, "integers"),
+        ({"ids": {4, 5}}, "integers"),
+        ({"values": [None, -1.0]}, None),
+        ({"values": ["a", -1.0]}, "could not convert string to float"),
+        ({"values": "45"}, None),
+        ({"values": [-1.0]}, "2 ids but 1 values"),
+        ({"values": [-1.0, -2.0, -3.0]}, "2 ids but 3 values"),
         ({"vocab_size": 2}, "vocab_size"),
     ], ids=["nan-floor", "inf-floor", "nan-value", "inf-value", "pad-id", "bos-id",
-            "id-past-vocab", "negative-id", "repeated-id", "float-ids", "fewer-values",
-            "more-values", "no-generable-token"])
+            "id-past-vocab", "negative-id", "repeated-id", "float-ids", "scalar-ids",
+            "nested-ids", "string-ids", "set-ids", "none-value", "string-value",
+            "string-values", "fewer-values", "more-values", "no-generable-token"])
     def test_malformed_score_row_rejected(self, fields, match):
         good = {"floor": -2.0, "ids": [4, 5], "values": [-1.0, -3.0], "vocab_size": 10}
         ScoreRow(**good)
         with pytest.raises(ValueError, match=match):
             ScoreRow(**{**good, **fields})
+
+    def test_score_row_fields_are_python_ints_and_floats(self):
+        row = ScoreRow(np.float64(-2.0), np.array([5, 4]), np.array([-1.0, -3.0]), np.int64(10))
+        assert row.ids == (5, 4) and row.values == (-1.0, -3.0)
+        assert [type(x) for x in (row.floor, *row.ids, *row.values, row.vocab_size)] \
+            == [float, int, int, float, float, int]
 
     def test_score_row_of_another_vocabulary_rejected(self):
         row = ScoreRow(-2.0, [4], [-1.0], 10)

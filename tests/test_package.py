@@ -38,8 +38,6 @@ def test_unknown_name_raises_attribute_error():
 
 
 # perfbench and library code import these from their old homes
-@pytest.mark.parametrize("name", [
-    "NGramModel", "train_ngram", "dump_ngram", "load_ngram", "ngram_to_dict",
-    "ngram_from_dict"])
+@pytest.mark.parametrize("name", ["NGramModel", "train_ngram", "dump_ngram", "ngram_from_dict"])
 def test_scoring_names_the_ngram_objects(name):
     assert getattr(scoring, name) is getattr(ngram, name)
