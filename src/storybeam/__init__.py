@@ -22,7 +22,7 @@ _EXPORTS = {
     "Corpus": "corpus",
     "Vocabulary": "corpus",
     "build_vocabulary": "corpus",
-    "DecodeConfig": "config",
+    "DecodeConfig": "decoding",
     "Hypothesis": "decoding",
     "SegmentResult": "decoding",
     "StoryResult": "decoding",

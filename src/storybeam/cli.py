@@ -1,5 +1,9 @@
 """Command-line interface: train-lm, decode, eval.
 
+Each command imports the modules it runs when it runs. The parser needs
+only ``argparse`` and ``storybeam.config``, so ``--help`` and a usage
+error load nothing else of storybeam.
+
 Exit codes are a stable contract: 0 on success, 2 for usage or
 validation errors (including unreadable files and malformed documents),
 1 for unexpected internal errors.
@@ -8,15 +12,12 @@ validation errors (including unreadable files and malformed documents),
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import json
 import os
 import sys
 from pathlib import Path
 
-from .config import PENALTY_NAMES, DecodeConfig, check_count
-from .corpus import DEFAULT_MIN_COUNT, Corpus, build_vocabulary, split_lines
-from .ngram import _check_alpha, _check_order, _is_token_list, dump_ngram, train_ngram
+from .config import (BEAM_WIDTH, DEFAULT_MIN_COUNT, DIVERSITY_STRENGTH, MAX_LEN, PENALTY_NAMES,
+                     check_count)
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -76,11 +77,10 @@ def build_parser() -> argparse.ArgumentParser:
                              "--out names a directory")
     decode.add_argument("--jobs", type=int, default=1,
                         help="concurrent stories in batch mode (default: 1)")
-    decode.add_argument("--beam-width", type=int, default=DecodeConfig.beam_width)
-    decode.add_argument("--lambda", dest="strength", type=float,
-                        default=DecodeConfig.diversity_strength,
+    decode.add_argument("--beam-width", type=int, default=BEAM_WIDTH)
+    decode.add_argument("--lambda", dest="strength", type=float, default=DIVERSITY_STRENGTH,
                         help="diversity strength (default: %(default)g)")
-    decode.add_argument("--max-len", type=int, default=DecodeConfig.max_len,
+    decode.add_argument("--max-len", type=int, default=MAX_LEN,
                         help="maximum tokens per segment (default: %(default)s)")
     decode.add_argument("--penalty", default="hamming", choices=sorted(PENALTY_NAMES))
     decode.add_argument("--out", help="output JSON path (default: stdout)")
@@ -91,6 +91,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_train_lm(args: argparse.Namespace) -> int:
+    from .corpus import Corpus, build_vocabulary
+    from .ngram import _check_alpha, _check_order, dump_ngram, train_ngram
+
     # the settings' owners check them before the corpus is read; only the
     # alpha * (V - 2) part of the alpha rule waits for the vocabulary
     _check_order(args.order)
@@ -109,6 +112,8 @@ def _cmd_train_lm(args: argparse.Namespace) -> int:
 
 
 def _read_lines(path: str) -> list[str]:
+    from .corpus import split_lines
+
     return split_lines(Path(path).read_text(encoding="utf-8"))
 
 
@@ -123,8 +128,10 @@ def _cmd_decode(args: argparse.Namespace) -> int:
     # importing numpy (ROADMAP item 5c).
     if "numpy" not in sys.modules:
         os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    import dataclasses
+
     # the only command that needs numpy, so the only one that imports it
-    from .decoding import inter_sentence_dbs, story_to_json
+    from .decoding import DecodeConfig, inter_sentence_dbs, story_to_json
     from .diversity import get_penalty_fn
     from .scoring import load_scorer
 
@@ -194,8 +201,11 @@ def _cmd_decode(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
+    import json
+
     # the only command that reports metrics, so the only one that imports them
     from .metrics import diversity_report, report_to_json
+    from .ngram import _is_token_list
 
     try:
         doc = json.loads(Path(args.story).read_text(encoding="utf-8"))

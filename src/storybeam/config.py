@@ -1,18 +1,23 @@
-"""Decoding settings and their rules, readable without numpy.
+"""Defaults, count and strength rules, and penalty names, as plain constants.
 
 The CLI parser takes its defaults and ``--penalty`` choices from here, so
-building it (and ``--help``) imports none of the decoder. Every entry point
-that takes a count or a strength checks it with ``check_count`` or
-``check_strength``.
+building it (and ``--help``) imports only this module: no dataclass, no
+corpus and none of the decoder. Every entry point that takes a count or a
+strength checks it with ``check_count`` or ``check_strength``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 # The penalty functions registered in ``diversity.PENALTIES``, in that order.
 PENALTY_NAMES = ("hamming", "presence")
+
+# ``decoding.DecodeConfig``'s defaults, and ``corpus.build_vocabulary``'s.
+BEAM_WIDTH = 3
+DIVERSITY_STRENGTH = 2.0
+MAX_LEN = 20
+DEFAULT_MIN_COUNT = 4
 
 
 def _is_finite_number(value) -> bool:
@@ -35,21 +40,3 @@ def check_strength(name: str, value) -> None:
     """Raise ``ValueError`` unless ``value`` is a finite int or float, not a bool, >= 0."""
     if not (_is_finite_number(value) and value >= 0):
         raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
-
-
-@dataclass(frozen=True)
-class DecodeConfig:
-    """Decoding knobs: beam width, diversity strength, step budget, segments.
-
-    The counts must pass ``check_count`` and the strength ``check_strength``.
-    """
-
-    beam_width: int = 3
-    diversity_strength: float = 2.0
-    max_len: int = 20
-    num_segments: int = 5
-
-    def __post_init__(self):
-        for name in ("beam_width", "max_len", "num_segments"):
-            check_count(name, getattr(self, name))
-        check_strength("diversity_strength", self.diversity_strength)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .config import check_count
+from .config import DEFAULT_MIN_COUNT, check_count
 
 PAD_TOKEN = "<pad>"
 BOS_TOKEN = "<bos>"
@@ -31,8 +31,6 @@ NUM_SPECIALS = len(SPECIAL_TOKENS)
 # Lowest token id the decoder may emit: PAD and BOS are structural and
 # never generated.
 FIRST_GENERABLE_ID = EOS_ID
-
-DEFAULT_MIN_COUNT = 4
 
 
 def split_lines(text: str) -> list[str]:

@@ -54,10 +54,28 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .config import DecodeConfig, check_count, check_strength
+from .config import BEAM_WIDTH, DIVERSITY_STRENGTH, MAX_LEN, check_count, check_strength
 from .corpus import BOS_TOKEN, EOS_ID, EOS_TOKEN, FIRST_GENERABLE_ID, PAD_TOKEN, Vocabulary
 from .diversity import PenaltyFn, hamming_diversity, validate_penalty, zero_penalty
 from .scoring import Condition, ScoreRow, Scorer, Scores, summarize
+
+
+@dataclass(frozen=True)
+class DecodeConfig:
+    """Decoding knobs: beam width, diversity strength, step budget, segments.
+
+    The counts must pass ``check_count`` and the strength ``check_strength``.
+    """
+
+    beam_width: int = BEAM_WIDTH
+    diversity_strength: float = DIVERSITY_STRENGTH
+    max_len: int = MAX_LEN
+    num_segments: int = 5
+
+    def __post_init__(self):
+        for name in ("beam_width", "max_len", "num_segments"):
+            check_count(name, getattr(self, name))
+        check_strength("diversity_strength", self.diversity_strength)
 
 
 @dataclass(frozen=True)

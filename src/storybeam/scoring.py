@@ -65,6 +65,13 @@ def _row_items(items, convert, name: str, kind: str) -> tuple:
     raise ValueError(f"score row {name} must be a 1-D sequence of {kind}")
 
 
+def _number(value) -> float:
+    """``value`` as a float, if it is a number: ``float`` would parse a string too."""
+    if isinstance(value, (str, bytes)) or not hasattr(value, "__float__"):
+        raise TypeError(f"{value!r} is not a number")
+    return float(value)
+
+
 @dataclass(frozen=True, eq=False)
 class ScoreRow:
     """A score row as a selection step reads it: a floor plus exceptions.
@@ -75,8 +82,9 @@ class ScoreRow:
     token at the floor value. Construction copies ``ids`` to a tuple of
     ints and ``values`` to a tuple of floats, so a row cannot be written,
     and raises ``ValueError`` on mismatched lengths, an id that is PAD,
-    BOS, out of range or repeated, or a NaN or ``+inf`` score (``-inf``
-    is legal).
+    BOS, out of range or repeated, a score that is not a number (a string
+    or bytes is not parsed), or a NaN or ``+inf`` score (``-inf`` is
+    legal).
     """
 
     floor: float
@@ -90,7 +98,7 @@ class ScoreRow:
             raise ValueError(f"score row vocab_size must exceed {FIRST_GENERABLE_ID}, "
                              f"got {vocab_size}")
         ids = _row_items(self.ids, operator.index, "ids", "integers")
-        values = _row_items(self.values, float, "values", "numbers")
+        values = _row_items(self.values, _number, "values", "numbers")
         if len(values) != len(ids):
             raise ValueError(f"score row has {len(ids)} ids but {len(values)} values")
         listed = set(ids)
@@ -98,7 +106,10 @@ class ScoreRow:
             raise ValueError(f"score row ids must be generable ids below {vocab_size}")
         if len(listed) != len(ids):
             raise ValueError("score row ids must be distinct")
-        floor = float(self.floor)
+        try:
+            floor = _number(self.floor)
+        except TypeError:
+            raise ValueError(f"score row floor must be a number, got {self.floor!r}") from None
         if not (floor < math.inf and all(value < math.inf for value in values)):
             raise ValueError("step scores contain NaN or +inf")
         for name, value in (("floor", floor), ("ids", ids), ("values", values),

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import importlib.util
 import io
@@ -17,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 import storybeam
 from storybeam import diversity
 from storybeam.cli import main
-from storybeam.config import PENALTY_NAMES, DecodeConfig, check_count
+from storybeam.config import PENALTY_NAMES, check_count
 from storybeam.corpus import (
     FIRST_GENERABLE_ID,
     SPECIAL_TOKENS,
@@ -25,6 +26,7 @@ from storybeam.corpus import (
     Vocabulary,
     build_vocabulary,
 )
+from storybeam.decoding import DecodeConfig
 from storybeam.ngram import MAX_ORDER, NGramModel, _check_order, load_ngram, ngram_to_dict
 from storybeam.scoring import dense_row, load_scorer
 
@@ -598,6 +600,40 @@ def test_any_decode_input_exits_0_with_stories_that_replay_or_2(inputs, to_file)
                     assert perfbench_checks.story_problems(text, conditions) == []
         if code == 2:
             assert_one_error_line("decode", stderr)
+
+
+@st.composite
+def batch_inputs(draw):
+    """An intact table, a batch file with blank and whitespace-only lines, and
+    flags; at --lambda 1e308 a story of more than one segment overflows and fails."""
+    model_bytes, _ = table_file(draw, intact=True)
+    filled = st.lists(st.sampled_from(CONDITIONS), min_size=1, max_size=3).map(" ".join)
+    lines = draw(st.lists(st.one_of(filled, st.sampled_from(BLANKS)), min_size=1, max_size=6))
+    flags = [f"--lambda={draw(st.sampled_from(['0', '2', '1e308']))}",
+             f"--beam-width={draw(st.integers(1, 3))}", f"--max-len={draw(st.integers(1, 4))}"]
+    return model_bytes, "\n".join(lines).encode("utf-8"), flags
+
+
+# --jobs changes how many stories run at once, never what decode writes or reports
+@settings(max_examples=30, deadline=None)
+@given(inputs=batch_inputs(), jobs=st.integers(1, 3))
+def test_any_batch_decodes_alike_at_every_job_count(inputs, jobs):
+    model_bytes, batch_bytes, flags = inputs
+    with tempfile.TemporaryDirectory() as work:
+        model, batch = Path(work) / "table.yaml", Path(work) / "batch.txt"
+        model.write_bytes(model_bytes)
+        batch.write_bytes(batch_bytes)
+        runs = []
+        for count in (1, jobs):
+            out = Path(work) / f"out{count}"
+            code, stdout, stderr = run_main(["decode", "--model", str(model), "--batch",
+                                             str(batch), "--out", str(out),
+                                             f"--jobs={count}", *flags])
+            files = ({path.name: path.read_bytes() for path in out.iterdir()}
+                     if out.exists() else None)
+            runs.append((code, stdout.replace(str(out), "<out>"), stderr, files))
+        assert runs[0][0] in (0, 2), runs[0][2]
+        assert runs[1] == runs[0]
 
 
 class TestTrainLm:
@@ -1189,78 +1225,55 @@ class TestEval:
         assert "nested too deeply" in result.stderr
 
 
+# what --help, decode --help and a usage error must not load: the parser
+# needs only argparse and storybeam.config
+STARTUP_ONLY = ("dataclasses", "inspect", "json", "storybeam.corpus", "storybeam.ngram",
+                "storybeam.decoding", "numpy", "storybeam.metrics", "concurrent.futures")
+
+
 class TestUsage:
     def test_no_command(self):
         assert main([]) == 2
 
-    # only decode needs numpy, and importing it doubles a process's start-up
-    def test_help_train_lm_and_eval_never_import_numpy(self, corpus_path, tmp_path):
-        model, story = tmp_path / "model.json", tmp_path / "story.json"
-        story.write_text('{"segments": [{"tokens": ["a", "b"]}, {"tokens": ["a"]}]}',
-                         encoding="utf-8")
+    # Each command imports what it runs, so --help and usage errors load
+    # only argparse and storybeam.config, and only decode loads numpy.
+    @pytest.mark.parametrize("argv, code, absent, present", [
+        (["--help"], 0, STARTUP_ONLY, ()),
+        (["decode", "--help"], 0, STARTUP_ONLY, ()),
+        (["decode", "--model", "{model}"], 2, STARTUP_ONLY, ()),
+        (["train-lm", "{corpus}", "--out", "{tmp}/new.json"], 0,
+         ("numpy", "storybeam.decoding", "storybeam.metrics", "concurrent.futures"), ()),
+        (["eval", "{story}"], 0, ("numpy", "storybeam.decoding", "concurrent.futures"),
+         ("storybeam.metrics",)),
+        (["decode", "--model", "{model}", "--conditions", "c1", "c2", "--out", "{tmp}/s.json"],
+         0, ("storybeam.metrics", "concurrent.futures"), ("numpy",)),
+        (["decode", "--model", "{model}", "--batch", "{batch}", "--out", "{tmp}/stories"],
+         0, ("storybeam.metrics",), ("numpy", "concurrent.futures")),
+    ], ids=["help", "decode-help", "usage-error", "train-lm", "eval", "decode", "decode-batch"])
+    def test_command_loads_only_what_it_runs(self, argv, code, absent, present, corpus_path,
+                                             tmp_path):
+        paths = {"corpus": corpus_path, "model": tmp_path / "model.json", "tmp": tmp_path,
+                 "story": tmp_path / "story.json", "batch": tmp_path / "b.txt"}
+        assert main(["train-lm", str(corpus_path), "--out", str(paths["model"])]) == 0
+        paths["story"].write_text('{"segments": [{"tokens": ["a", "b"]}, {"tokens": ["a"]}]}',
+                                  encoding="utf-8")
+        paths["batch"].write_text("c1 c2\n", encoding="utf-8")
+        argv = [arg.format(**paths) for arg in argv]
+        # a module that site or the interpreter loaded before storybeam is not counted
         result = run_python(
             "import sys\n"
-            "def report(): print('numpy loaded:', 'numpy' in sys.modules)\n"
+            "before = set(sys.modules)\n"
             "import storybeam\n"
-            "report()\n"
             "from storybeam.cli import main\n"
-            "assert main(['--help']) == 0\n"
-            "report()\n"
-            f"assert main(['train-lm', {str(corpus_path)!r}, '--out', {str(model)!r}]) == 0\n"
-            "report()\n"
-            f"assert main(['eval', {str(story)!r}]) == 0\n"
-            "report()\n")
+            f"code = main({argv!r})\n"
+            "new = sorted(set(sys.modules) - before)\n"
+            "print()\n"
+            "print(repr((code, new, sorted(sys.modules))))\n")
         assert result.returncode == 0, result.stderr
-        reports = [line for line in result.stdout.splitlines()
-                   if line.startswith("numpy loaded:")]
-        assert reports == ["numpy loaded: False"] * 4
-
-    # only eval reports metrics
-    def test_help_train_lm_and_decode_never_import_metrics(self, corpus_path, tmp_path):
-        model, story = tmp_path / "model.json", tmp_path / "story.json"
-        result = run_python(
-            "import sys\n"
-            "def report(): print('metrics loaded:', 'storybeam.metrics' in sys.modules)\n"
-            "from storybeam.cli import main\n"
-            "report()\n"
-            "assert main(['--help']) == 0\n"
-            "report()\n"
-            f"assert main(['train-lm', {str(corpus_path)!r}, '--out', {str(model)!r}]) == 0\n"
-            "report()\n"
-            f"assert main(['decode', '--model', {str(model)!r}, '--conditions', 'c1', 'c2',"
-            f" '--out', {str(story)!r}]) == 0\n"
-            "report()\n"
-            f"assert main(['eval', {str(story)!r}]) == 0\n"
-            "report()\n")
-        assert result.returncode == 0, result.stderr
-        reports = [line for line in result.stdout.splitlines()
-                   if line.startswith("metrics loaded:")]
-        assert reports == ["metrics loaded: False"] * 4 + ["metrics loaded: True"]
-
-    # only --batch runs stories on a thread pool
-    def test_help_train_lm_and_single_decode_never_import_the_thread_pool(self, corpus_path,
-                                                                         tmp_path):
-        model, story, batch = tmp_path / "model.json", tmp_path / "story.json", tmp_path / "b.txt"
-        batch.write_text("c1 c2\n", encoding="utf-8")
-        result = run_python(
-            "import sys\n"
-            "def report(): print('pool loaded:', 'concurrent.futures' in sys.modules)\n"
-            "from storybeam.cli import main\n"
-            "report()\n"
-            "assert main(['--help']) == 0\n"
-            "report()\n"
-            f"assert main(['train-lm', {str(corpus_path)!r}, '--out', {str(model)!r}]) == 0\n"
-            "report()\n"
-            f"assert main(['decode', '--model', {str(model)!r}, '--conditions', 'c1', 'c2',"
-            f" '--out', {str(story)!r}]) == 0\n"
-            "report()\n"
-            f"assert main(['decode', '--model', {str(model)!r}, '--batch', {str(batch)!r},"
-            f" '--out', {str(tmp_path / 'stories')!r}]) == 0\n"
-            "report()\n")
-        assert result.returncode == 0, result.stderr
-        reports = [line for line in result.stdout.splitlines()
-                   if line.startswith("pool loaded:")]
-        assert reports == ["pool loaded: False"] * 4 + ["pool loaded: True"]
+        exit_code, new, loaded = ast.literal_eval(result.stdout.splitlines()[-1])
+        assert exit_code == code, result.stderr
+        assert sorted(set(absent) & set(new)) == []
+        assert sorted(set(present) - set(loaded)) == []
 
     def test_decode_help_offers_every_registered_penalty(self, capsys):
         assert main(["decode", "--help"]) == 0

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from storybeam import config as config_module, decoding
+from storybeam import decoding
 from storybeam.cli import build_parser
 from storybeam.corpus import (
     BOS_ID,
@@ -53,8 +53,7 @@ class TestDecodeConfig:
                 config.max_len, config.num_segments) == (3, 2.0, 20, 5)
 
     def test_cli_decode_defaults_are_the_config_defaults(self):
-        # the parser reads the numpy-free module; the decoder's name is the same class
-        assert DecodeConfig is config_module.DecodeConfig
+        # the parser reads its defaults from storybeam.config, DecodeConfig from decoding
         args = build_parser().parse_args(["decode", "--model", "m", "--conditions", "c"])
         config = DecodeConfig()
         assert (args.beam_width, args.strength, args.max_len) == (
@@ -370,15 +369,18 @@ class TestRowSummaries:
         ({"ids": "45"}, "integers"),
         ({"ids": {4, 5}}, "integers"),
         ({"values": [None, -1.0]}, None),
-        ({"values": ["a", -1.0]}, "could not convert string to float"),
+        ({"values": ["a", -1.0]}, "sequence of numbers"),
         ({"values": "45"}, None),
+        ({"floor": "-2"}, "floor must be a number"),
+        ({"values": ["-1.5", "-2"]}, "sequence of numbers"),
         ({"values": [-1.0]}, "2 ids but 1 values"),
         ({"values": [-1.0, -2.0, -3.0]}, "2 ids but 3 values"),
         ({"vocab_size": 2}, "vocab_size"),
     ], ids=["nan-floor", "inf-floor", "nan-value", "inf-value", "pad-id", "bos-id",
             "id-past-vocab", "negative-id", "repeated-id", "float-ids", "scalar-ids",
             "nested-ids", "string-ids", "set-ids", "none-value", "string-value",
-            "string-values", "fewer-values", "more-values", "no-generable-token"])
+            "string-values", "string-floor", "numeric-string-values", "fewer-values",
+            "more-values", "no-generable-token"])
     def test_malformed_score_row_rejected(self, fields, match):
         good = {"floor": -2.0, "ids": [4, 5], "values": [-1.0, -3.0], "vocab_size": 10}
         ScoreRow(**good)
