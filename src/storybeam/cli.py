@@ -1,8 +1,10 @@
 """Command-line interface: train-lm, decode, eval.
 
-Each command imports the modules it runs when it runs. The parser needs
-only ``argparse`` and ``storybeam.config``, so ``--help`` and a usage
-error load nothing else of storybeam.
+Each command imports the modules it runs when it runs, ``pathlib``
+included. The parser needs only ``argparse`` and ``storybeam.config``, so
+``--help`` and a usage error load nothing else of storybeam. Every text
+input is read with ``corpus.read_text``: UTF-8, one leading byte order
+mark skipped.
 
 Exit codes are a stable contract: 0 on success, 2 for usage or
 validation errors (including unreadable files and malformed documents),
@@ -14,7 +16,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from pathlib import Path
 
 from .config import (BEAM_WIDTH, DEFAULT_MIN_COUNT, DIVERSITY_STRENGTH, MAX_LEN, PENALTY_NAMES,
                      check_count)
@@ -24,13 +25,15 @@ EXIT_INTERNAL = 1
 EXIT_USAGE = 2
 
 
-def _atomic_write(path: Path, text: str) -> None:
+def _atomic_write(path: str | os.PathLike, text: str) -> None:
     """Write ``text`` to ``path``, replacing a regular file atomically.
 
     Through a symlink, the link's target is replaced and the link kept. An
     existing target that is not a regular file, such as a FIFO or a
     character device, is written in place.
     """
+    from pathlib import Path
+
     path = Path(os.path.realpath(path))
     if path.exists() and not path.is_file():
         with open(path, "w", encoding="utf-8") as handle:
@@ -105,16 +108,16 @@ def _cmd_train_lm(args: argparse.Namespace) -> int:
         print(f"warning: no token occurs >= {args.min_count} times; "
               "vocabulary contains only special tokens", file=sys.stderr)
     model = train_ngram(corpus, vocab, args.order, args.alpha)
-    _atomic_write(Path(args.out), dump_ngram(model))
+    _atomic_write(args.out, dump_ngram(model))
     print(f"vocabulary size: {len(vocab)}")
     print(f"contexts: {len(model.counts)}")
     return EXIT_OK
 
 
 def _read_lines(path: str) -> list[str]:
-    from .corpus import split_lines
+    from .corpus import read_text, split_lines
 
-    return split_lines(Path(path).read_text(encoding="utf-8"))
+    return split_lines(read_text(path))
 
 
 def _read_conditions_file(path: str) -> list[str]:
@@ -128,7 +131,7 @@ def _cmd_decode(args: argparse.Namespace) -> int:
     # importing numpy (ROADMAP item 5c).
     if "numpy" not in sys.modules:
         os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    import dataclasses
+    from .corpus import read_text
 
     # the only command that needs numpy, so the only one that imports it
     from .decoding import DecodeConfig, inter_sentence_dbs, story_to_json
@@ -139,18 +142,18 @@ def _cmd_decode(args: argparse.Namespace) -> int:
     config = DecodeConfig(beam_width=args.beam_width, diversity_strength=args.strength,
                           max_len=args.max_len)
     check_count("jobs", args.jobs)
-    scorer = load_scorer(Path(args.model).read_text(encoding="utf-8"))
+    scorer = load_scorer(read_text(args.model))
     vocab = scorer.vocab
     penalty_fn = get_penalty_fn(args.penalty)
 
     def decode_one(conditions: list[str]) -> str:
-        story_config = dataclasses.replace(config, num_segments=len(conditions))
-        result = inter_sentence_dbs(scorer, conditions, vocab, story_config, penalty_fn)
+        result = inter_sentence_dbs(scorer, conditions, vocab, config, penalty_fn)
         return story_to_json(result, vocab)
 
     if args.batch is not None:
         # only --batch runs a thread pool, so only --batch imports one
         from concurrent.futures import ThreadPoolExecutor
+        from pathlib import Path
 
         if not args.out:
             raise ValueError("--batch requires --out to name an output directory")
@@ -162,7 +165,7 @@ def _cmd_decode(args: argparse.Namespace) -> int:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
 
-        def story_path(index: int) -> Path:
+        def story_path(index: int):
             return out_dir / f"story_{index:04d}.json"
 
         def run(index: int, conditions: list[str]) -> None:
@@ -190,11 +193,9 @@ def _cmd_decode(args: argparse.Namespace) -> int:
         conditions = args.conditions
     else:
         conditions = _read_conditions_file(args.conditions_file)
-    if not conditions:
-        raise ValueError("at least one condition is required")
     text = decode_one(conditions)
     if args.out:
-        _atomic_write(Path(args.out), text)
+        _atomic_write(args.out, text)
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -203,12 +204,14 @@ def _cmd_decode(args: argparse.Namespace) -> int:
 def _cmd_eval(args: argparse.Namespace) -> int:
     import json
 
+    from .corpus import read_text
+
     # the only command that reports metrics, so the only one that imports them
     from .metrics import diversity_report, report_to_json
     from .ngram import _is_token_list
 
     try:
-        doc = json.loads(Path(args.story).read_text(encoding="utf-8"))
+        doc = json.loads(read_text(args.story))
     except RecursionError:
         raise ValueError("story document is nested too deeply") from None
     if not isinstance(doc, dict) or not isinstance(doc.get("segments"), list):

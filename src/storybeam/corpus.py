@@ -33,6 +33,11 @@ NUM_SPECIALS = len(SPECIAL_TOKENS)
 FIRST_GENERABLE_ID = EOS_ID
 
 
+def read_text(path: str | Path) -> str:
+    """The UTF-8 text of the file at ``path``, without one leading byte order mark."""
+    return Path(path).read_text(encoding="utf-8-sig")
+
+
 def split_lines(text: str) -> list[str]:
     """Lines of ``text``, ending at ``\\n``, ``\\r\\n`` or ``\\r`` and nowhere else.
 
@@ -68,7 +73,7 @@ class Corpus:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "Corpus":
-        return cls.from_text(Path(path).read_text(encoding="utf-8"))
+        return cls.from_text(read_text(path))
 
 
 class Vocabulary:

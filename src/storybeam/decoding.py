@@ -65,16 +65,21 @@ class DecodeConfig:
     """Decoding knobs: beam width, diversity strength, step budget, segments.
 
     The counts must pass ``check_count`` and the strength ``check_strength``.
+    ``num_segments`` may be left ``None``: a story has one segment per
+    condition. A given value must equal the number of conditions
+    (ROADMAP item 1a deletes the field).
     """
 
     beam_width: int = BEAM_WIDTH
     diversity_strength: float = DIVERSITY_STRENGTH
     max_len: int = MAX_LEN
-    num_segments: int = 5
+    num_segments: int | None = None
 
     def __post_init__(self):
-        for name in ("beam_width", "max_len", "num_segments"):
+        for name in ("beam_width", "max_len"):
             check_count(name, getattr(self, name))
+        if self.num_segments is not None:
+            check_count("num_segments", self.num_segments)
         check_strength("diversity_strength", self.diversity_strength)
 
 
@@ -380,11 +385,12 @@ def inter_sentence_dbs(scorer: Scorer, conditions: Sequence[Condition],
     penalty vector is computed by ``penalty_fn`` from the best hypotheses
     of segments ``1..i-1``, validated, and frozen for that segment's
     whole decode. Each segment's best hypothesis joins the story and
-    feeds all later penalties.
+    feeds all later penalties. A story has one segment per condition, so
+    ``config.num_segments``, if given, must equal ``len(conditions)``.
     """
     if not conditions:
         raise ValueError("at least one condition is required")
-    if len(conditions) != config.num_segments:
+    if config.num_segments not in (None, len(conditions)):
         raise ValueError(
             f"got {len(conditions)} conditions for num_segments={config.num_segments}")
     segments: list[SegmentResult] = []

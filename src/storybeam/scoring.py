@@ -162,17 +162,11 @@ def dense_row(scores: Scores) -> np.ndarray:
     return row
 
 
-def log_sum_exp(values: np.ndarray) -> float:
-    """Stable log-sum-exp; returns -inf for an all--inf input."""
-    m = float(np.max(values))
-    if not math.isfinite(m):
-        return m
-    return m + math.log(float(np.sum(np.exp(values - m))))
+def validate_step_scores(scores: Scores, vocab_size: int) -> None:
+    """Raise ``ValueError`` unless ``scores`` is a valid log-distribution.
 
-
-def validate_step_scores(scores: Scores, vocab_size: int,
-                         tolerance: float = LOGSUMEXP_TOLERANCE) -> None:
-    """Raise ``ValueError`` unless ``scores`` is a valid log-distribution."""
+    Its log-sum-exp must be within ``LOGSUMEXP_TOLERANCE`` of 0.
+    """
     scores = dense_row(scores)
     if scores.shape != (vocab_size,):
         raise ValueError(f"step scores have shape {scores.shape}, expected ({vocab_size},)")
@@ -182,8 +176,11 @@ def validate_step_scores(scores: Scores, vocab_size: int,
         raise ValueError("step scores contain NaN")
     if scores[PAD_ID] != -np.inf or scores[BOS_ID] != -np.inf:
         raise ValueError("PAD and BOS must have -inf log-probability")
-    lse = log_sum_exp(scores)
-    if not abs(lse) <= tolerance:
+    # log-sum-exp, shifted by the peak; an all--inf row gives -inf
+    lse = float(np.max(scores))
+    if math.isfinite(lse):
+        lse += math.log(float(np.sum(np.exp(scores - lse))))
+    if not abs(lse) <= LOGSUMEXP_TOLERANCE:
         raise ValueError(f"step scores are not a distribution: log-sum-exp = {lse!r}")
 
 
@@ -309,15 +306,14 @@ def load_scorer(text: str) -> NGramModel | TableScorer:
 
 
 class ValidatingScorer:
-    """Wraps a scorer and checks every returned row against the contract.
+    """Wraps a scorer and checks every returned row with ``validate_step_scores``.
 
     Used by the verification suite to certify that all distributions seen
     during decoding are proper; also handy when developing a new scorer.
     """
 
-    def __init__(self, inner: Scorer, tolerance: float = LOGSUMEXP_TOLERANCE):
+    def __init__(self, inner: Scorer):
         self._inner = inner
-        self._tolerance = tolerance
         self.calls = 0
 
     @property
@@ -326,6 +322,6 @@ class ValidatingScorer:
 
     def score_step(self, condition: Condition, prefix: Sequence[int]) -> Scores:
         scores = self._inner.score_step(condition, prefix)
-        validate_step_scores(scores, len(self._inner.vocab), self._tolerance)
+        validate_step_scores(scores, len(self._inner.vocab))
         self.calls += 1
         return scores

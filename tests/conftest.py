@@ -20,13 +20,14 @@ from storybeam.scoring import ScoreRow, TableScorer, summarize, table_from_dict
 
 
 
-def run_python(script: str, **env: str | None) -> subprocess.CompletedProcess:
+def run_python(script: str, *flags: str, **env: str | None) -> subprocess.CompletedProcess:
     """Run ``script`` in a fresh interpreter that imports the same storybeam as this test.
 
-    Each keyword sets that environment variable, or unsets it when None.
+    ``flags`` go to the interpreter, before ``-c``. Each keyword sets that
+    environment variable, or unsets it when None.
     """
     env = {**os.environ, "PYTHONPATH": str(Path(storybeam.__file__).parents[1]), **env}
-    return subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+    return subprocess.run([sys.executable, *flags, "-c", script], capture_output=True, text=True,
                           timeout=60, env={k: v for k, v in env.items() if v is not None})
 
 

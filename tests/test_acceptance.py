@@ -7,7 +7,6 @@ scorers so every emitted distribution is also validity-checked, which
 criterion 8 reports on.
 """
 
-import math
 import time
 from contextlib import contextmanager
 
@@ -18,7 +17,7 @@ from storybeam.decoding import DecodeConfig, beam_search, inter_sentence_dbs
 from storybeam.diversity import hamming_diversity, zero_penalty
 from storybeam.metrics import diversity_report
 from storybeam.oracle import exhaustive_best
-from storybeam.scoring import ValidatingScorer, validate_step_scores
+from storybeam.scoring import LOGSUMEXP_TOLERANCE, ValidatingScorer, validate_step_scores
 
 from conftest import (
     assert_selects_like_oracle,
@@ -28,7 +27,6 @@ from conftest import (
 )
 
 SCORE_TOLERANCE = 1e-9
-DISTRIBUTION_TOLERANCE = 1e-9
 
 # running total of contract-validated scorer calls across criteria 1-5
 VALIDATED = {"calls": 0}
@@ -51,8 +49,7 @@ def derepetition_fixture() -> ValidatingScorer:
 def decode_fixture_story(strength: float):
     scorer = derepetition_fixture()
     conditions = ["c1", "c2", "c3", "c4", "c5"]
-    config = DecodeConfig(beam_width=1, diversity_strength=strength,
-                          max_len=2, num_segments=5)
+    config = DecodeConfig(beam_width=1, diversity_strength=strength, max_len=2)
     story = inter_sentence_dbs(scorer, conditions, scorer.vocab, config)
     VALIDATED["calls"] += scorer.calls
     segments = [scorer.vocab.decode(seg.best.tokens) for seg in story.segments]
@@ -82,7 +79,7 @@ def test_criterion_1_zero_strength_reduction():
                 random_table_scorer(rng, max_regular=4, conditions=conditions))
             config = DecodeConfig(
                 beam_width=int(rng.integers(1, 5)), diversity_strength=0.0,
-                max_len=int(rng.integers(1, 7)), num_segments=n_segments)
+                max_len=int(rng.integers(1, 7)))
             story = inter_sentence_dbs(scorer, list(conditions),
                                        scorer.vocab, config)
             for cond, segment in zip(conditions, story.segments):
@@ -101,7 +98,7 @@ def test_criterion_2_step_selection_matches_oracle():
         for _ in range(1000):
             beam_aug, scores, penalty, strength, width = random_step_case(rng)
             for row in scores:
-                validate_step_scores(row, len(penalty), DISTRIBUTION_TOLERANCE)
+                validate_step_scores(row, len(penalty))
             assert_selects_like_oracle(beam_aug, scores, penalty, strength, width)
         elapsed = time.perf_counter() - start
         assert elapsed < 5.0, f"took {elapsed:.1f} s, budget 5 s"
@@ -113,8 +110,7 @@ def test_criterion_3_saturated_beam_optimality():
         for scorer, max_len in saturated_fixtures():
             vocab = scorer.vocab
             width = (len(vocab) - 2) ** max_len
-            config = DecodeConfig(beam_width=width, diversity_strength=0.0,
-                                  max_len=max_len, num_segments=1)
+            config = DecodeConfig(beam_width=width, diversity_strength=0.0, max_len=max_len)
             result = beam_search(scorer, "c", vocab, config)
             oracle = exhaustive_best(scorer, "c", vocab, max_len, 0.0,
                                      zero_penalty(len(vocab)))
@@ -128,8 +124,7 @@ def test_criterion_4_penalized_saturated_beam_matches_oracle():
         for scorer, max_len in saturated_fixtures():
             vocab = scorer.vocab
             width = (len(vocab) - 2) ** max_len
-            config = DecodeConfig(beam_width=width, diversity_strength=2.0,
-                                  max_len=max_len, num_segments=2)
+            config = DecodeConfig(beam_width=width, diversity_strength=2.0, max_len=max_len)
             story = inter_sentence_dbs(scorer, ["c", "c"], vocab, config)
             frozen = hamming_diversity([story.segments[0].best.tokens], vocab)
             oracle = exhaustive_best(scorer, "c", vocab, max_len, 2.0, frozen)
@@ -187,12 +182,11 @@ def test_criterion_8_all_emitted_distributions_valid():
         scorers = [derepetition_fixture()]
         scorers += [ValidatingScorer(random_table_scorer(rng, conditions=("c1", "c2")))
                     for _ in range(20)]
-        config = DecodeConfig(beam_width=3, diversity_strength=2.0,
-                              max_len=4, num_segments=2)
+        config = DecodeConfig(beam_width=3, diversity_strength=2.0, max_len=4)
         for scorer in scorers:
             inter_sentence_dbs(scorer, ["c1", "c2"], scorer.vocab, config)
             sweep_calls += scorer.calls
         assert sweep_calls > 0
         total = VALIDATED["calls"] + sweep_calls
         print(f"validated {total} scorer calls across criteria")
-        assert math.isfinite(DISTRIBUTION_TOLERANCE)
+        assert LOGSUMEXP_TOLERANCE == 1e-9

@@ -1,4 +1,5 @@
 import ast
+import codecs
 import contextlib
 import importlib.util
 import io
@@ -301,8 +302,10 @@ def directly_built(doc) -> NGramModel:
 
 
 @settings(max_examples=150, deadline=None)
-@given(ngram_documents())
-def test_any_ngram_document_loads_as_built_directly_or_exits_2(document):
+@given(ngram_documents(), st.integers(1, 4), st.integers(1, 5),
+       st.sampled_from(["0", "2", "1e-20"]))
+def test_any_ngram_document_loads_as_built_directly_or_exits_2(document, beam_width, max_len,
+                                                                strength):
     doc, well_formed = document
     text = json.dumps(doc)
     try:
@@ -328,10 +331,12 @@ def test_any_ngram_document_loads_as_built_directly_or_exits_2(document):
         stderr = io.StringIO()
         with contextlib.redirect_stderr(stderr):
             code = main(["decode", "--model", str(model), "--conditions", "c1", "c2",
-                         "--beam-width", "2", "--max-len", "3", "--out", str(out)])
+                         f"--beam-width={beam_width}", f"--max-len={max_len}",
+                         f"--lambda={strength}", "--out", str(out)])
         if error is None:
             assert code == 0, stderr.getvalue()
-            assert json.loads(out.read_text(encoding="utf-8"))["segments"]
+            text = out.read_text(encoding="utf-8")
+            assert perfbench_checks.story_problems(text, ["c1", "c2"]) == []
         else:
             assert code == 2
             assert stderr.getvalue() == f"storybeam decode: error: {error}\n"
@@ -518,7 +523,7 @@ def table_file(draw, intact: bool) -> tuple[bytes, bool]:
         text = json.dumps(doc)
     else:
         text = yaml.safe_dump(doc, allow_unicode=True, sort_keys=False)
-    data = text.encode("utf-8")
+    data = draw(st.sampled_from([b"", codecs.BOM_UTF8])) + text.encode("utf-8")
     if kind == "not-utf8":
         cut = draw(st.integers(0, len(data)))
         return data[:cut] + draw(st.sampled_from(NOT_UTF8)) + data[cut:], False
@@ -546,7 +551,8 @@ def decode_source(draw, intact: bool) -> tuple[str, object, list, bool]:
     else:
         stories = [(number, line.split()) for number, line in enumerate(lines, start=1)
                    if line.split()]
-    data = "\n".join(lines).encode("utf-8")
+    # a leading byte order mark is not part of the first line
+    data = draw(st.sampled_from([b"", codecs.BOM_UTF8])) + "\n".join(lines).encode("utf-8")
     if not intact and draw(st.booleans()):
         return kind, data + draw(st.sampled_from(NOT_UTF8)), stories, False
     return kind, data, stories, bool(stories and stories[0][1])
@@ -650,6 +656,14 @@ class TestTrainLm:
         again = load_ngram(out.read_text(encoding="utf-8"))
         assert (dense_row(model.score_step("x", [the])).tobytes()
                 == dense_row(again.score_step("x", [the])).tobytes())
+
+    def test_leading_byte_order_mark_is_skipped(self, corpus_path, tmp_path):
+        marked_corpus = tmp_path / "marked.txt"
+        marked_corpus.write_bytes(codecs.BOM_UTF8 + corpus_path.read_bytes())
+        plain, marked = tmp_path / "plain.json", tmp_path / "marked.json"
+        for corpus, out in ((corpus_path, plain), (marked_corpus, marked)):
+            assert main(["train-lm", str(corpus), "--min-count", "1", "--out", str(out)]) == 0
+        assert marked.read_bytes() == plain.read_bytes()
 
     def test_degenerate_vocabulary_warns_but_succeeds(self, corpus_path, tmp_path, capsys):
         out = tmp_path / "model.yaml"
@@ -1190,6 +1204,16 @@ class TestEval:
         assert report["repeated_segment_pairs"] < 10
         assert report["mean_pairwise_jaccard"] < 1.0
 
+    def test_leading_byte_order_mark_is_skipped(self, table_path, tmp_path, capsys):
+        story = self.decode_story(table_path, tmp_path, "2")
+        marked = tmp_path / "marked.json"
+        marked.write_bytes(codecs.BOM_UTF8 + story.read_bytes())
+        reports = []
+        for path in (story, marked):
+            assert main(["eval", str(path)]) == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[1] == reports[0]
+
     def test_distinct_segments_report_zero_pairs(self, tmp_path, capsys):
         doc = {"segments": [{"tokens": ["a", "b"]}, {"tokens": ["c"]}],
                "story": "a b c"}
@@ -1227,8 +1251,9 @@ class TestEval:
 
 # what --help, decode --help and a usage error must not load: the parser
 # needs only argparse and storybeam.config
-STARTUP_ONLY = ("dataclasses", "inspect", "json", "storybeam.corpus", "storybeam.ngram",
-                "storybeam.decoding", "numpy", "storybeam.metrics", "concurrent.futures")
+STARTUP_ONLY = ("dataclasses", "inspect", "json", "pathlib", "storybeam.corpus",
+                "storybeam.ngram", "storybeam.decoding", "numpy", "storybeam.metrics",
+                "concurrent.futures")
 
 
 class TestUsage:
@@ -1236,22 +1261,27 @@ class TestUsage:
         assert main([]) == 2
 
     # Each command imports what it runs, so --help and usage errors load
-    # only argparse and storybeam.config, and only decode loads numpy.
-    @pytest.mark.parametrize("argv, code, absent, present", [
-        (["--help"], 0, STARTUP_ONLY, ()),
-        (["decode", "--help"], 0, STARTUP_ONLY, ()),
-        (["decode", "--model", "{model}"], 2, STARTUP_ONLY, ()),
-        (["train-lm", "{corpus}", "--out", "{tmp}/new.json"], 0,
+    # only argparse and storybeam.config, and only decode loads numpy. Under
+    # -S no site module loads pathlib first, so those rows see whether storybeam does.
+    @pytest.mark.parametrize("flags, argv, code, absent, present", [
+        ((), ["--help"], 0, STARTUP_ONLY, ()),
+        ((), ["decode", "--help"], 0, STARTUP_ONLY, ()),
+        ((), ["decode", "--model", "{model}"], 2, STARTUP_ONLY, ()),
+        (("-S",), ["--help"], 0, STARTUP_ONLY, ()),
+        (("-S",), ["decode", "--help"], 0, STARTUP_ONLY, ()),
+        (("-S",), ["decode", "--model", "{model}"], 2, STARTUP_ONLY, ()),
+        ((), ["train-lm", "{corpus}", "--out", "{tmp}/new.json"], 0,
          ("numpy", "storybeam.decoding", "storybeam.metrics", "concurrent.futures"), ()),
-        (["eval", "{story}"], 0, ("numpy", "storybeam.decoding", "concurrent.futures"),
+        ((), ["eval", "{story}"], 0, ("numpy", "storybeam.decoding", "concurrent.futures"),
          ("storybeam.metrics",)),
-        (["decode", "--model", "{model}", "--conditions", "c1", "c2", "--out", "{tmp}/s.json"],
-         0, ("storybeam.metrics", "concurrent.futures"), ("numpy",)),
-        (["decode", "--model", "{model}", "--batch", "{batch}", "--out", "{tmp}/stories"],
+        ((), ["decode", "--model", "{model}", "--conditions", "c1", "c2", "--out",
+              "{tmp}/s.json"], 0, ("storybeam.metrics", "concurrent.futures"), ("numpy",)),
+        ((), ["decode", "--model", "{model}", "--batch", "{batch}", "--out", "{tmp}/stories"],
          0, ("storybeam.metrics",), ("numpy", "concurrent.futures")),
-    ], ids=["help", "decode-help", "usage-error", "train-lm", "eval", "decode", "decode-batch"])
-    def test_command_loads_only_what_it_runs(self, argv, code, absent, present, corpus_path,
-                                             tmp_path):
+    ], ids=["help", "decode-help", "usage-error", "help-no-site", "decode-help-no-site",
+            "usage-error-no-site", "train-lm", "eval", "decode", "decode-batch"])
+    def test_command_loads_only_what_it_runs(self, flags, argv, code, absent, present,
+                                             corpus_path, tmp_path):
         paths = {"corpus": corpus_path, "model": tmp_path / "model.json", "tmp": tmp_path,
                  "story": tmp_path / "story.json", "batch": tmp_path / "b.txt"}
         assert main(["train-lm", str(corpus_path), "--out", str(paths["model"])]) == 0
@@ -1268,7 +1298,7 @@ class TestUsage:
             f"code = main({argv!r})\n"
             "new = sorted(set(sys.modules) - before)\n"
             "print()\n"
-            "print(repr((code, new, sorted(sys.modules))))\n")
+            "print(repr((code, new, sorted(sys.modules))))\n", *flags)
         assert result.returncode == 0, result.stderr
         exit_code, new, loaded = ast.literal_eval(result.stdout.splitlines()[-1])
         assert exit_code == code, result.stderr

@@ -50,7 +50,7 @@ class TestDecodeConfig:
     def test_defaults(self):
         config = DecodeConfig()
         assert (config.beam_width, config.diversity_strength,
-                config.max_len, config.num_segments) == (3, 2.0, 20, 5)
+                config.max_len, config.num_segments) == (3, 2.0, 20, None)
 
     def test_cli_decode_defaults_are_the_config_defaults(self):
         # the parser reads its defaults from storybeam.config, DecodeConfig from decoding
@@ -192,8 +192,7 @@ class TestColumnReduction:
     def decode_both(monkeypatch, scorer, strength: float) -> dict:
         """Story JSON with the decoder's selection, then with the oracle's; step counts."""
         conditions = ["c1", "c2", "c3", "c4"]
-        config = DecodeConfig(beam_width=4, diversity_strength=strength, max_len=8,
-                              num_segments=len(conditions))
+        config = DecodeConfig(beam_width=4, diversity_strength=strength, max_len=8)
         columns = decoding._columns_that_can_win
         kept = {"reduced": 0, "all": 0}
 
@@ -266,8 +265,7 @@ class TestSelectInputs:
         for _ in range(40):
             scorer = random_table_scorer(rng, conditions=tuple(conditions), lattice=True)
             config = DecodeConfig(beam_width=int(rng.integers(1, 6)),
-                                  diversity_strength=strength, max_len=5,
-                                  num_segments=len(conditions))
+                                  diversity_strength=strength, max_len=5)
             inter_sentence_dbs(scorer, conditions, scorer.vocab, config)
         assert any(row.floor == -math.inf for row in seen)
 
@@ -277,8 +275,7 @@ class TestSelectInputs:
         corpus = Corpus.from_text("the cat sat\nthe dog ran\na cat ran away\n")
         model = train_ngram(corpus, build_vocabulary(corpus, min_count=1), order=2, alpha=0.5)
         conditions = ["c1", "c2", "c3", "c4"]
-        config = DecodeConfig(beam_width=3, diversity_strength=strength, max_len=6,
-                              num_segments=len(conditions))
+        config = DecodeConfig(beam_width=3, diversity_strength=strength, max_len=6)
         inter_sentence_dbs(model, conditions, model.vocab, config)
         assert seen
 
@@ -403,8 +400,7 @@ class TestRowSummaries:
 class TestBeamSearch:
     def test_skewed_fixture_greedy_path(self, skewed_table):
         # P = (a: 0.5, b: 0.3, eos: 0.2), B=1, T=2: [a, a] force-finished
-        config = DecodeConfig(beam_width=1, diversity_strength=0.0,
-                              max_len=2, num_segments=1)
+        config = DecodeConfig(beam_width=1, diversity_strength=0.0, max_len=2)
         result = beam_search(skewed_table, "img", skewed_table.vocab, config)
         assert skewed_table.vocab.decode(result.best.tokens) == ["a", "a"]
         assert result.best.raw_score == pytest.approx(2 * LN(0.5))
@@ -412,8 +408,7 @@ class TestBeamSearch:
     def test_uniform_tie_prefers_lowest_token_id(self, uniform_table):
         # all three generable options tie at ln(1/3); EOS holds the lowest
         # id (specials come first), so the greedy beam ends immediately
-        config = DecodeConfig(beam_width=1, diversity_strength=0.0,
-                              max_len=2, num_segments=1)
+        config = DecodeConfig(beam_width=1, diversity_strength=0.0, max_len=2)
         result = beam_search(uniform_table, "img", uniform_table.vocab, config)
         assert uniform_table.vocab.decode(result.best.tokens) == ["<eos>"]
         assert result.best.raw_score == pytest.approx(LN(1 / 3))
@@ -428,8 +423,7 @@ class TestBeamSearch:
                     scores[FIRST_GENERABLE_ID] = np.nan
                 return scores
 
-        config = DecodeConfig(beam_width=2, diversity_strength=0.0,
-                              max_len=3, num_segments=1)
+        config = DecodeConfig(beam_width=2, diversity_strength=0.0, max_len=3)
         with pytest.raises(ValueError, match="NaN"):
             beam_search(NanAfterFirstStep(), "img", skewed_table.vocab, config)
 
@@ -440,8 +434,7 @@ class TestBeamSearch:
             vocab = scorer.vocab
             max_len = 3
             width = (len(vocab) - 2) ** max_len
-            config = DecodeConfig(beam_width=width, diversity_strength=0.0,
-                                  max_len=max_len, num_segments=1)
+            config = DecodeConfig(beam_width=width, diversity_strength=0.0, max_len=max_len)
             result = beam_search(scorer, "c", vocab, config)
             oracle = exhaustive_best(scorer, "c", vocab, max_len, 0.0,
                                      zero_penalty(len(vocab)))
@@ -453,7 +446,7 @@ class TestBeamSearch:
                 {"context": ["b"], "probs": [0.37, 0.08, 0.33, 0.21, 0.01]},
                 {"context": ["c"], "probs": [0.26, 0.34, 0.07, 0.32, 0.01]}]
         table = make_table(["a", "b", "c", "d", "<eos>"], [0.31, 0.27, 0.23, 0.18, 0.01], rows)
-        config = DecodeConfig(beam_width=3, diversity_strength=0.3, max_len=6, num_segments=3)
+        config = DecodeConfig(beam_width=3, diversity_strength=0.3, max_len=6)
         story = inter_sentence_dbs(table, ["c1", "c2", "c3"], table.vocab, config)
         other_orders = set()
         for seg in story.segments:
@@ -554,8 +547,7 @@ class TestRunningBest:
         vocab = scorer.vocab
         penalty = zero_penalty(len(vocab))
         penalty[NUM_SPECIALS:] = -rng.integers(0, 3, size=len(vocab) - NUM_SPECIALS)
-        config = DecodeConfig(beam_width=beam_width, diversity_strength=strength,
-                              max_len=max_len, num_segments=1)
+        config = DecodeConfig(beam_width=beam_width, diversity_strength=strength, max_len=max_len)
         result = beam_search(scorer, "c", vocab, config, penalty)
         want, steps = reference_best(scorer, "c", config, penalty)
         fields = ("tokens", "raw_score", "aug_score", "step_logprobs", "step_penalties")
@@ -565,7 +557,7 @@ class TestRunningBest:
 
     def test_runaway_max_len_stops_once_best_is_unbeatable(self, skewed_table):
         # <eos> finishes at step 1 and nothing live can beat it after step 3
-        config = DecodeConfig(beam_width=3, max_len=2000, num_segments=2)
+        config = DecodeConfig(beam_width=3, max_len=2000)
         story = inter_sentence_dbs(skewed_table, ["c1", "c2"], skewed_table.vocab,
                                    config)
         for seg in story.segments:
@@ -594,8 +586,7 @@ class TestEarlyTermination:
 
     def test_stops_once_best_unbeatable(self, branching_table):
         vocab = branching_table.vocab
-        config = DecodeConfig(beam_width=3, diversity_strength=0.0,
-                              max_len=10, num_segments=1)
+        config = DecodeConfig(beam_width=3, diversity_strength=0.0, max_len=10)
         result = beam_search(branching_table, "c", vocab, config)
         assert len(result.trace) == 3  # stopped long before max_len
         # a a <eos> ties a b <eos> and ranks first in the beam
@@ -605,8 +596,7 @@ class TestEarlyTermination:
 
     def test_stops_when_all_hypotheses_finish(self):
         table = make_table(["a", "<eos>"], [0.05, 0.95])
-        config = DecodeConfig(beam_width=2, diversity_strength=0.0,
-                              max_len=10, num_segments=1)
+        config = DecodeConfig(beam_width=2, diversity_strength=0.0, max_len=10)
         result = beam_search(table, "c", table.vocab, config)
         assert len(result.trace) < 10
         assert table.vocab.decode(result.best.tokens) == ["<eos>"]
@@ -615,8 +605,7 @@ class TestEarlyTermination:
 class TestInterSentenceDbs:
     def test_two_segment_fixture(self, skewed_table):
         vocab = skewed_table.vocab
-        config = DecodeConfig(beam_width=1, diversity_strength=2.0,
-                              max_len=2, num_segments=2)
+        config = DecodeConfig(beam_width=1, diversity_strength=2.0, max_len=2)
         story = inter_sentence_dbs(skewed_table, ["img1", "img2"], vocab, config)
         assert vocab.decode(story.segments[0].best.tokens) == ["a", "a"]
         assert vocab.decode(story.segments[1].best.tokens) == ["b", "b"]
@@ -624,15 +613,13 @@ class TestInterSentenceDbs:
 
     def test_zero_strength_repeats_segments(self, skewed_table):
         vocab = skewed_table.vocab
-        config = DecodeConfig(beam_width=1, diversity_strength=0.0,
-                              max_len=2, num_segments=2)
+        config = DecodeConfig(beam_width=1, diversity_strength=0.0, max_len=2)
         story = inter_sentence_dbs(skewed_table, ["img1", "img2"], vocab, config)
         assert (story.segments[0].best.tokens == story.segments[1].best.tokens)
 
     def test_single_segment_equals_plain_beam_search(self, skewed_table):
         vocab = skewed_table.vocab
-        config = DecodeConfig(beam_width=2, diversity_strength=2.0,
-                              max_len=3, num_segments=1)
+        config = DecodeConfig(beam_width=2, diversity_strength=2.0, max_len=3)
         story = inter_sentence_dbs(skewed_table, ["img1"], vocab, config)
         plain = beam_search(skewed_table, "img1", vocab, config)
         assert story.segments[0].best.tokens == plain.best.tokens
@@ -646,7 +633,7 @@ class TestInterSentenceDbs:
             vocab = scorer.vocab
             config = DecodeConfig(
                 beam_width=int(rng.integers(1, 4)), diversity_strength=0.0,
-                max_len=int(rng.integers(1, 5)), num_segments=len(conditions))
+                max_len=int(rng.integers(1, 5)))
             story = inter_sentence_dbs(scorer, list(conditions), vocab, config)
             for condition, segment in zip(conditions, story.segments):
                 alone = beam_search(scorer, condition, vocab, config)
@@ -662,7 +649,7 @@ class TestInterSentenceDbs:
 
         monkeypatch.setattr(Hypothesis, "__init__", counting_init)
         conditions = ["c1", "c2", "c3", "c4"]
-        config = DecodeConfig(beam_width=3, max_len=6, num_segments=len(conditions))
+        config = DecodeConfig(beam_width=3, max_len=6)
         story = inter_sentence_dbs(skewed_table, conditions, skewed_table.vocab, config)
         assert all(len(seg.trace) > 1 for seg in story.segments)
         assert built == [seg.best for seg in story.segments]
@@ -672,8 +659,28 @@ class TestInterSentenceDbs:
         with pytest.raises(ValueError, match="conditions"):
             inter_sentence_dbs(skewed_table, ["c1"], skewed_table.vocab, config)
 
+    @pytest.mark.parametrize("count", [1, 3, 7])
+    def test_default_config_gives_one_segment_per_condition(self, skewed_table, count):
+        conditions = [f"c{i}" for i in range(1, count + 1)]
+        story = inter_sentence_dbs(skewed_table, conditions, skewed_table.vocab,
+                                   DecodeConfig(max_len=2))
+        assert [seg.condition for seg in story.segments] == conditions
+        with pytest.raises(ValueError,
+                           match=f"got {count} conditions for num_segments={count + 1}"):
+            inter_sentence_dbs(skewed_table, conditions, skewed_table.vocab,
+                               DecodeConfig(max_len=2, num_segments=count + 1))
+
+    def test_matching_num_segments_decodes_like_the_default(self, skewed_table):
+        # as perfbench/tracing.py passes it
+        conditions = ["c1", "c2", "c3"]
+        stories = [story_to_json(inter_sentence_dbs(skewed_table, conditions,
+                                                     skewed_table.vocab, config),
+                                 skewed_table.vocab)
+                   for config in (DecodeConfig(num_segments=len(conditions)), DecodeConfig())]
+        assert stories[0] == stories[1]
+
     def test_empty_conditions_rejected(self, skewed_table):
-        config = DecodeConfig(num_segments=1)
+        config = DecodeConfig()
         with pytest.raises(ValueError, match="condition"):
             inter_sentence_dbs(skewed_table, [], skewed_table.vocab, config)
 
@@ -683,7 +690,7 @@ class TestInterSentenceDbs:
             values[4] = 0.5
             return values
 
-        config = DecodeConfig(beam_width=1, max_len=2, num_segments=2)
+        config = DecodeConfig(beam_width=1, max_len=2)
         with pytest.raises(ValueError, match="<= 0"):
             inter_sentence_dbs(skewed_table, ["c1", "c2"], skewed_table.vocab,
                                config, penalty_fn=rogue)
@@ -695,7 +702,7 @@ class TestInterSentenceDbs:
         def penalty_fn(segments, vocab):
             return convert(PENALTIES["hamming"](segments, vocab))
 
-        config = DecodeConfig(beam_width=2, max_len=3, num_segments=2)
+        config = DecodeConfig(beam_width=2, max_len=3)
         with pytest.raises(ValueError, match="penalty must be"):
             inter_sentence_dbs(skewed_table, ["c1", "c2"], skewed_table.vocab, config,
                                penalty_fn=penalty_fn)
@@ -710,19 +717,16 @@ class TestInterSentenceDbs:
         table = make_table(listed, probs)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            one = DecodeConfig(beam_width=2, diversity_strength=strength,
-                               max_len=max_len, num_segments=1)
+            one = DecodeConfig(beam_width=2, diversity_strength=strength, max_len=max_len)
             inter_sentence_dbs(table, ["c1"], table.vocab, one)
-            two = replace(one, num_segments=2)
             with pytest.raises(ValueError, match="overflows"):
-                inter_sentence_dbs(table, ["c1", "c2"], table.vocab, two)
+                inter_sentence_dbs(table, ["c1", "c2"], table.vocab, one)
 
     def test_overflow_check_takes_max_len_beyond_float_range(self):
         # "a" then "<eos>": every segment ends after two steps
         table = make_table(["a", "<eos>"], [1.0, 0.0],
                            rows=[{"context": ["a"], "probs": [0.0, 1.0]}])
-        config = DecodeConfig(beam_width=1, diversity_strength=0.0,
-                              max_len=10**400, num_segments=2)
+        config = DecodeConfig(beam_width=1, diversity_strength=0.0, max_len=10**400)
         story = inter_sentence_dbs(table, ["c1", "c2"], table.vocab, config)
         assert story.segments[1].best.tokens == story.segments[0].best.tokens
         with pytest.raises(ValueError, match="overflows"):
@@ -757,8 +761,7 @@ class TestInterSentenceDbs:
         penalty[vocab.token_to_id("b")] = penalty_b
         with np.errstate(over="ignore"):
             finite = np.isfinite(min(max_len, sys.float_info.max) * (strength * penalty)).all()
-        config = DecodeConfig(beam_width=2, diversity_strength=strength, max_len=max_len,
-                              num_segments=1)
+        config = DecodeConfig(beam_width=2, diversity_strength=strength, max_len=max_len)
         if finite:
             assert len(beam_search(table, "c", vocab, config, penalty).best.tokens) <= 2
         else:
@@ -775,8 +778,7 @@ class TestInterSentenceDbs:
         conditions = ["c1", "c2", "c3"]
         scorer = random_table_scorer(np.random.default_rng(seed),
                                      conditions=tuple(conditions))
-        config = DecodeConfig(beam_width=beam_width, diversity_strength=strength,
-                              max_len=max_len, num_segments=len(conditions))
+        config = DecodeConfig(beam_width=beam_width, diversity_strength=strength, max_len=max_len)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             try:
@@ -790,8 +792,7 @@ class TestInterSentenceDbs:
     def test_aug_equals_raw_without_overlap_and_drops_with_it(self):
         table = make_table(["a", "b", "<eos>"], [0.9, 0.05, 0.05])
         vocab = table.vocab
-        config = DecodeConfig(beam_width=1, diversity_strength=0.1,
-                              max_len=2, num_segments=2)
+        config = DecodeConfig(beam_width=1, diversity_strength=0.1, max_len=2)
         story = inter_sentence_dbs(table, ["c1", "c2"], vocab, config)
         first, second = story.segments
         assert first.best.aug_score == first.best.raw_score
@@ -805,8 +806,7 @@ class TestDeterminism:
         rng1 = np.random.default_rng(77)
         rng2 = np.random.default_rng(77)
         conditions = ["c1", "c2", "c3", "c4"]
-        config = DecodeConfig(beam_width=3, diversity_strength=2.0,
-                              max_len=5, num_segments=4)
+        config = DecodeConfig(beam_width=3, diversity_strength=2.0, max_len=5)
         outputs = []
         for rng in (rng1, rng2):
             scorer = random_table_scorer(rng, conditions=tuple(conditions))
@@ -816,8 +816,7 @@ class TestDeterminism:
 
     def test_thread_safe_for_concurrent_stories(self, skewed_table):
         vocab = skewed_table.vocab
-        config = DecodeConfig(beam_width=2, diversity_strength=2.0,
-                              max_len=4, num_segments=3)
+        config = DecodeConfig(beam_width=2, diversity_strength=2.0, max_len=4)
         conditions = ["c1", "c2", "c3"]
 
         def decode(_):
@@ -832,8 +831,7 @@ class TestDeterminism:
 class TestStoryJson:
     def test_schema_fields_and_float_format(self, skewed_table):
         vocab = skewed_table.vocab
-        config = DecodeConfig(beam_width=1, diversity_strength=2.0,
-                              max_len=2, num_segments=2)
+        config = DecodeConfig(beam_width=1, diversity_strength=2.0, max_len=2)
         story = inter_sentence_dbs(skewed_table, ["img1", "img2"], vocab, config)
         text = story_to_json(story, vocab)
         doc = json.loads(text)
@@ -852,8 +850,7 @@ class TestStoryJson:
     ])
     def test_non_finite_score_refused(self, skewed_table, field, value):
         vocab = skewed_table.vocab
-        config = DecodeConfig(beam_width=1, diversity_strength=2.0,
-                              max_len=2, num_segments=1)
+        config = DecodeConfig(beam_width=1, diversity_strength=2.0, max_len=2)
         story = inter_sentence_dbs(skewed_table, ["img1"], vocab, config)
         segment = story.segments[0]
         broken = replace(segment, best=replace(segment.best, **{field: value}))
@@ -862,7 +859,6 @@ class TestStoryJson:
 
     def test_validating_scorer_sees_every_step(self, skewed_table):
         wrapped = ValidatingScorer(skewed_table)
-        config = DecodeConfig(beam_width=2, diversity_strength=2.0,
-                              max_len=3, num_segments=2)
+        config = DecodeConfig(beam_width=2, diversity_strength=2.0, max_len=3)
         inter_sentence_dbs(wrapped, ["c1", "c2"], wrapped.vocab, config)
         assert wrapped.calls > 0

@@ -50,8 +50,7 @@ class TestExhaustiveBest:
         vocab = skewed_table.vocab
         penalty = zero_penalty(len(vocab))
         penalty[vocab.token_to_id("a")] = -2.0
-        config = DecodeConfig(beam_width=1, diversity_strength=2.0,
-                              max_len=2, num_segments=1)
+        config = DecodeConfig(beam_width=1, diversity_strength=2.0, max_len=2)
         beam_result = beam_search(skewed_table, "c", vocab, config, penalty)
         oracle = exhaustive_best(skewed_table, "c", vocab, 2, 2.0, penalty)
         assert vocab.decode(beam_result.best.tokens) == ["b", "b"]
@@ -137,8 +136,7 @@ class TestOracleAgainstSaturatedDecoding:
                 penalty[token] = -float(rng.integers(0, 3))
             max_len = 3
             width = (len(vocab) - 2) ** max_len
-            config = DecodeConfig(beam_width=width, diversity_strength=2.0,
-                                  max_len=max_len, num_segments=1)
+            config = DecodeConfig(beam_width=width, diversity_strength=2.0, max_len=max_len)
             result = beam_search(scorer, "c", vocab, config, penalty)
             oracle = exhaustive_best(scorer, "c", vocab, max_len, 2.0, penalty)
             assert result.best.aug_score == pytest.approx(oracle.best_score, abs=1e-9)

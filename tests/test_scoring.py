@@ -941,7 +941,7 @@ class TestRowCache:
             assert row.ids == was.ids
             assert list(map(float.hex, row.values)) == list(map(float.hex, was.values))
         assert builds > len({model.context_for(p) for p in prefixes} & model.counts.keys())
-        config = DecodeConfig(beam_width=3, diversity_strength=2.0, max_len=6, num_segments=3)
+        config = DecodeConfig(beam_width=3, diversity_strength=2.0, max_len=6)
         stories = [story_to_json(inter_sentence_dbs(ValidatingScorer(scorer), ["c1", "c2", "c3"],
                                                     model.vocab, config), model.vocab)
                    for scorer in (Evicting(model), trigram_model())]
@@ -1007,7 +1007,7 @@ class TestRowCache:
         penalty = zero_penalty(len(vocab))
         assert (exhaustive_best(warm, "c", vocab, 4, 0.0, penalty)
                 == exhaustive_best(DenseRows(trigram_model()), "c", vocab, 4, 0.0, penalty))
-        config = DecodeConfig(beam_width=3, diversity_strength=2.0, max_len=6, num_segments=3)
+        config = DecodeConfig(beam_width=3, diversity_strength=2.0, max_len=6)
         stories = [story_to_json(inter_sentence_dbs(ValidatingScorer(scorer), ["c1", "c2", "c3"],
                                                     vocab, config), vocab)
                    for scorer in (warm, trigram_model(), DenseRows(trigram_model()))]
