@@ -16,11 +16,12 @@ identical results, byte for byte once serialized.
 
 The penalty is frozen and depends only on the token, so a selection step
 needs just each live hypothesis's augmented score and score row. A live
-hypothesis is a plain tuple ``(prefix tokens, aug, step logprob, step
-contribution, parent)``, and a step copies no score history. After each
-step the finishers update the segment's single running best, and the
-next beam keeps the unfinished hypotheses scoring strictly above it.
-Only the segment's winner is walked back into a ``Hypothesis``. Rows
+hypothesis is a plain tuple ``(prefix tokens, aug, step logprobs, step
+contributions)``: a child extends its parent's three tuples by one entry
+and keeps no link to it, so a segment holds O(beam width x max_len) of
+history. After each step the finishers update the segment's single
+running best, and the next beam keeps the unfinished hypotheses scoring
+strictly above it. Only the segment's winner becomes a ``Hypothesis``. Rows
 pass through ``scoring.summarize`` where they enter the decoder: the
 shipped scorers return ``ScoreRow``s (a floor plus exception ids and
 values), which it returns as they are, and a dense row from any other
@@ -298,18 +299,12 @@ def expand_and_select(beam_aug: Sequence[float],
 
 
 def _hypothesis(node: tuple) -> Hypothesis:
-    """A segment's result, built by walking the links back from its last step."""
-    tokens, aug_score = node[0], node[1]
-    steps = []
-    while node[4] is not None:  # the root is no step
-        steps.append(node)
-        node = node[4]
-    steps.reverse()
+    """A segment's result, built from the history its last live hypothesis carries."""
+    tokens, aug_score, logprobs, contributions = node
     raw_score = 0.0
-    for step in steps:
-        raw_score += step[2]
-    return Hypothesis(tokens, raw_score, aug_score, tuple(step[2] for step in steps),
-                      tuple(step[3] for step in steps))
+    for logprob in logprobs:
+        raw_score += logprob
+    return Hypothesis(tokens, raw_score, aug_score, logprobs, contributions)
 
 
 def beam_search(scorer: Scorer, condition: Condition, vocab: Vocabulary,
@@ -351,8 +346,8 @@ def beam_search(scorer: Scorer, condition: Condition, vocab: Vocabulary,
             f"diversity strength {strength} overflows this segment's penalty "
             f"total over {config.max_len} steps")
 
-    # live hypotheses: (prefix tokens, aug, step logprob, step contribution, parent)
-    beam: list[tuple] = [((), 0.0, 0.0, 0.0, None)]
+    # live hypotheses: (prefix tokens, aug, step logprobs, step contributions)
+    beam: list[tuple] = [((), 0.0, (), ())]
     best: tuple | None = None
     trace: list[StepTrace] = []
     n_generable = len(vocab) - FIRST_GENERABLE_ID
@@ -362,8 +357,9 @@ def beam_search(scorer: Scorer, condition: Condition, vocab: Vocabulary,
         selected = _select([node[1] for node in beam], rows, segment, beam_width)
         live = []
         for pos, token, aug, logprob in zip(*(a.tolist() for a in selected)):
-            parent = beam[pos]
-            node = (parent[0] + (token,), aug, logprob, float(contributions[token]), parent)
+            prefix, _, logprobs, penalties = beam[pos]
+            node = (prefix + (token,), aug, logprobs + (logprob,),
+                    penalties + (float(contributions[token]),))
             if token != EOS_ID:
                 live.append(node)
             elif best is None or aug > best[1]:  # strict: the earlier finisher wins ties

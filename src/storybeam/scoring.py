@@ -38,6 +38,7 @@ from .config import _is_finite_number
 from .corpus import (
     BOS_ID,
     BOS_TOKEN,
+    EOS_TOKEN,
     FIRST_GENERABLE_ID,
     PAD_ID,
     PAD_TOKEN,
@@ -285,6 +286,8 @@ def table_from_dict(doc: dict) -> TableScorer:
         for tok in context_tokens:
             if tok not in vocab:
                 raise ValueError(f"{label}: unknown context token {tok!r}")
+            if tok in (PAD_TOKEN, BOS_TOKEN, EOS_TOKEN):  # BOS is implicit, EOS ends a hypothesis
+                raise ValueError(f"{label}: context token {tok!r} never occurs in a prefix")
         context = tuple(vocab.token_to_id(t) for t in context_tokens)
         row = _load_row(raw["probs"], listed_ids, vocab_size, label)
         rules.append(TableRule(condition=condition, context=context, row=row))

@@ -473,11 +473,13 @@ TABLE_TOKENS = ["a", "b", "c", "<eos>", "<unk>", "café"]
 CONDITIONS = ["c1", "c2", "x", "é"]
 BLANKS = ["", " ", "\t", " \t "]
 TABLE_FAULTS = ["probs-length", "probs-sum", "negative-prob", "pad-token", "repeated-token",
-                "missing-default", "unknown-context"]
+                "missing-default", "unknown-context", "eos-context"]
 # (command-line value, whether it keeps the setting's rule, or None where a story
 # may fail anyway: at 1e308 a story of more than one segment overflows)
 DECODE_SETTINGS = {
-    "--beam-width": [(None, True), ("1", True), ("3", True), ("0", False), ("x", False)],
+    # 8 and 64 are wider than any table's candidate set
+    "--beam-width": [(None, True), ("1", True), ("3", True), ("8", True), ("64", True),
+                     ("0", False), ("x", False)],
     "--lambda": [(None, True), ("0", True), ("1e-20", True), ("1e300", True), ("1e308", None),
                  ("-1", False), ("nan", False)],
     "--max-len": [(None, True), ("1", True), ("4", True), ("0", False)],
@@ -499,9 +501,12 @@ def table_file(draw, intact: bool) -> tuple[bytes, bool]:
         return [weight / sum(weights) for weight in weights]
 
     doc = {"vocab": tokens, "default_row": probs()}
+    # a prefix never holds <eos>, so a row context naming it is a fault
+    context_tokens = [token for token in tokens if token != "<eos>"]
     if kind != "flat-yaml":
         doc["rows"] = [{"condition": draw(st.sampled_from([None, *CONDITIONS])),
-                        "context": draw(st.lists(st.sampled_from(tokens), max_size=2)),
+                        "context": (draw(st.lists(st.sampled_from(context_tokens), max_size=2))
+                                    if context_tokens else []),
                         "probs": probs()} for _ in range(draw(st.integers(0, 2)))]
     fault = None if intact else draw(st.sampled_from([None, *TABLE_FAULTS]))
     if fault == "probs-length":
@@ -517,6 +522,8 @@ def table_file(draw, intact: bool) -> tuple[bytes, bool]:
         del doc["default_row"]
     elif fault == "unknown-context":
         doc.setdefault("rows", []).append({"context": ["zzz"], "probs": doc["default_row"]})
+    elif fault == "eos-context":
+        doc.setdefault("rows", []).append({"context": ["<eos>"], "probs": doc["default_row"]})
     if kind == "flat-yaml" and "rows" not in doc:
         text = "".join(f"{key}: [{', '.join(map(str, value))}]\n" for key, value in doc.items())
     elif kind == "json":
@@ -616,7 +623,8 @@ def batch_inputs(draw):
     filled = st.lists(st.sampled_from(CONDITIONS), min_size=1, max_size=3).map(" ".join)
     lines = draw(st.lists(st.one_of(filled, st.sampled_from(BLANKS)), min_size=1, max_size=6))
     flags = [f"--lambda={draw(st.sampled_from(['0', '2', '1e308']))}",
-             f"--beam-width={draw(st.integers(1, 3))}", f"--max-len={draw(st.integers(1, 4))}"]
+             f"--beam-width={draw(st.sampled_from([1, 2, 3, 8, 64]))}",
+             f"--max-len={draw(st.integers(1, 4))}"]
     return model_bytes, "\n".join(lines).encode("utf-8"), flags
 
 
@@ -843,6 +851,15 @@ class TestDecode:
         code = main(["decode", "--model", str(model), "--conditions", "c1"])
         assert code == 2
         assert "rows must be a list" in capsys.readouterr().err
+
+    # the row loaded but could never match: no prefix holds <eos>
+    def test_eos_in_a_row_context_rejected(self, tmp_path, capsys):
+        model = tmp_path / "table.yaml"
+        model.write_text(TABLE_YAML + "rows: [{context: [<eos>], probs: [0, 1, 0]}]\n",
+                         encoding="utf-8")
+        code = main(["decode", "--model", str(model), "--conditions", "c1"])
+        assert code == 2
+        assert "rows[0]: context token '<eos>' never occurs in a prefix" in capsys.readouterr().err
 
     def test_overflowing_count_total_rejected(self, tmp_path, capsys):
         model = tmp_path / "lm.yaml"
@@ -1135,6 +1152,27 @@ class TestDecode:
         assert main(["decode", "--model", str(table_path),
                      "--batch", str(batch)]) == 2
 
+    # a segment holds O(beam width x max-len) of history, so the peak of a
+    # width-1 decode grows by a few MiB from 500 to 4000 steps, not by tens
+    @pytest.mark.skipif(not (Path("/proc/self/status").exists()
+                             and "VmHWM:" in Path("/proc/self/status").read_text()),
+                        reason="the peak is read from Linux's VmHWM in /proc/self/status")
+    def test_segment_memory_grows_linearly_with_max_len(self, table_path, tmp_path):
+        peaks = []
+        for max_len in (500, 4000):
+            out = tmp_path / f"story{max_len}.json"
+            result = run_python(
+                "from storybeam.cli import main\n"
+                f"assert main(['decode', '--model', {str(table_path)!r}, '--conditions', 'c1',"
+                f" '--beam-width', '1', '--lambda', '0', '--max-len', '{max_len}',"
+                f" '--out', {str(out)!r}]) == 0\n"
+                "print(next(line.split()[1] for line in open('/proc/self/status')"
+                " if line.startswith('VmHWM:')))\n")
+            assert result.returncode == 0, result.stderr
+            assert len(json.loads(out.read_text(encoding="utf-8"))["segments"][0]["tokens"]) \
+                == max_len
+            peaks.append(int(result.stdout))
+        assert peaks[1] - peaks[0] < 8 * 1024, f"VmHWM {peaks[0]} kB, then {peaks[1]} kB"
 
 
 class TestBlasThreads:

@@ -175,6 +175,19 @@ class TestTableLoading:
             make_table(["a", "<eos>"], [0.8, 0.2],
                        rows=[{"context": ["zebra"], "probs": [0.5, 0.5]}])
 
+    # a prefix never holds them: BOS is implicit and EOS ends a hypothesis
+    @pytest.mark.parametrize("token", ["<pad>", "<bos>", "<eos>"])
+    def test_special_context_token_rejected(self, token):
+        with pytest.raises(ValueError,
+                           match=f"rows\\[0\\]: context token '{token}' never occurs in a prefix"):
+            make_table(["a", "<eos>"], [0.8, 0.2],
+                       rows=[{"context": ["a", token], "probs": [0.5, 0.5]}])
+
+    def test_unk_context_token_matches(self):
+        table = make_table(["a", "<unk>", "<eos>"], [0.5, 0.5, 0.0],
+                           rows=[{"context": ["<unk>"], "probs": [0.0, 0.0, 1.0]}])
+        assert table.score_step("c1", (UNK_ID,)) is table.rules[0].row
+
     def test_pad_bos_cannot_carry_probability(self):
         with pytest.raises(ValueError, match="never generated"):
             make_table(["a", "<bos>"], [0.5, 0.5])
