@@ -30,11 +30,13 @@ scorer is summarized for each hypothesis that scores it.
 A selection step runs in this order:
 
 * ``_columns_that_can_win`` picks the columns that can still be
-  selected, from the segment's token order by contribution, built once
-  per segment (``_segment_order``). The kept columns stay in id order,
-  with PAD and BOS first.
+  selected: every exception, plus each token ranked below ``B + E``
+  within its block of equal contribution, from ranks built once per
+  segment (``_segment_order``). The kept columns stay in id order, with
+  PAD and BOS first.
 * ``_select`` fills a matrix over those columns from the rows' floors
-  and scatters the exceptions into it.
+  and scatters the exceptions into it. It hands the kernel the kept
+  columns' contributions at strength 1.0, so the kernel never multiplies.
 * ``select_top_candidates`` ranks the candidates. Laid out token-major
   (all rows of one token together, tokens ascending), the flat candidate
   order is the tie-break order. A partition finds the score of the last
@@ -46,7 +48,6 @@ A selection step runs in this order:
 
 from __future__ import annotations
 
-import bisect
 import json
 import math
 import sys
@@ -125,20 +126,16 @@ class StoryResult:
 class _SegmentOrder(NamedTuple):
     """A segment's frozen selection data, built once per penalty and strength.
 
-    ``ranking`` lists the columns a step may keep, best first: PAD and BOS
-    (which the kernel expects), then the generable token ids by
-    contribution (``strength * penalty``) descending, then id ascending.
-    ``ranked`` holds those tokens' contributions in that order, and
-    ``bounds`` the positions in ``ranked`` where a new contribution value
-    starts, between 0 and ``len(ranked)``.
+    ``ranks`` holds each token's rank within its block of equal
+    contribution (``strength * penalty``), ids ascending: the lowest
+    generable id of a block ranks 0, the next 1, and so on. PAD and BOS,
+    which the kernel expects, rank 0.
     """
 
     penalty: np.ndarray
     strength: float
     contributions: np.ndarray
-    ranking: np.ndarray
-    ranked: list[float]
-    bounds: list[int]
+    ranks: np.ndarray
 
 
 # the kernel's carry arguments, always empty (see select_top_candidates)
@@ -149,15 +146,16 @@ _NO_IDS = np.empty(0, dtype=np.int64)
 def _segment_order(penalty: np.ndarray, strength: float) -> _SegmentOrder:
     """The selection data of a validated penalty at ``strength``."""
     strength = float(strength)
-    with np.errstate(over="ignore"):  # beam_search rejects an overflowing strength
+    with np.errstate(over="ignore"):  # -inf where it overflows; beam_search rejects that
         contributions = strength * penalty
     generable = contributions[FIRST_GENERABLE_ID:]
-    order = np.argsort(-generable, kind="stable")  # ties stay in id order
-    ranked = generable[order]
-    starts = np.flatnonzero(ranked[1:] != ranked[:-1]) + 1
-    ranking = np.concatenate((np.arange(FIRST_GENERABLE_ID), order + FIRST_GENERABLE_ID))
-    return _SegmentOrder(penalty, strength, contributions, ranking, ranked.tolist(),
-                         [0, *starts.tolist(), len(order)])
+    order = np.argsort(generable, kind="stable")  # blocks of equal contribution, ids ascending
+    blocked = generable[order]
+    position = np.arange(len(order))
+    starts = np.r_[True, blocked[1:] != blocked[:-1]]
+    ranks = np.zeros(len(penalty), dtype=np.int64)
+    ranks[order + FIRST_GENERABLE_ID] = position - np.maximum.accumulate(position * starts)
+    return _SegmentOrder(penalty, strength, contributions, ranks)
 
 
 def select_top_candidates(base_aug: np.ndarray, logprobs: np.ndarray,
@@ -212,8 +210,7 @@ def _select(beam_aug: list[float], rows: Sequence[ScoreRow], segment: _SegmentOr
     counts = [len(row.ids) for row in rows]
     ids = [token for row in rows for token in row.ids]
 
-    columns = _columns_that_can_win(beam_aug, floors, ids, max(counts, default=0), segment,
-                                    beam_width)
+    columns = _columns_that_can_win(ids, max(counts, default=0), segment, beam_width)
     # each row of the kernel's matrix is its floor, but at its exceptions
     matrix = np.empty((len(rows), len(columns)))
     matrix.T[...] = floors
@@ -221,46 +218,24 @@ def _select(beam_aug: list[float], rows: Sequence[ScoreRow], segment: _SegmentOr
         matrix[np.arange(len(rows)).repeat(counts), np.searchsorted(columns, ids)] = \
             [value for row in rows for value in row.values]
     positions, tokens, augs, logprobs = select_top_candidates(
-        np.array(beam_aug), matrix, segment.penalty[columns], segment.strength,
+        np.array(beam_aug), matrix, segment.contributions[columns], 1.0,  # 1.0 * c == c
         np.arange(len(rows)), _NO_CARRY, _NO_IDS, beam_width)
     return positions, columns[tokens], augs, logprobs
 
 
-def _columns_that_can_win(beam_aug: list[float], floors: list[float], ids: list[int],
-                          most: int, segment: _SegmentOrder, beam_width: int) -> np.ndarray:
+def _columns_that_can_win(ids: list[int], most: int, segment: _SegmentOrder,
+                          beam_width: int) -> np.ndarray:
     """The columns that hold the exact top B, ascending.
 
-    ``floors`` holds each hypothesis's row floor, ``ids`` the exception ids
-    of every row, and ``most`` the most exceptions of one row, ``E``. The
-    first ``B + E`` tokens of the segment order hold at least ``B`` floor
-    tokens of every row, each scoring at least as high as any later floor
-    token of that row. So every exception plus that prefix holds the top
-    B, and extra columns change nothing. Rounding can merge different
-    contributions, and then the id tie-break may prefer a later token: so
-    when some row's floor scores at the prefix's last position and the
-    next are equal, and that tie run reaches a second contribution value,
-    every column is kept, as it is when the prefix covers every token.
+    ``ids`` holds the exception ids of every row, and ``most`` the most
+    exceptions of one row, ``E``. A row's floor tokens of one block score
+    bit for bit alike, whatever the rounding, so ids break their ties. A
+    floor token ranked ``B + E`` or later in its block has at least ``B``
+    floor tokens of its own row ahead of it, and cannot be selected. So
+    every exception plus every token ranked below ``B + E`` holds the top
+    B, and extra columns change nothing.
     """
-    keep = beam_width + most
-    ranked = segment.ranked
-    if keep >= len(ranked):
-        return np.arange(len(segment.penalty))
-    # the floor scores at the prefix's last position, the next one, and the
-    # nearest positions on either side holding another contribution value;
-    # float arithmetic here rounds as the kernel's float64 arithmetic does
-    bounds = segment.bounds
-    block = bisect.bisect_right(bounds, keep - 1)
-    below, above = bounds[block - 1] - 1, bounds[block]
-    at, past = ranked[keep - 1], ranked[keep]
-    below = ranked[below] if below >= 0 else math.nan  # nan: no neighbour, equal to nothing
-    above = ranked[above] if above < len(ranked) else math.nan
-    for aug, floor in zip(beam_aug, floors):
-        base = aug + floor
-        last = base + at
-        if base + past == last and (base + below == last or base + above == last):
-            return np.arange(len(segment.penalty))
-    kept = np.zeros(len(segment.penalty), dtype=bool)
-    kept[segment.ranking[:FIRST_GENERABLE_ID + keep]] = True
+    kept = segment.ranks < min(beam_width + most, len(segment.ranks))  # no int past int64
     kept[ids] = True
     return kept.nonzero()[0]
 
@@ -336,12 +311,11 @@ def beam_search(scorer: Scorer, condition: Condition, vocab: Vocabulary,
     beam_width = config.beam_width
     strength = config.diversity_strength
     # a hypothesis collects at most max_len penalty contributions; their total
-    # must stay finite or the kernel's score sums overflow to -inf; contributions
-    # are <= 0, so the last of the descending ``ranked`` is the most negative
+    # must stay finite or the kernel's score sums overflow to -inf
     steps = min(config.max_len, sys.float_info.max)  # an int may exceed float range
     segment = _segment_order(penalty, strength)
     contributions = segment.contributions
-    if not math.isfinite(steps * segment.ranked[-1]):
+    if not math.isfinite(steps * float(contributions.min())):
         raise ValueError(
             f"diversity strength {strength} overflows this segment's penalty "
             f"total over {config.max_len} steps")

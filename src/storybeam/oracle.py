@@ -77,7 +77,8 @@ def exhaustive_best(scorer: Scorer, condition: Condition, vocab: Vocabulary,
     check_strength("strength", strength)
     validate_penalty(penalty, len(vocab))
     n_generable = len(vocab) - FIRST_GENERABLE_ID
-    if n_generable ** max_len > SEARCH_SPACE_LIMIT:
+    # 2 ** 64 already exceeds the limit: no exact power of an unbounded max_len
+    if n_generable ** min(max_len, 64) > SEARCH_SPACE_LIMIT:
         raise ValueError(
             f"search space {n_generable}^{max_len} exceeds the "
             f"{SEARCH_SPACE_LIMIT} guard limit")

@@ -46,6 +46,14 @@ the dog ran away
 """
 
 
+# a child's own peak RSS is read from Linux's VmHWM; a child's ru_maxrss starts
+# at its parent's size at spawn, so from pytest it would read pytest's size
+needs_vmhwm = pytest.mark.skipif(
+    not (Path("/proc/self/status").exists()
+         and "VmHWM:" in Path("/proc/self/status").read_text()),
+    reason="the peak is read from Linux's VmHWM in /proc/self/status")
+
+
 @pytest.fixture
 def table_path(tmp_path) -> Path:
     path = tmp_path / "table.yaml"
@@ -1152,27 +1160,49 @@ class TestDecode:
         assert main(["decode", "--model", str(table_path),
                      "--batch", str(batch)]) == 2
 
+    @staticmethod
+    def decode_peak_kib(*args: str) -> int:
+        """Run ``decode`` with ``args`` in a child; return the child's own peak RSS in KiB."""
+        result = run_python(
+            "from storybeam.cli import main\n"
+            f"assert main(['decode', *{list(args)!r}]) == 0\n"
+            "print(next(line.split()[1] for line in open('/proc/self/status')"
+            " if line.startswith('VmHWM:')))\n")
+        assert result.returncode == 0, result.stderr
+        return int(result.stdout)
+
     # a segment holds O(beam width x max-len) of history, so the peak of a
     # width-1 decode grows by a few MiB from 500 to 4000 steps, not by tens
-    @pytest.mark.skipif(not (Path("/proc/self/status").exists()
-                             and "VmHWM:" in Path("/proc/self/status").read_text()),
-                        reason="the peak is read from Linux's VmHWM in /proc/self/status")
+    @needs_vmhwm
     def test_segment_memory_grows_linearly_with_max_len(self, table_path, tmp_path):
         peaks = []
         for max_len in (500, 4000):
             out = tmp_path / f"story{max_len}.json"
-            result = run_python(
-                "from storybeam.cli import main\n"
-                f"assert main(['decode', '--model', {str(table_path)!r}, '--conditions', 'c1',"
-                f" '--beam-width', '1', '--lambda', '0', '--max-len', '{max_len}',"
-                f" '--out', {str(out)!r}]) == 0\n"
-                "print(next(line.split()[1] for line in open('/proc/self/status')"
-                " if line.startswith('VmHWM:')))\n")
-            assert result.returncode == 0, result.stderr
+            peaks.append(self.decode_peak_kib(
+                "--model", str(table_path), "--conditions", "c1", "--beam-width", "1",
+                "--lambda", "0", "--max-len", str(max_len), "--out", str(out)))
             assert len(json.loads(out.read_text(encoding="utf-8"))["segments"][0]["tokens"]) \
                 == max_len
-            peaks.append(int(result.stdout))
         assert peaks[1] - peaks[0] < 8 * 1024, f"VmHWM {peaks[0]} kB, then {peaks[1]} kB"
+
+    # every hypothesis of a flat table stays live, so a step's matrix is B rows
+    # by about B + E columns: a penalized segment adds only its penalized tokens
+    # (88 MiB at width 1024 and 44 MiB at 512 on x86_64 Linux, Python 3.11, numpy 2.4)
+    @needs_vmhwm
+    def test_wide_beam_memory_in_a_penalized_story(self, tmp_path):
+        words = 2000
+        model = tmp_path / "flat.yaml"
+        probs = [f"{(1 - 1e-6) / words:.17e}"] * words + ["1.0e-06"]
+        model.write_text(f"vocab: [{', '.join(f't{i:04d}' for i in range(words))}, <eos>]\n"
+                         f"default_row: [{', '.join(probs)}]\n", encoding="utf-8")
+        out = tmp_path / "story.json"
+        peak = self.decode_peak_kib(
+            "--model", str(model), "--conditions", "c1", "c2", "c3", "--beam-width", "1024",
+            "--lambda", "2", "--max-len", "5", "--out", str(out))
+        segments = json.loads(out.read_text(encoding="utf-8"))["segments"]
+        assert [len(seg["tokens"]) for seg in segments] == [5, 5, 5]
+        assert segments[1]["tokens"] != segments[0]["tokens"]  # the penalty bites
+        assert peak <= 128 * 1024, f"VmHWM {peak} kB"
 
 
 class TestBlasThreads:

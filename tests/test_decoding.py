@@ -165,6 +165,30 @@ class TestExpandAndSelect:
         _, tokens, _ = assert_selects_like_oracle([0.0], [row], penalty, 1e-20, 3)
         assert tokens.tolist() == [2, 3, 4]
 
+    # Hamming counts 1..50, each on four tokens 50 ids apart, after ten
+    # unpenalized ones: at 1e-20 every contribution rounds away and at 1e-16
+    # only some do, so distinct contributions score alike and ids decide
+    @pytest.mark.parametrize("strength", [1e-20, 1e-16])
+    def test_distinct_contributions_that_round_to_one_score(self, strength):
+        penalty = np.zeros(FIRST_GENERABLE_ID + 210)
+        penalty[FIRST_GENERABLE_ID + 10:] = -np.tile(np.arange(1.0, 51.0), 4)
+        floor = log_row([4.0, 0.5] + [1.0] * 208)
+        tied = log_row(np.ones(210))
+        rows, beam_aug = [floor, tied, floor], [0.0, -1e-15, -0.5]
+        for width in [*range(1, 13), 20, 50, 100, 210, 631]:
+            assert_selects_like_oracle(beam_aug, rows, penalty, strength, width)
+
+    # 1e308 * -10 overflows to -inf: the oracle's Python floats do so silently,
+    # and the kernel adds contributions built once under errstate, never multiplying
+    @pytest.mark.parametrize("width", [3, 4, 5])
+    def test_overflowing_contribution_selects_like_the_oracle(self, width):
+        row = log_row([0.1, 0.3, 0.2, 0.3])
+        penalty = zero_penalty(len(row))
+        penalty[4] = -10.0
+        _, tokens, augs = assert_selects_like_oracle([0.0], [row], penalty, 1e308, width)
+        assert tokens.tolist() == [3, 5, 2, 4][:width]
+        assert (augs[-1] == -np.inf) == (width > 3)
+
     @pytest.mark.parametrize("strength", [0.0, 1e-20, 2.0])
     def test_dense_and_floor_rows_in_one_step(self, strength):
         rng = np.random.default_rng(11)
@@ -173,7 +197,7 @@ class TestExpandAndSelect:
         tied = log_row(np.ones(12))
         penalty = zero_penalty(len(dense))
         penalty[[5, 9, 13]] = [-1.0, -2.0, -1.0]
-        for width in range(1, 4 * 12 + 2):
+        for width in [*range(1, 4 * 12 + 2), 10 ** 30]:  # a Python int past int64 too
             assert_selects_like_oracle([-0.5, -1.0, 0.0, -0.5], [floor, dense, tied, floor],
                                        penalty, strength, width)
 
@@ -198,7 +222,7 @@ class TestColumnReduction:
 
         def counting(*args):
             chosen = columns(*args)
-            segment = args[4]
+            segment = args[2]
             kept["all" if len(chosen) == len(segment.penalty) else "reduced"] += 1
             return chosen
 
@@ -234,9 +258,8 @@ class TestColumnReduction:
         corpus = Corpus.from_text("\n".join(lines))
         model = train_ngram(corpus, build_vocabulary(corpus, min_count=1), order=2, alpha=0.1)
         kept = self.decode_both(monkeypatch, model, strength)
-        assert kept["reduced"] > 0
-        if strength == 1e-20:  # the penalty rounds away, so penalized segments keep all
-            assert kept["all"] > 0
+        # the block rule needs no fallback where the penalty rounds away (1e-20)
+        assert kept["reduced"] > 0 and kept["all"] == 0
 
 
 class TestSelectInputs:

@@ -69,6 +69,10 @@ class TestExhaustiveBest:
         with pytest.raises(ValueError, match="guard"):
             exhaustive_best(table, "c", table.vocab, 8, 0.0,
                             zero_penalty(len(table.vocab)))
+        # refused without computing 7 ** 10 ** 12 exactly
+        with pytest.raises(ValueError, match="guard"):
+            exhaustive_best(table, "c", table.vocab, 10 ** 12, 0.0,
+                            zero_penalty(len(table.vocab)))
 
     def test_force_finished_sequences_are_enumerated(self):
         # a complete sequence ends in EOS or has exactly max_len tokens;
