@@ -9,9 +9,8 @@ special tokens at fixed positions.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NoReturn, Sequence
 
 from .config import DEFAULT_MIN_COUNT, check_count
 
@@ -46,14 +45,39 @@ def split_lines(text: str) -> list[str]:
     return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
 
-@dataclass(frozen=True)
+def _raise_frozen(name: str, verb: str) -> NoReturn:
+    """Raise what a frozen dataclass raises on setting or deleting ``name``."""
+    # imported here: dataclasses pulls in inspect, which train-lm never needs
+    from dataclasses import FrozenInstanceError
+
+    raise FrozenInstanceError(f"cannot {verb} field {name!r}")
+
+
 class Corpus:
     """Tokenized sentences; immutable after construction.
 
     Every sentence is a non-empty tuple of lowercase token strings.
+    Corpora with equal sentences are equal; a corpus has no hash.
     """
 
     sentences: tuple[tuple[str, ...], ...]
+
+    def __init__(self, sentences: tuple[tuple[str, ...], ...]):
+        object.__setattr__(self, "sentences", sentences)
+
+    def __setattr__(self, name, value):
+        _raise_frozen(name, "assign to")
+
+    def __delattr__(self, name):
+        _raise_frozen(name, "delete")
+
+    def __eq__(self, other: object):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.sentences == other.sentences
+
+    def __repr__(self) -> str:
+        return f"Corpus(sentences={self.sentences!r})"
 
     def __len__(self) -> int:
         return len(self.sentences)
@@ -81,7 +105,8 @@ class Vocabulary:
 
     Non-special tokens are ordered by descending corpus frequency with
     lexicographic tie-breaks, so id assignment is deterministic across
-    runs and platforms. Every token is a non-empty string, listed once.
+    runs and platforms. Every token is a non-empty string of valid Unicode
+    (no lone surrogate), listed once.
     """
 
     def __init__(self, non_special_tokens: Iterable[str]):
@@ -92,6 +117,11 @@ class Vocabulary:
             if tok in SPECIAL_TOKENS:
                 raise ValueError(f"special token {tok!r} cannot be re-added")
             tokens.append(tok)
+        try:
+            "".join(tokens).encode("utf-8")
+        except UnicodeEncodeError:  # a lone surrogate, which no model document can hold
+            bad = next(t for t in tokens if t.encode("utf-8", "replace").decode("utf-8") != t)
+            raise ValueError(f"vocab token {bad!r} is not valid Unicode") from None
         self._tokens: tuple[str, ...] = tuple(tokens)
         self._index: dict[str, int] = {t: i for i, t in enumerate(self._tokens)}
         if len(self._index) != len(self._tokens):

@@ -22,7 +22,6 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
 from .config import _is_finite_number
@@ -35,6 +34,7 @@ from .corpus import (
     UNK_ID,
     Corpus,
     Vocabulary,
+    _raise_frozen,
 )
 
 if TYPE_CHECKING:
@@ -57,7 +57,6 @@ def _check_step_args(condition: str, prefix: Sequence[int]) -> None:
         raise ValueError("prefix must not contain EOS; finished hypotheses are not scored")
 
 
-@dataclass(frozen=True)
 class NGramModel:
     """Laplace-smoothed n-gram model over a fixed vocabulary.
 
@@ -70,7 +69,12 @@ class NGramModel:
     counts (non-negative integers, finite totals once smoothed), then
     derives ``totals``. ``train_ngram``, ``ngram_from_dict`` and direct
     callers all build through these checks; no constructor skips them.
-    Immutable after that; safe for concurrent scoring.
+
+    Immutable after that, as a frozen dataclass is: setting or deleting a
+    field raises ``dataclasses.FrozenInstanceError``, models with equal
+    ``order``, ``alpha``, ``vocab``, ``counts`` and ``totals`` are equal,
+    and a model has no hash. ``counts`` is kept, not copied, so its caller
+    must not change it afterwards. Safe for concurrent scoring.
 
     ``score_step`` returns one shared ``ScoreRow`` per counted context: the
     floor is the smoothed ``log(alpha / denominator)`` and the exceptions
@@ -82,21 +86,23 @@ class NGramModel:
     order: int
     alpha: float
     vocab: Vocabulary
-    counts: dict[tuple[int, ...], dict[int, int]] = field(default_factory=dict)
-    totals: dict[tuple[int, ...], int] = field(init=False)
+    counts: dict[tuple[int, ...], dict[int, int]]
+    totals: dict[tuple[int, ...], int]
     # counted context, or None for every unseen one -> its summary
-    _rows: dict[tuple[int, ...] | None, ScoreRow] = field(
-        init=False, repr=False, compare=False, default_factory=dict)
+    _rows: dict[tuple[int, ...] | None, ScoreRow]
 
-    def __post_init__(self):
-        _check_order(self.order)
-        vocab_size = len(self.vocab)
-        object.__setattr__(self, "alpha", _check_alpha(self.alpha, vocab_size))
-        smoothing = self.alpha * (vocab_size - FIRST_GENERABLE_ID)
-        width = self.order - 1
+    def __init__(self, order: int, alpha: float, vocab: Vocabulary,
+                 counts: dict[tuple[int, ...], dict[int, int]] | None = None):
+        if counts is None:
+            counts = {}
+        _check_order(order)
+        vocab_size = len(vocab)
+        alpha = _check_alpha(alpha, vocab_size)
+        smoothing = alpha * (vocab_size - FIRST_GENERABLE_ID)
+        width = order - 1
         # ``type(x) is int`` rather than isinstance keeps bools out
         totals = {}
-        for context, bucket in self.counts.items():
+        for context, bucket in counts.items():
             if not (type(context) is tuple and len(context) == width):
                 raise ValueError(f"context {context!r} must be {width} in-range ids")
             for i in context:
@@ -114,9 +120,29 @@ class NGramModel:
                 finite = False
             if not finite:
                 raise ValueError(
-                    f"counts in context {self.vocab.decode(context)!r} overflow "
+                    f"counts in context {vocab.decode(context)!r} overflow "
                     "float range once smoothed")
-        object.__setattr__(self, "totals", totals)
+        # past the frozen __setattr__
+        self.__dict__.update(order=order, alpha=alpha, vocab=vocab, counts=counts,
+                             totals=totals, _rows={})
+
+    def __setattr__(self, name, value):
+        _raise_frozen(name, "assign to")
+
+    def __delattr__(self, name):
+        _raise_frozen(name, "delete")
+
+    def _fields(self) -> tuple:
+        return self.order, self.alpha, self.vocab, self.counts, self.totals
+
+    def __eq__(self, other: object):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        return ("NGramModel(order={!r}, alpha={!r}, vocab={!r}, counts={!r}, totals={!r})"
+                .format(*self._fields()))
 
     def context_for(self, prefix: Sequence[int]) -> tuple[int, ...]:
         if self.order == 1:
@@ -199,14 +225,26 @@ def train_ngram(corpus: Corpus, vocab: Vocabulary, order: int, alpha: float) -> 
 
 
 def ngram_to_dict(model: NGramModel) -> dict:
+    """The model as a document, its count entries in (context, token) string order."""
     # construction checked every id, so they index the token list directly
     tokens = model.vocab.tokens
-    triples = []
+    size = len(tokens)
+    rank = [0] * size  # each id's place in string order
+    for place, token in enumerate(sorted(range(size), key=tokens.__getitem__)):
+        rank[token] = place
+    # every context holds order - 1 ids, so an entry's ranks read as one base-V
+    # numeral sort exactly as its strings do
+    entries = {}
     for context, bucket in model.counts.items():
-        context_tokens = [tokens[i] for i in context]
+        key = 0
+        context_tokens = []  # built here: a comprehension is a function call on Python 3.11
+        for i in context:
+            key = key * size + rank[i]
+            context_tokens.append(tokens[i])
+        key *= size
         for token, count in bucket.items():
-            triples.append([context_tokens, tokens[token], count])
-    triples.sort(key=lambda t: (t[0], t[1]))
+            entries[key + rank[token]] = [context_tokens, tokens[token], count]
+    triples = [entries[key] for key in sorted(entries)]
     return {
         "order": model.order,
         "alpha": model.alpha,

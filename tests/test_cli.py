@@ -1339,7 +1339,8 @@ class TestUsage:
         (("-S",), ["decode", "--help"], 0, STARTUP_ONLY, ()),
         (("-S",), ["decode", "--model", "{model}"], 2, STARTUP_ONLY, ()),
         ((), ["train-lm", "{corpus}", "--out", "{tmp}/new.json"], 0,
-         ("numpy", "storybeam.decoding", "storybeam.metrics", "concurrent.futures"), ()),
+         ("numpy", "dataclasses", "storybeam.decoding", "storybeam.metrics",
+          "concurrent.futures"), ()),
         ((), ["eval", "{story}"], 0, ("numpy", "storybeam.decoding", "concurrent.futures"),
          ("storybeam.metrics",)),
         ((), ["decode", "--model", "{model}", "--conditions", "c1", "c2", "--out",

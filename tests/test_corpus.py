@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -38,6 +40,25 @@ class TestCorpusIngestion:
         path = tmp_path / "corpus.txt"
         path.write_text("x y\nz\n", encoding="utf-8")
         assert Corpus.from_file(path).sentences == (("x", "y"), ("z",))
+
+    # a plain class with a frozen dataclass's behaviour: train-lm never imports dataclasses
+    def test_fields_cannot_be_set_or_deleted(self):
+        corpus = corpus_of("a b")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            corpus.sentences = ()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            corpus.extra = 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del corpus.sentences
+        assert corpus.sentences == (("a", "b"),)
+
+    def test_equal_sentences_make_equal_corpora_without_a_hash(self):
+        assert corpus_of("a b", "c") == Corpus((("a", "b"), ("c",)))
+        assert corpus_of("a b") != corpus_of("a c")
+        assert corpus_of("a b") != (("a", "b"),)
+        with pytest.raises(TypeError):
+            hash(corpus_of("a b"))
+        assert vars(corpus_of("a")) == {"sentences": (("a",),)}
 
 
 class TestBuildVocabulary:
@@ -118,6 +139,15 @@ class TestEncodeDecode:
     def test_token_must_be_a_non_empty_string(self, token):
         with pytest.raises(ValueError, match="invalid vocab token"):
             Vocabulary(["a", token])
+
+    # no UTF-8 model document can hold a lone surrogate, so no model may be built over one
+    @pytest.mark.parametrize("token", ["\ud800", "a\udfffb", "\udc80"])
+    def test_token_must_be_valid_unicode(self, token):
+        with pytest.raises(ValueError, match="not valid Unicode") as error:
+            Vocabulary(["a", token, "\U0001F600"])
+        assert repr(token) in str(error.value)
+        with pytest.raises(ValueError, match="not valid Unicode"):
+            build_vocabulary(Corpus(sentences=(("a", token),)), min_count=1)
 
     def test_out_of_range_id_rejected(self, vocab):
         with pytest.raises(ValueError, match="out of range"):

@@ -699,6 +699,26 @@ class TestNGramSerialization:
         assert loaded.vocab == vocab and loaded.counts == model.counts
         assert dump_ngram(loaded) == text
 
+    # ngram_to_dict sorts by one integer per entry; this is the order it stands for
+    @given(st.integers(min_value=1, max_value=4), st.data())
+    def test_entries_sort_by_context_and_token_strings(self, order, data):
+        pool = data.draw(st.lists(
+            st.sampled_from(["a", "ab", "abc", "A", "Ab", "b", "B", "é", "e", "éa", "日", "日本",
+                             "\U0001F600", "a\x85", "<unk>", "<eos>"])
+            | st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=3),
+            min_size=1, max_size=8, unique=True))
+        sentences = data.draw(st.lists(st.lists(st.sampled_from(pool), min_size=1, max_size=6),
+                                       min_size=1, max_size=5))
+        corpus = Corpus(sentences=tuple(tuple(s) for s in sentences))
+        model = train_ngram(corpus, build_vocabulary(corpus, min_count=1), order, alpha=0.5)
+        tokens = model.vocab.tokens
+        triples = [[[tokens[i] for i in context], tokens[token], count]
+                   for context, bucket in model.counts.items()
+                   for token, count in bucket.items()]
+        assert ngram_to_dict(model)["counts"] == sorted(triples, key=lambda t: (t[0], t[1]))
+        text = dump_ngram(model)
+        assert dump_ngram(load_ngram(text)) == text
+
     @given(st.integers(min_value=1, max_value=3),
            st.lists(st.lists(st.sampled_from(["a", "b", "c", "<unk>"]), min_size=1,
                              max_size=6), min_size=1, max_size=5))
@@ -897,7 +917,20 @@ class TestRowCache:
         row = model.score_step("x", [])
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(model, name, value)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(model, name)
         assert model.score_step("x", []) is row
+
+    def test_equal_fields_make_equal_models_without_a_hash(self):
+        assert trigram_model() == trigram_model()
+        assert trigram_model() != ulp_split_model()
+        assert trigram_model() != trigram_model().counts
+        with pytest.raises(TypeError):
+            hash(trigram_model())
+        vocab = Vocabulary(["a"])
+        empty = NGramModel(2, 1.0, vocab)
+        assert empty.counts == {} and empty == NGramModel(order=2, alpha=1.0, vocab=vocab)
+        assert empty.counts is not NGramModel(2, 1.0, vocab).counts
 
     def test_unseen_contexts_share_one_entry(self):
         model = trigram_model()
