@@ -39,8 +39,9 @@ def _atomic_write(path: str | os.PathLike, text: str) -> None:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
         return
-    # os.open masks 0o666 at write time as open() does; mkstemp would give 0o600
-    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    # os.open masks 0o666 at write time as open() does; mkstemp would give 0o600.
+    # The name does not grow with the target's, so any valid target name fits.
+    tmp = path.with_name(f".{os.urandom(8).hex()}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
@@ -151,8 +152,6 @@ def _cmd_decode(args: argparse.Namespace) -> int:
         return story_to_json(result, vocab)
 
     if args.batch is not None:
-        # only --batch runs a thread pool, so only --batch imports one
-        from concurrent.futures import ThreadPoolExecutor
         from pathlib import Path
 
         if not args.out:
@@ -168,22 +167,34 @@ def _cmd_decode(args: argparse.Namespace) -> int:
         def story_path(index: int):
             return out_dir / f"story_{index:04d}.json"
 
-        def run(index: int, conditions: list[str]) -> None:
-            _atomic_write(story_path(index), decode_one(conditions))
+        def attempt(index: int, conditions: list[str]) -> Exception | None:
+            try:
+                _atomic_write(story_path(index), decode_one(conditions))
+            except Exception as exc:
+                return exc
+            return None
 
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            futures = [pool.submit(run, index, conditions)
-                       for index, (_, conditions) in enumerate(stories)]
+        indices = range(len(stories))
+        lines = [conditions for _, conditions in stories]
+        if args.jobs == 1:  # in this thread: a pool and its imports cost ~5 ms
+            errors = list(map(attempt, indices, lines))
+        else:
+            # only --jobs above 1 runs a thread pool, so only it imports one
+            from concurrent.futures import ThreadPoolExecutor
+
+            with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+                errors = list(pool.map(attempt, indices, lines))
         # every story is attempted; failures are reported in line order, and a
         # failed story leaves no file behind, not even one from an earlier run
         failed = 0
-        for index, ((line_no, _), future) in enumerate(zip(stories, futures)):
-            try:
-                future.result()
-            except (ValueError, OSError) as exc:
-                story_path(index).unlink(missing_ok=True)
-                print(f"batch line {line_no}: {exc}", file=sys.stderr)
-                failed += 1
+        for index, ((line_no, _), exc) in enumerate(zip(stories, errors)):
+            if exc is None:
+                continue
+            if not isinstance(exc, (ValueError, OSError)):
+                raise exc
+            story_path(index).unlink(missing_ok=True)
+            print(f"batch line {line_no}: {exc}", file=sys.stderr)
+            failed += 1
         if failed:
             raise ValueError(f"{failed} of {len(stories)} stories failed")
         print(f"decoded {len(stories)} stories into {out_dir}")

@@ -32,8 +32,11 @@ A selection step runs in this order:
 * ``_columns_that_can_win`` picks the columns that can still be
   selected: every exception, plus each token ranked below ``B + E``
   within its block of equal contribution, from ranks built once per
-  segment (``_segment_order``). The kept columns stay in id order, with
-  PAD and BOS first.
+  segment (``_segment_order``). The tokens of contribution zero (all of
+  them at strength 0, most of them otherwise) form one block, ranked by
+  id with one cumulative count; only the penalized tokens are sorted
+  into their blocks. The kept columns stay in id order, with PAD and BOS
+  first.
 * ``_select`` fills a matrix over those columns from the rows' floors
   and scatters the exceptions into it. It hands the kernel the kept
   columns' contributions at strength 1.0, so the kernel never multiplies.
@@ -149,12 +152,19 @@ def _segment_order(penalty: np.ndarray, strength: float) -> _SegmentOrder:
     with np.errstate(over="ignore"):  # -inf where it overflows; beam_search rejects that
         contributions = strength * penalty
     generable = contributions[FIRST_GENERABLE_ID:]
-    order = np.argsort(generable, kind="stable")  # blocks of equal contribution, ids ascending
-    blocked = generable[order]
-    position = np.arange(len(order))
-    starts = np.r_[True, blocked[1:] != blocked[:-1]]
+    zero = generable == 0  # -0.0 included: it equals 0.0, as in a full sort
     ranks = np.zeros(len(penalty), dtype=np.int64)
-    ranks[order + FIRST_GENERABLE_ID] = position - np.maximum.accumulate(position * starts)
+    # the zero block ranks by id; the other entries are overwritten below
+    ranks[FIRST_GENERABLE_ID:] = zero.cumsum() - 1
+    penalized = (~zero).nonzero()[0]
+    if len(penalized):
+        values = generable[penalized]
+        order = np.argsort(values, kind="stable")  # blocks of equal contribution, ids ascending
+        blocked = values[order]
+        position = np.arange(len(order))
+        starts = np.r_[True, blocked[1:] != blocked[:-1]]
+        ranks[penalized[order] + FIRST_GENERABLE_ID] = \
+            position - np.maximum.accumulate(position * starts)
     return _SegmentOrder(penalty, strength, contributions, ranks)
 
 
@@ -324,10 +334,12 @@ def beam_search(scorer: Scorer, condition: Condition, vocab: Vocabulary,
     beam: list[tuple] = [((), 0.0, (), ())]
     best: tuple | None = None
     trace: list[StepTrace] = []
-    n_generable = len(vocab) - FIRST_GENERABLE_ID
+    vocab_size = len(vocab)
+    n_generable = vocab_size - FIRST_GENERABLE_ID
+    score_step = scorer.score_step
     while beam and len(trace) < config.max_len:
         trace.append(StepTrace(candidate_count=len(beam) * n_generable))
-        rows = [summarize(scorer.score_step(condition, node[0]), len(vocab)) for node in beam]
+        rows = [summarize(score_step(condition, node[0]), vocab_size) for node in beam]
         selected = _select([node[1] for node in beam], rows, segment, beam_width)
         live = []
         for pos, token, aug, logprob in zip(*(a.tolist() for a in selected)):
@@ -382,8 +394,8 @@ def _fmt(value: float) -> str:
     return format(value, ".9g")
 
 
-def _jstr(text: str) -> str:
-    return json.dumps(text, ensure_ascii=False)
+# the string encoder json.dumps(text, ensure_ascii=False) builds on every call
+_jstr = json.JSONEncoder(ensure_ascii=False).encode
 
 
 def story_to_json(result: StoryResult, vocab: Vocabulary) -> str:

@@ -145,10 +145,13 @@ class NGramModel:
                 .format(*self._fields()))
 
     def context_for(self, prefix: Sequence[int]) -> tuple[int, ...]:
-        if self.order == 1:
+        width = self.order - 1
+        if width == 0:
             return ()
-        padded = (BOS_ID,) * (self.order - 1) + tuple(prefix)
-        return padded[-(self.order - 1):]
+        context = tuple(prefix[-width:])
+        if len(context) < width:
+            context = (BOS_ID,) * (width - len(context)) + context
+        return context
 
     def score_step(self, condition: str, prefix: Sequence[int]) -> ScoreRow:
         _check_step_args(condition, prefix)

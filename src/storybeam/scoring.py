@@ -228,14 +228,27 @@ class TableScorer:
         return self.default_row
 
 
+def _finite_row(probs: list, label: str) -> np.ndarray:
+    """``probs`` as a float64 array, if it is a list of ``_is_finite_number`` values."""
+    if isinstance(probs, list):
+        if set(map(type, probs)) <= {float, int}:  # no Python call per entry
+            try:
+                row = np.array(probs, dtype=np.float64)
+            except OverflowError:  # an int beyond float range
+                row = None
+            if row is not None and np.isfinite(row).all():
+                return row
+        elif all(map(_is_finite_number, probs)):  # a bool, a float subclass, ...
+            return np.array(probs, dtype=np.float64)
+    raise ValueError(f"{label}: probabilities must be a list of finite numbers")
+
+
 def _load_row(probs: list, listed_ids: list[int], vocab_size: int, label: str) -> ScoreRow:
-    if not isinstance(probs, list) or not all(_is_finite_number(p) for p in probs):
-        raise ValueError(f"{label}: probabilities must be a list of finite numbers")
-    if len(probs) != len(listed_ids):
+    row = _finite_row(probs, label)
+    if len(row) != len(listed_ids):
         raise ValueError(
-            f"{label}: got {len(probs)} probabilities for {len(listed_ids)} vocab tokens"
+            f"{label}: got {len(row)} probabilities for {len(listed_ids)} vocab tokens"
         )
-    row = np.asarray(probs, dtype=np.float64)
     if (row < 0).any():
         raise ValueError(f"{label}: probabilities must be non-negative")
     total = float(row.sum())
@@ -244,7 +257,7 @@ def _load_row(probs: list, listed_ids: list[int], vocab_size: int, label: str) -
     probs = (row / total).tolist()
     logs = {p: _log_or_minus_inf(p) for p in set(probs)}
     log_row = np.full(vocab_size, -np.inf)
-    log_row[listed_ids] = [logs[p] for p in probs]
+    log_row[listed_ids] = list(map(logs.__getitem__, probs))
     return summarize(log_row, vocab_size)
 
 
@@ -265,7 +278,7 @@ def table_from_dict(doc: dict) -> TableScorer:
     for tok in (PAD_TOKEN, BOS_TOKEN):
         if tok in listed:
             raise ValueError(f"{tok} is never generated and cannot carry probability")
-    listed_ids = [vocab.token_to_id(t) for t in listed]
+    listed_ids = list(map(vocab.id_of, listed))
     vocab_size = len(vocab)
     default_row = _load_row(default_probs, listed_ids, vocab_size, "default_row")
     rows = [] if doc.get("rows") is None else doc["rows"]
@@ -288,7 +301,7 @@ def table_from_dict(doc: dict) -> TableScorer:
                 raise ValueError(f"{label}: unknown context token {tok!r}")
             if tok in (PAD_TOKEN, BOS_TOKEN, EOS_TOKEN):  # BOS is implicit, EOS ends a hypothesis
                 raise ValueError(f"{label}: context token {tok!r} never occurs in a prefix")
-        context = tuple(vocab.token_to_id(t) for t in context_tokens)
+        context = tuple(map(vocab.id_of, context_tokens))
         row = _load_row(raw["probs"], listed_ids, vocab_size, label)
         rules.append(TableRule(condition=condition, context=context, row=row))
     return TableScorer(vocab=vocab, default_row=default_row, rules=tuple(rules))

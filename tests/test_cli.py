@@ -790,6 +790,19 @@ class TestDecode:
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "out.json", "out.json.tmp", "table.yaml"]
 
+    # the temporary file was named <name>.<16 hex>.tmp, 21 bytes past a
+    # 250-byte name and over the 255-byte limit
+    def test_out_accepts_a_250_byte_name(self, corpus_path, table_path, tmp_path):
+        model, story = tmp_path / ("m" * 245 + ".yaml"), tmp_path / ("s" * 245 + ".json")
+        assert len(os.fsencode(model.name)) == len(os.fsencode(story.name)) == 250
+        assert main(["train-lm", str(corpus_path), "--min-count", "1",
+                     "--out", str(model)]) == 0
+        assert main(["decode", "--model", str(model), "--conditions", "c1", "c2",
+                     "--beam-width", "1", "--max-len", "2", "--out", str(story)]) == 0
+        assert json.loads(story.read_text(encoding="utf-8"))["segments"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["corpus.txt", "table.yaml", model.name, story.name])
+
     def test_failed_write_leaves_no_temp_file(self, table_path, tmp_path):
         out = tmp_path / "taken"
         out.mkdir()  # os.replace cannot overwrite a directory with a file
@@ -1329,7 +1342,8 @@ class TestUsage:
         assert main([]) == 2
 
     # Each command imports what it runs, so --help and usage errors load
-    # only argparse and storybeam.config, and only decode loads numpy. Under
+    # only argparse and storybeam.config, only decode loads numpy, and only
+    # --jobs above 1 loads a thread pool. Under
     # -S no site module loads pathlib first, so those rows see whether storybeam does.
     @pytest.mark.parametrize("flags, argv, code, absent, present", [
         ((), ["--help"], 0, STARTUP_ONLY, ()),
@@ -1346,9 +1360,12 @@ class TestUsage:
         ((), ["decode", "--model", "{model}", "--conditions", "c1", "c2", "--out",
               "{tmp}/s.json"], 0, ("storybeam.metrics", "concurrent.futures"), ("numpy",)),
         ((), ["decode", "--model", "{model}", "--batch", "{batch}", "--out", "{tmp}/stories"],
-         0, ("storybeam.metrics",), ("numpy", "concurrent.futures")),
+         0, ("storybeam.metrics", "concurrent.futures"), ("numpy",)),
+        ((), ["decode", "--model", "{model}", "--batch", "{batch}", "--jobs", "2", "--out",
+              "{tmp}/stories"], 0, ("storybeam.metrics",), ("numpy", "concurrent.futures")),
     ], ids=["help", "decode-help", "usage-error", "help-no-site", "decode-help-no-site",
-            "usage-error-no-site", "train-lm", "eval", "decode", "decode-batch"])
+            "usage-error-no-site", "train-lm", "eval", "decode", "decode-batch",
+            "decode-batch-jobs2"])
     def test_command_loads_only_what_it_runs(self, flags, argv, code, absent, present,
                                              corpus_path, tmp_path):
         paths = {"corpus": corpus_path, "model": tmp_path / "model.json", "tmp": tmp_path,

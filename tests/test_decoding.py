@@ -262,6 +262,106 @@ class TestColumnReduction:
         assert kept["reduced"] > 0 and kept["all"] == 0
 
 
+def full_sort_ranks(penalty: np.ndarray, strength: float) -> np.ndarray:
+    """Block ranks from one stable sort over every generable token: the reference."""
+    with np.errstate(over="ignore"):
+        contributions = float(strength) * penalty
+    generable = contributions[FIRST_GENERABLE_ID:]
+    order = np.argsort(generable, kind="stable")
+    blocked = generable[order]
+    position = np.arange(len(order))
+    starts = np.r_[True, blocked[1:] != blocked[:-1]]
+    ranks = np.zeros(len(penalty), dtype=np.int64)
+    ranks[order + FIRST_GENERABLE_ID] = position - np.maximum.accumulate(position * starts)
+    return ranks
+
+
+# entries that tie, round to subnormals or to zero, or overflow at some strength
+PENALTY_VALUES = (-0.0, -5e-324, -1e-310, -1e-300, -0.5, -1.0, -2.0, -3.0, -50.0, -1e300,
+                  -sys.float_info.max)
+STRENGTHS = (0.0, 5e-324, 1e-320, 1e-310, 1e-20, 0.5, 1.0, 2.0, 1e308)
+
+
+@st.composite
+def segment_penalties(draw) -> tuple[np.ndarray, float]:
+    """A valid penalty over up to 8004 tokens, and a strength for it."""
+    size = draw(st.one_of(st.integers(NUM_SPECIALS, 40), st.integers(NUM_SPECIALS, 8004),
+                          st.just(8004)))
+    value = st.one_of(st.sampled_from(PENALTY_VALUES),
+                      st.floats(max_value=0.0, allow_nan=False, allow_infinity=False))
+    penalty = np.zeros(size)
+    shape = draw(st.sampled_from(["all-zero", "one", "few", "many"]))
+    if shape == "many":  # every token from a few shared values, so blocks are long
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        values = np.array(draw(st.lists(value, min_size=1, max_size=4)))
+        penalty[NUM_SPECIALS:] = rng.choice(values, size - NUM_SPECIALS)
+    elif shape != "all-zero" and size > NUM_SPECIALS:
+        ids = st.integers(NUM_SPECIALS, size - 1)
+        count = 1 if shape == "one" else draw(st.integers(1, min(30, size - NUM_SPECIALS)))
+        for token in draw(st.lists(ids, min_size=count, max_size=count, unique=True)):
+            penalty[token] = draw(value)
+    strength = draw(st.one_of(st.sampled_from(STRENGTHS),
+                              st.floats(0.0, 1e308, allow_nan=False)))
+    return penalty, strength
+
+
+class TestSegmentOrder:
+    """``_segment_order`` ranks every token as one stable sort over all of them does."""
+
+    @staticmethod
+    def assert_ranks_like_the_full_sort(penalty, strength):
+        segment = decoding._segment_order(penalty, strength)
+        assert segment.ranks.dtype == np.int64
+        assert segment.ranks.tolist() == full_sort_ranks(penalty, strength).tolist()
+        return segment
+
+    @settings(max_examples=300, deadline=None)
+    @given(segment_penalties())
+    def test_ranks_like_the_full_sort(self, case):
+        self.assert_ranks_like_the_full_sort(*case)
+
+    def test_zero_strength_gives_negative_zeros_in_the_zero_block(self):
+        penalty = zero_penalty(20)
+        penalty[[5, 9, 12]] = [-1.0, -2.0, -1.0]
+        segment = self.assert_ranks_like_the_full_sort(penalty, 0.0)
+        assert np.signbit(segment.contributions[[5, 9, 12]]).all()
+        assert segment.ranks[FIRST_GENERABLE_ID:].tolist() == list(range(18))
+
+    # 5e-324 * -1 is the smallest subnormal, 5e-324 * -0.25 rounds to -0.0,
+    # which joins the zero block
+    def test_contributions_that_underflow(self):
+        penalty = zero_penalty(12)
+        penalty[[4, 6, 8, 10]] = [-1.0, -0.25, -1.0, -0.25]
+        segment = self.assert_ranks_like_the_full_sort(penalty, 5e-324)
+        assert segment.contributions[4] == -5e-324 and segment.contributions[6] == 0.0
+        assert segment.ranks[[4, 8]].tolist() == [0, 1]
+        assert segment.ranks[[2, 3, 5, 6, 7, 9, 10, 11]].tolist() == list(range(8))
+
+    @pytest.mark.parametrize("size", [NUM_SPECIALS, NUM_SPECIALS + 1, 8004])
+    def test_all_zero_penalty_ranks_by_id(self, size):
+        segment = self.assert_ranks_like_the_full_sort(zero_penalty(size), 2.0)
+        assert segment.ranks.tolist() == [0] * FIRST_GENERABLE_ID + list(
+            range(size - FIRST_GENERABLE_ID))
+
+    @pytest.mark.parametrize("token", [NUM_SPECIALS, 4000, 8003])
+    def test_a_single_penalized_token(self, token):
+        penalty = zero_penalty(8004)
+        penalty[token] = -1.0
+        segment = self.assert_ranks_like_the_full_sort(penalty, 2.0)
+        assert segment.ranks[token] == 0
+        assert segment.ranks[8003 if token < 8003 else 8002] == 8000
+
+    # a tie-heavy row: every token ties but the few penalized ones
+    @pytest.mark.parametrize("strength", [0.0, 1e-320, 2.0])
+    def test_wide_flat_row_selects_like_the_oracle(self, strength):
+        row = log_row([1.0] * 8001 + [1e-6])
+        penalty = zero_penalty(len(row))
+        penalty[[10, 11, 500, 7000, 8002]] = [-1.0, -2.0, -1.0, -3.0, -1.0]
+        for width in (1, 3, 8, 20):
+            assert_selects_like_oracle([0.0, -1e-12, -0.5], [row, row, row], penalty,
+                                       strength, width)
+
+
 class TestSelectInputs:
     """``beam_search`` hands ``_select`` what ``expand_and_select`` checks for its callers."""
 
@@ -879,6 +979,28 @@ class TestStoryJson:
         broken = replace(segment, best=replace(segment.best, **{field: value}))
         with pytest.raises(ValueError, match="non-finite"):
             story_to_json(replace(story, segments=(broken,)), vocab)
+
+    # one shared encoder writes what json.dumps(s, ensure_ascii=False) writes
+    def test_strings_encode_as_json_dumps_does(self, monkeypatch):
+        words = ['say "hi"', "back\\slash", "tab\tnew\nline\x00\x1f\x7f", "line\u2028sep",
+                 "caf\u00e9 \u4e2d\u6587 \U0001F600", "<unk>", "<eos>"]
+        vocab = make_table(words, [1 / 7] * 7).vocab
+        ids = tuple(vocab.token_to_id(w) for w in words)
+        conditions = ['c"1', "c\\2", "c\u2028\x013", "\u00e9\U0001F600"]
+        best = Hypothesis(ids, -7.0, -8.0, (-1.0,) * 7, (-1 / 7,) * 7)
+        story = decoding.StoryResult(tuple(decoding.SegmentResult(c, best, ())
+                                           for c in conditions))
+        text = story_to_json(story, vocab)
+        monkeypatch.setattr(decoding, "_jstr", lambda s: json.dumps(s, ensure_ascii=False))
+        assert story_to_json(story, vocab) == text
+        doc = json.loads(text)
+        assert [seg["condition"] for seg in doc["segments"]] == conditions
+        assert [seg["tokens"] for seg in doc["segments"]] == [words] * 4
+        assert "\u2028" in text and "\u00e9" in text  # written as themselves, not escaped
+
+    @given(st.text())
+    def test_any_string_encodes_as_json_dumps_does(self, text):
+        assert decoding._jstr(text) == json.dumps(text, ensure_ascii=False)
 
     def test_validating_scorer_sees_every_step(self, skewed_table):
         wrapped = ValidatingScorer(skewed_table)

@@ -11,6 +11,7 @@ import yaml
 from hypothesis import assume, given, settings, strategies as st
 
 from storybeam import ngram
+from storybeam.config import _is_finite_number
 from storybeam.corpus import (
     BOS_ID,
     EOS_ID,
@@ -39,6 +40,7 @@ from storybeam.scoring import (
     dense_row,
     load_scorer,
     load_table_scorer,
+    table_from_dict,
     validate_step_scores,
 )
 
@@ -251,6 +253,57 @@ class TestTableLoading:
     ], ids=["one-line", "two-lines"])
     def test_flow_yaml_mapping_loads(self, yaml_loader, text):
         assert load_table_scorer(text).vocab.non_special_tokens == ("a",)
+
+    # ints and floats take one array conversion, any other entry one
+    # _is_finite_number call each: both accept what that call accepts
+    @pytest.mark.parametrize("probs, accepted", [
+        ([0.25, 0.75], True),
+        ([1, 0], True),
+        ([np.float64(0.25), np.float64(0.75)], True),
+        ([np.float64(0.25), 0.75], True),
+        ([0.5, True], False),
+        ([True, False], False),
+        ([0.5, "0.5"], False),
+        ([0.5, None], False),
+        ([0.5, [0.5]], False),
+        ([10 ** 400, 0], False),
+        ([0.5, 10 ** 400], False),
+        ([math.nan, 1.0], False),
+        ([math.inf, 0.0], False),
+        ([np.float64(math.nan), 1.0], False),
+        ([np.float64(math.inf), np.float64(0.0)], False),
+        ([np.int64(1), 0], False),
+        ([np.float32(0.5), 0.5], False),
+        ((0.25, 0.75), False),
+        (np.array([0.25, 0.75]), False),
+        ("[0.25, 0.75]", False),
+    ], ids=["floats", "ints", "float64s", "float64-and-float", "bool",
+            "bools", "string", "none", "nested", "int-beyond-float", "int-beyond-float-last",
+            "nan", "inf", "float64-nan", "float64-inf", "int64", "float32", "tuple",
+            "array", "text"])
+    def test_probability_entries_are_checked_alike_on_both_paths(self, probs, accepted):
+        assert accepted == (isinstance(probs, list) and all(map(_is_finite_number, probs)))
+        for label, doc in (
+                ("default_row", {"vocab": ["a", "<eos>"], "default_row": probs}),
+                (r"rows\[0\]", {"vocab": ["a", "<eos>"], "default_row": [0.5, 0.5],
+                                 "rows": [{"probs": probs}]})):
+            if accepted:
+                table = table_from_dict(doc)
+                row = table.rules[0].row if table.rules else table.default_row
+                want = make_table(["a", "<eos>"], [float(p) for p in probs]).default_row
+                assert (row.floor, row.ids, row.values) == (want.floor, want.ids, want.values)
+            else:
+                with pytest.raises(ValueError,
+                                   match=f"^{label}: probabilities must be a list of finite "
+                                         "numbers$"):
+                    table_from_dict(doc)
+
+    @pytest.mark.parametrize("probs", [[0.5, 0.25, 0.25], [np.float64(0.5)] * 3, [1]],
+                             ids=["floats", "float64s", "int"])
+    def test_entry_count_is_checked_on_both_paths(self, probs):
+        with pytest.raises(ValueError, match=f"^default_row: got {len(probs)} probabilities "
+                                             "for 2 vocab tokens$"):
+            table_from_dict({"vocab": ["a", "<eos>"], "default_row": probs})
 
     def test_near_one_row_sum_is_renormalized(self):
         # within the 1e-6 acceptance window; scores must still be exact
