@@ -37,19 +37,14 @@ _EXPORTS = {
     "DiversityReport": "metrics",
     "diversity_report": "metrics",
     "report_to_json": "metrics",
-    "OracleResult": "oracle",
-    "exhaustive_best": "oracle",
-    "exhaustive_step_select": "oracle",
     "NGramModel": "ngram",
     "dump_ngram": "ngram",
     "load_ngram": "ngram",
     "train_ngram": "ngram",
     "ScoreRow": "scoring",
     "TableScorer": "scoring",
-    "ValidatingScorer": "scoring",
     "load_scorer": "scoring",
     "load_table_scorer": "scoring",
-    "validate_step_scores": "scoring",
 }
 
 __all__ = ["__version__", *_EXPORTS]

@@ -135,8 +135,6 @@ class _SegmentOrder(NamedTuple):
     which the kernel expects, rank 0.
     """
 
-    penalty: np.ndarray
-    strength: float
     contributions: np.ndarray
     ranks: np.ndarray
 
@@ -165,7 +163,7 @@ def _segment_order(penalty: np.ndarray, strength: float) -> _SegmentOrder:
         starts = np.r_[True, blocked[1:] != blocked[:-1]]
         ranks[penalized[order] + FIRST_GENERABLE_ID] = \
             position - np.maximum.accumulate(position * starts)
-    return _SegmentOrder(penalty, strength, contributions, ranks)
+    return _SegmentOrder(contributions, ranks)
 
 
 def select_top_candidates(base_aug: np.ndarray, logprobs: np.ndarray,

@@ -66,15 +66,15 @@ class NGramModel:
     event space excludes PAD and BOS. Construction checks the order, alpha
     (finite, > 0, stored as a float, ``alpha * (V - 2)`` finite), contexts
     (``order - 1`` in-range ids), counted tokens (never PAD or BOS) and
-    counts (non-negative integers, finite totals once smoothed), then
-    derives ``totals``. ``train_ngram``, ``ngram_from_dict`` and direct
-    callers all build through these checks; no constructor skips them.
+    counts (non-negative integers, finite totals once smoothed) on its own
+    copy of ``counts``, then derives ``totals``. ``train_ngram``,
+    ``ngram_from_dict`` and direct callers all build through these checks;
+    no constructor skips them.
 
     Immutable after that, as a frozen dataclass is: setting or deleting a
     field raises ``dataclasses.FrozenInstanceError``, models with equal
     ``order``, ``alpha``, ``vocab``, ``counts`` and ``totals`` are equal,
-    and a model has no hash. ``counts`` is kept, not copied, so its caller
-    must not change it afterwards. Safe for concurrent scoring.
+    and a model has no hash. Safe for concurrent scoring.
 
     ``score_step`` returns one shared ``ScoreRow`` per counted context: the
     floor is the smoothed ``log(alpha / denominator)`` and the exceptions
@@ -102,7 +102,9 @@ class NGramModel:
         width = order - 1
         # ``type(x) is int`` rather than isinstance keeps bools out
         totals = {}
+        own = {}  # the model's own copy: a later change to the caller's dicts skips no check
         for context, bucket in counts.items():
+            bucket = own[context] = dict(bucket)
             if not (type(context) is tuple and len(context) == width):
                 raise ValueError(f"context {context!r} must be {width} in-range ids")
             for i in context:
@@ -123,7 +125,7 @@ class NGramModel:
                     f"counts in context {vocab.decode(context)!r} overflow "
                     "float range once smoothed")
         # past the frozen __setattr__
-        self.__dict__.update(order=order, alpha=alpha, vocab=vocab, counts=counts,
+        self.__dict__.update(order=order, alpha=alpha, vocab=vocab, counts=own,
                              totals=totals, _rows={})
 
     def __setattr__(self, name, value):

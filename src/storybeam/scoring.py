@@ -13,8 +13,7 @@ same contract:
 * a row may be shared: a ``ScoreRow`` holds tuples and cannot be written,
   and callers must not write into a dense row.
 
-The decoder passes every row through ``summarize`` as it receives it, and
-``dense_row`` expands a ``ScoreRow`` where a dense vector is needed.
+The decoder passes every row through ``summarize`` as it receives it.
 
 Two concrete scorers ship, and both return ``ScoreRow``s: a
 Laplace-smoothed n-gram model trained from a corpus (``ngram``, which
@@ -36,11 +35,9 @@ import numpy as np
 
 from .config import _is_finite_number
 from .corpus import (
-    BOS_ID,
     BOS_TOKEN,
     EOS_TOKEN,
     FIRST_GENERABLE_ID,
-    PAD_ID,
     PAD_TOKEN,
     SPECIAL_TOKENS,
     Vocabulary,
@@ -50,7 +47,6 @@ from .ngram import (NGramModel, _check_step_args, _is_token_list, _log_or_minus_
 # perfbench/tracing.py imports these two from here until ROADMAP item 1
 from .ngram import dump_ngram, train_ngram  # noqa: F401
 
-LOGSUMEXP_TOLERANCE = 1e-9
 ROW_SUM_TOLERANCE = 1e-6
 
 Condition = str
@@ -151,38 +147,6 @@ def summarize(scores: Scores, vocab_size: int) -> ScoreRow:
     floor = row[-1]
     ids = (row[FIRST_GENERABLE_ID:] != floor).nonzero()[0] + FIRST_GENERABLE_ID
     return ScoreRow(floor, ids.tolist(), row[ids].tolist(), vocab_size)
-
-
-def dense_row(scores: Scores) -> np.ndarray:
-    """A step's row as a dense vector: a ``ScoreRow`` expanded, a dense row as it is."""
-    if not isinstance(scores, ScoreRow):
-        return scores
-    row = np.full(scores.vocab_size, scores.floor)
-    row[:FIRST_GENERABLE_ID] = -math.inf
-    row[list(scores.ids)] = scores.values  # a tuple index would be multi-dimensional
-    return row
-
-
-def validate_step_scores(scores: Scores, vocab_size: int) -> None:
-    """Raise ``ValueError`` unless ``scores`` is a valid log-distribution.
-
-    Its log-sum-exp must be within ``LOGSUMEXP_TOLERANCE`` of 0.
-    """
-    scores = dense_row(scores)
-    if scores.shape != (vocab_size,):
-        raise ValueError(f"step scores have shape {scores.shape}, expected ({vocab_size},)")
-    if scores.dtype != np.float64:
-        raise ValueError(f"step scores must be float64, got {scores.dtype}")
-    if np.isnan(scores).any():
-        raise ValueError("step scores contain NaN")
-    if scores[PAD_ID] != -np.inf or scores[BOS_ID] != -np.inf:
-        raise ValueError("PAD and BOS must have -inf log-probability")
-    # log-sum-exp, shifted by the peak; an all--inf row gives -inf
-    lse = float(np.max(scores))
-    if math.isfinite(lse):
-        lse += math.log(float(np.sum(np.exp(scores - lse))))
-    if not abs(lse) <= LOGSUMEXP_TOLERANCE:
-        raise ValueError(f"step scores are not a distribution: log-sum-exp = {lse!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -320,24 +284,3 @@ def load_scorer(text: str) -> NGramModel | TableScorer:
         return table_from_dict(doc)
     raise ValueError("model document is neither an n-gram model nor a scoring table")
 
-
-class ValidatingScorer:
-    """Wraps a scorer and checks every returned row with ``validate_step_scores``.
-
-    Used by the verification suite to certify that all distributions seen
-    during decoding are proper; also handy when developing a new scorer.
-    """
-
-    def __init__(self, inner: Scorer):
-        self._inner = inner
-        self.calls = 0
-
-    @property
-    def vocab(self) -> Vocabulary:
-        return self._inner.vocab
-
-    def score_step(self, condition: Condition, prefix: Sequence[int]) -> Scores:
-        scores = self._inner.score_step(condition, prefix)
-        validate_step_scores(scores, len(self._inner.vocab))
-        self.calls += 1
-        return scores

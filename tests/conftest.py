@@ -15,9 +15,9 @@ from hypothesis import strategies as st
 import storybeam
 from storybeam.corpus import FIRST_GENERABLE_ID
 from storybeam.decoding import expand_and_select
-from storybeam.oracle import exhaustive_step_select
 from storybeam.scoring import ScoreRow, TableScorer, summarize, table_from_dict
 
+from reference import exhaustive_step_select
 
 
 def run_python(script: str, *flags: str, **env: str | None) -> subprocess.CompletedProcess:

@@ -1,24 +1,85 @@
-"""Brute-force reference implementations for certifying the decoder.
+"""Brute-force references and a row validator that certify the decoder.
 
-These enumerate candidate spaces outright and exist only for tests and
-spot checks; the guard limit is deliberate and performance is a
-non-goal. ``exhaustive_step_select`` mirrors one selection step,
-``exhaustive_best`` scores every complete sequence.
+None of this ships in the package: the CLI and the library never run it.
+``exhaustive_step_select`` mirrors one selection step and
+``exhaustive_best`` scores every complete sequence; both enumerate their
+candidate spaces outright, so the guard limit is deliberate and
+performance is a non-goal. They expand each row with their own
+``dense_row``, never through ``scoring.summarize``, so a fault in the
+decoder's reading of rows is not shared with its reference.
+``validate_step_scores`` checks that a row is a log-distribution, and
+``ValidatingScorer`` applies it to every row a scorer returns.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .config import check_count, check_strength
-from .corpus import EOS_ID, FIRST_GENERABLE_ID, Vocabulary
-from .diversity import validate_penalty
-from .scoring import Condition, Scorer, Scores, dense_row
+from storybeam.config import check_count, check_strength
+from storybeam.corpus import BOS_ID, EOS_ID, FIRST_GENERABLE_ID, PAD_ID, Vocabulary
+from storybeam.diversity import validate_penalty
+from storybeam.scoring import Condition, ScoreRow, Scorer, Scores
 
+LOGSUMEXP_TOLERANCE = 1e-9
 SEARCH_SPACE_LIMIT = 10 ** 6
+
+
+def dense_row(scores: Scores) -> np.ndarray:
+    """A step's row as a dense vector: a ``ScoreRow`` expanded, a dense row as it is."""
+    if not isinstance(scores, ScoreRow):
+        return scores
+    row = np.full(scores.vocab_size, scores.floor)
+    row[:FIRST_GENERABLE_ID] = -math.inf
+    row[list(scores.ids)] = scores.values  # a tuple index would be multi-dimensional
+    return row
+
+
+def validate_step_scores(scores: Scores, vocab_size: int) -> None:
+    """Raise ``ValueError`` unless ``scores`` is a valid log-distribution.
+
+    Its log-sum-exp must be within ``LOGSUMEXP_TOLERANCE`` of 0.
+    """
+    scores = dense_row(scores)
+    if scores.shape != (vocab_size,):
+        raise ValueError(f"step scores have shape {scores.shape}, expected ({vocab_size},)")
+    if scores.dtype != np.float64:
+        raise ValueError(f"step scores must be float64, got {scores.dtype}")
+    if np.isnan(scores).any():
+        raise ValueError("step scores contain NaN")
+    if scores[PAD_ID] != -np.inf or scores[BOS_ID] != -np.inf:
+        raise ValueError("PAD and BOS must have -inf log-probability")
+    # log-sum-exp, shifted by the peak; an all--inf row gives -inf
+    lse = float(np.max(scores))
+    if math.isfinite(lse):
+        lse += math.log(float(np.sum(np.exp(scores - lse))))
+    if not abs(lse) <= LOGSUMEXP_TOLERANCE:
+        raise ValueError(f"step scores are not a distribution: log-sum-exp = {lse!r}")
+
+
+class ValidatingScorer:
+    """Wraps a scorer and checks every returned row with ``validate_step_scores``.
+
+    Used by the verification suite to certify that all distributions seen
+    during decoding are proper.
+    """
+
+    def __init__(self, inner: Scorer):
+        self._inner = inner
+        self.calls = 0
+
+    @property
+    def vocab(self) -> Vocabulary:
+        return self._inner.vocab
+
+    def score_step(self, condition: Condition, prefix: Sequence[int]) -> Scores:
+        scores = self._inner.score_step(condition, prefix)
+        validate_step_scores(scores, len(self._inner.vocab))
+        self.calls += 1
+        return scores
 
 
 @dataclass(frozen=True)

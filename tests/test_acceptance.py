@@ -16,14 +16,18 @@ from storybeam.cli import main
 from storybeam.decoding import DecodeConfig, beam_search, inter_sentence_dbs
 from storybeam.diversity import hamming_diversity, zero_penalty
 from storybeam.metrics import diversity_report
-from storybeam.oracle import exhaustive_best
-from storybeam.scoring import LOGSUMEXP_TOLERANCE, ValidatingScorer, validate_step_scores
 
 from conftest import (
     assert_selects_like_oracle,
     make_table,
     random_step_case,
     random_table_scorer,
+)
+from reference import (
+    LOGSUMEXP_TOLERANCE,
+    ValidatingScorer,
+    exhaustive_best,
+    validate_step_scores,
 )
 
 SCORE_TOLERANCE = 1e-9

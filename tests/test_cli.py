@@ -29,9 +29,10 @@ from storybeam.corpus import (
 )
 from storybeam.decoding import DecodeConfig
 from storybeam.ngram import MAX_ORDER, NGramModel, _check_order, load_ngram, ngram_to_dict
-from storybeam.scoring import dense_row, load_scorer
+from storybeam.scoring import load_scorer
 
 from conftest import run_python
+from reference import dense_row
 
 TABLE_YAML = """\
 vocab: [a, b, <eos>]

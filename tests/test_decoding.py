@@ -30,8 +30,7 @@ from storybeam.decoding import (
 )
 from storybeam.diversity import PENALTIES, zero_penalty
 from storybeam.ngram import train_ngram
-from storybeam.oracle import exhaustive_best, exhaustive_step_select
-from storybeam.scoring import ScoreRow, ValidatingScorer, dense_row, summarize
+from storybeam.scoring import ScoreRow, summarize
 
 from conftest import (
     INVALID_SETTINGS,
@@ -42,6 +41,7 @@ from conftest import (
     random_table_scorer,
     step_cases,
 )
+from reference import ValidatingScorer, dense_row, exhaustive_best, exhaustive_step_select
 
 LN = math.log
 
@@ -223,15 +223,16 @@ class TestColumnReduction:
         def counting(*args):
             chosen = columns(*args)
             segment = args[2]
-            kept["all" if len(chosen) == len(segment.penalty) else "reduced"] += 1
+            kept["all" if len(chosen) == len(segment.ranks) else "reduced"] += 1
             return chosen
 
         monkeypatch.setattr(decoding, "_columns_that_can_win", counting)
         fast = story_to_json(inter_sentence_dbs(scorer, conditions, scorer.vocab, config),
                              scorer.vocab)
         def exhaustive(beam_aug, rows, segment, width):
+            # the kernel is handed the contributions at strength 1.0 too: 1.0 * c == c
             positions, tokens, augs = exhaustive_step_select(
-                beam_aug, rows, segment.penalty, segment.strength, width)
+                beam_aug, rows, segment.contributions, 1.0, width)
             logprobs = [dense_row(rows[p])[t] for p, t in zip(positions, tokens)]
             return positions, tokens, augs, np.array(logprobs, dtype=np.float64)
 

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from storybeam.decoding import DecodeConfig, beam_search
 from storybeam.diversity import zero_penalty
-from storybeam.oracle import exhaustive_best, exhaustive_step_select
 
 from conftest import (
     assert_selects_like_oracle,
@@ -15,6 +14,7 @@ from conftest import (
     random_step_case,
     random_table_scorer,
 )
+from reference import exhaustive_best, exhaustive_step_select
 
 LN = math.log
 

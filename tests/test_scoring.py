@@ -2,14 +2,17 @@ import dataclasses
 import itertools
 import json
 import math
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 from hypothesis import assume, given, settings, strategies as st
 
+import storybeam
 from storybeam import ngram
 from storybeam.config import _is_finite_number
 from storybeam.corpus import (
@@ -33,18 +36,10 @@ from storybeam.ngram import (
     ngram_to_dict,
     train_ngram,
 )
-from storybeam.oracle import exhaustive_best
-from storybeam.scoring import (
-    ScoreRow,
-    ValidatingScorer,
-    dense_row,
-    load_scorer,
-    load_table_scorer,
-    table_from_dict,
-    validate_step_scores,
-)
+from storybeam.scoring import load_scorer, load_table_scorer, table_from_dict
 
 from conftest import make_table, random_table_scorer, run_python
+from reference import ValidatingScorer, dense_row, exhaustive_best, validate_step_scores
 
 needs_libyaml = pytest.mark.skipif(
     not yaml.__with_libyaml__, reason="PyYAML is built without libyaml")
@@ -362,13 +357,17 @@ class TestLogRows:
         script = (
             "from storybeam.corpus import EOS_ID, Vocabulary\n"
             "from storybeam.ngram import NGramModel\n"
-            "from storybeam.scoring import dense_row, load_table_scorer\n"
+            "from storybeam.scoring import load_table_scorer\n"
+            "from reference import dense_row\n"
             f"for text in {[two_token_table_text(b) for b in ULP_SPLIT]!r}:\n"
             "    print(dense_row(load_table_scorer(text).score_step('c', [])).tobytes().hex())\n"
             "model = NGramModel(1, 0.5, Vocabulary(['a']), {(): {4: 54, EOS_ID: 1}})\n"
             "print(dense_row(model.score_step('c', [])).tobytes().hex())\n")
-        native = run_python(script)
-        scalar = run_python(script, NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4")
+        # the child imports dense_row from the reference module beside this file
+        path = f"{Path(storybeam.__file__).parents[1]}{os.pathsep}{Path(__file__).parent}"
+        native = run_python(script, PYTHONPATH=path)
+        scalar = run_python(script, PYTHONPATH=path,
+                            NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4")
         assert native.returncode == 0, native.stderr
         assert scalar.returncode == 0, scalar.stderr
         assert native.stdout.splitlines() == scalar.stdout.splitlines()
@@ -624,6 +623,23 @@ class TestNGram:
         vocab = build_vocabulary(tiny_corpus("a b"), min_count=1)
         model = NGramModel(order=2, alpha=1, vocab=vocab, counts={(BOS_ID,): {4: 3, 5: 1}})
         assert model.totals == {(BOS_ID,): 4} and model.alpha == 1.0
+
+    def test_the_model_keeps_its_own_counts(self):
+        vocab = build_vocabulary(tiny_corpus("a b"), min_count=1)
+        counts = {(BOS_ID,): {4: 1, 5: 1}}
+        model = NGramModel(order=2, alpha=1.0, vocab=vocab, counts=counts)
+        # a count the checks reject, a counted BOS and a new context, all after construction
+        counts[(BOS_ID,)][4] = -5
+        counts[(BOS_ID,)][BOS_ID] = 3
+        counts[(4,)] = {5: 1}
+        untouched = NGramModel(order=2, alpha=1.0, vocab=vocab, counts={(BOS_ID,): {4: 1, 5: 1}})
+        assert model.counts == {(BOS_ID,): {4: 1, 5: 1}}
+        assert model.totals == {(BOS_ID,): 2}
+        for prefix in ([], [4]):
+            row, want = model.score_step("x", prefix), untouched.score_step("x", prefix)
+            assert (row.floor, row.ids, row.values) == (want.floor, want.ids, want.values)
+        assert dump_ngram(model) == dump_ngram(untouched)
+        assert load_ngram(dump_ngram(model)) == untouched
         validate_step_scores(model.score_step("x", []), len(vocab))
 
     # a corpus word spelled <pad> or <bos> must not count toward those ids,
