@@ -104,12 +104,14 @@ class NGramModel:
         totals = {}
         own = {}  # the model's own copy: a later change to the caller's dicts skips no check
         for context, bucket in counts.items():
-            bucket = own[context] = dict(bucket)
             if not (type(context) is tuple and len(context) == width):
                 raise ValueError(f"context {context!r} must be {width} in-range ids")
             for i in context:
                 if not (type(i) is int and 0 <= i < vocab_size):
                     raise ValueError(f"context {context!r} must be {width} in-range ids")
+            # copied through ``items()``, so a bucket that is not a mapping still
+            # fails; ``dict(bucket)`` is the same copy of a dict at half the cost
+            bucket = own[context] = dict(bucket) if type(bucket) is dict else dict(bucket.items())
             for token, count in bucket.items():
                 if not (type(token) is int and FIRST_GENERABLE_ID <= token < vocab_size):
                     raise ValueError(f"counted token id {token!r} is PAD, BOS or out of range")

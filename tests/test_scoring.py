@@ -6,6 +6,7 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -623,6 +624,7 @@ class TestNGram:
         vocab = build_vocabulary(tiny_corpus("a b"), min_count=1)
         model = NGramModel(order=2, alpha=1, vocab=vocab, counts={(BOS_ID,): {4: 3, 5: 1}})
         assert model.totals == {(BOS_ID,): 4} and model.alpha == 1.0
+        validate_step_scores(model.score_step("x", []), len(vocab))
 
     def test_the_model_keeps_its_own_counts(self):
         vocab = build_vocabulary(tiny_corpus("a b"), min_count=1)
@@ -641,6 +643,15 @@ class TestNGram:
         assert dump_ngram(model) == dump_ngram(untouched)
         assert load_ngram(dump_ngram(model)) == untouched
         validate_step_scores(model.score_step("x", []), len(vocab))
+
+    def test_a_bucket_must_be_a_mapping(self):
+        # the copy goes through ``items()``, as the checks did before it
+        vocab = build_vocabulary(tiny_corpus("a b"), min_count=1)
+        with pytest.raises(AttributeError, match="items"):
+            NGramModel(order=2, alpha=1.0, vocab=vocab, counts={(4,): [(5, 1)]})
+        model = NGramModel(order=2, alpha=1.0, vocab=vocab,
+                           counts={(4,): MappingProxyType({5: 2})})
+        assert type(model.counts[(4,)]) is dict and model.counts == {(4,): {5: 2}}
 
     # a corpus word spelled <pad> or <bos> must not count toward those ids,
     # which score_step has no slot for
