@@ -9,11 +9,20 @@ mark skipped.
 Exit codes are a stable contract: 0 on success, 2 for usage or
 validation errors (including unreadable files and malformed documents),
 1 for unexpected internal errors.
+
+``main`` registers ``gc.freeze`` to run at exit. The collections CPython
+runs as the interpreter ends would walk every object numpy and the
+command made, only for the OS to reclaim the memory a moment later;
+frozen objects are skipped. The handler runs once the command has
+written and closed its outputs, and a caller that runs ``main`` in
+process keeps a collectable heap until its own exit.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import os
 import sys
 
@@ -245,6 +254,8 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    atexit.unregister(gc.freeze)  # repeated calls in one process leave one handler
+    atexit.register(gc.freeze)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -26,6 +26,7 @@ UNK_ID = 3
 
 SPECIAL_TOKENS = (PAD_TOKEN, BOS_TOKEN, EOS_TOKEN, UNK_TOKEN)
 NUM_SPECIALS = len(SPECIAL_TOKENS)
+_SPECIAL_SET = frozenset(SPECIAL_TOKENS)
 
 # Lowest token id the decoder may emit: PAD and BOS are structural and
 # never generated.
@@ -47,23 +48,30 @@ def split_lines(text: str) -> list[str]:
 
 def _raise_frozen(name: str, verb: str) -> NoReturn:
     """Raise what a frozen dataclass raises on setting or deleting ``name``."""
-    # imported here: dataclasses pulls in inspect, which train-lm never needs
+    # imported here: dataclasses pulls in inspect, which no command needs
     from dataclasses import FrozenInstanceError
 
     raise FrozenInstanceError(f"cannot {verb} field {name!r}")
 
 
-class Corpus:
-    """Tokenized sentences; immutable after construction.
+class _Record:
+    """A frozen dataclass's behaviour, without importing ``dataclasses``.
 
-    Every sentence is a non-empty tuple of lowercase token strings.
-    Corpora with equal sentences are equal; a corpus has no hash.
+    A subclass declares its fields as a dataclass does, as annotated class
+    attributes in constructor order (a name with a leading underscore is not
+    a field), and its ``__init__`` stores them through ``self.__dict__``.
+    Setting or deleting any attribute raises
+    ``dataclasses.FrozenInstanceError``. Records of one class are equal when
+    their fields are and hash as the tuple of them, and ``repr`` lists the
+    fields as a dataclass's does. A subclass sets ``__hash__ = None`` to have
+    no hash.
     """
 
-    sentences: tuple[tuple[str, ...], ...]
+    _fields: tuple[str, ...] = ()
 
-    def __init__(self, sentences: tuple[tuple[str, ...], ...]):
-        object.__setattr__(self, "sentences", sentences)
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(name for name in cls.__annotations__ if not name.startswith("_"))
 
     def __setattr__(self, name, value):
         _raise_frozen(name, "assign to")
@@ -71,13 +79,34 @@ class Corpus:
     def __delattr__(self, name):
         _raise_frozen(name, "delete")
 
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
     def __eq__(self, other: object):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self.sentences == other.sentences
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
 
     def __repr__(self) -> str:
-        return f"Corpus(sentences={self.sentences!r})"
+        fields = ", ".join(map("{}={!r}".format, self._fields, self._values()))
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class Corpus(_Record):
+    """Tokenized sentences; immutable after construction.
+
+    Every sentence is a non-empty tuple of lowercase token strings.
+    Corpora with equal sentences are equal; a corpus has no hash.
+    """
+
+    sentences: tuple[tuple[str, ...], ...]
+    __hash__ = None
+
+    def __init__(self, sentences: tuple[tuple[str, ...], ...]):
+        self.__dict__["sentences"] = sentences
 
     def __len__(self) -> int:
         return len(self.sentences)
@@ -110,13 +139,16 @@ class Vocabulary:
     """
 
     def __init__(self, non_special_tokens: Iterable[str]):
-        tokens = list(SPECIAL_TOKENS)
-        for tok in non_special_tokens:
-            if not isinstance(tok, str) or not tok:
-                raise ValueError(f"invalid vocab token {tok!r}")
-            if tok in SPECIAL_TOKENS:
-                raise ValueError(f"special token {tok!r} cannot be re-added")
-            tokens.append(tok)
+        given = list(non_special_tokens)
+        # one pass per check in C; the loop runs only to name the first bad token
+        if not (set(map(type, given)) <= {str} and "" not in given
+                and _SPECIAL_SET.isdisjoint(given)):
+            for tok in given:
+                if not isinstance(tok, str) or not tok:
+                    raise ValueError(f"invalid vocab token {tok!r}")
+                if tok in SPECIAL_TOKENS:
+                    raise ValueError(f"special token {tok!r} cannot be re-added")
+        tokens = [*SPECIAL_TOKENS, *given]
         try:
             "".join(tokens).encode("utf-8")
         except UnicodeEncodeError:  # a lone surrogate, which no model document can hold

@@ -54,19 +54,18 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .config import BEAM_WIDTH, DIVERSITY_STRENGTH, MAX_LEN, check_count, check_strength
-from .corpus import BOS_TOKEN, EOS_ID, EOS_TOKEN, FIRST_GENERABLE_ID, PAD_TOKEN, Vocabulary
+from .corpus import (BOS_TOKEN, EOS_ID, EOS_TOKEN, FIRST_GENERABLE_ID, PAD_TOKEN, Vocabulary,
+                     _Record)
 from .diversity import PenaltyFn, hamming_diversity, validate_penalty, zero_penalty
 from .scoring import Condition, ScoreRow, Scorer, Scores, summarize
 
 
-@dataclass(frozen=True)
-class DecodeConfig:
+class DecodeConfig(_Record):
     """Decoding knobs: beam width, diversity strength, step budget, segments.
 
     The counts must pass ``check_count`` and the strength ``check_strength``.
@@ -75,21 +74,24 @@ class DecodeConfig:
     (ROADMAP item 1a deletes the field).
     """
 
-    beam_width: int = BEAM_WIDTH
-    diversity_strength: float = DIVERSITY_STRENGTH
-    max_len: int = MAX_LEN
-    num_segments: int | None = None
+    beam_width: int
+    diversity_strength: float
+    max_len: int
+    num_segments: int | None
 
-    def __post_init__(self):
-        for name in ("beam_width", "max_len"):
-            check_count(name, getattr(self, name))
-        if self.num_segments is not None:
-            check_count("num_segments", self.num_segments)
-        check_strength("diversity_strength", self.diversity_strength)
+    def __init__(self, beam_width: int = BEAM_WIDTH,
+                 diversity_strength: float = DIVERSITY_STRENGTH, max_len: int = MAX_LEN,
+                 num_segments: int | None = None):
+        check_count("beam_width", beam_width)
+        check_count("max_len", max_len)
+        if num_segments is not None:
+            check_count("num_segments", num_segments)
+        check_strength("diversity_strength", diversity_strength)
+        self.__dict__.update(beam_width=beam_width, diversity_strength=diversity_strength,
+                             max_len=max_len, num_segments=num_segments)
 
 
-@dataclass(frozen=True)
-class Hypothesis:
+class Hypothesis(_Record):
     """A segment's result: a complete output sequence with replayable scores.
 
     ``step_logprobs`` and ``step_penalties`` are aligned with ``tokens``;
@@ -100,30 +102,42 @@ class Hypothesis:
     as-is.
     """
 
-    tokens: tuple[int, ...] = ()
-    raw_score: float = 0.0
-    aug_score: float = 0.0
-    step_logprobs: tuple[float, ...] = ()
-    step_penalties: tuple[float, ...] = ()
+    tokens: tuple[int, ...]
+    raw_score: float
+    aug_score: float
+    step_logprobs: tuple[float, ...]
+    step_penalties: tuple[float, ...]
+
+    def __init__(self, tokens: tuple[int, ...] = (), raw_score: float = 0.0,
+                 aug_score: float = 0.0, step_logprobs: tuple[float, ...] = (),
+                 step_penalties: tuple[float, ...] = ()):
+        self.__dict__.update(tokens=tokens, raw_score=raw_score, aug_score=aug_score,
+                             step_logprobs=step_logprobs, step_penalties=step_penalties)
 
 
-@dataclass(frozen=True)
-class StepTrace:
+class StepTrace(_Record):
     """What one expansion step considered: every (hypothesis, generable token) pair."""
 
     candidate_count: int
 
+    def __init__(self, candidate_count: int):
+        self.__dict__["candidate_count"] = candidate_count
 
-@dataclass(frozen=True)
-class SegmentResult:
+
+class SegmentResult(_Record):
     condition: str
     best: Hypothesis
     trace: tuple[StepTrace, ...]
 
+    def __init__(self, condition: str, best: Hypothesis, trace: tuple[StepTrace, ...]):
+        self.__dict__.update(condition=condition, best=best, trace=trace)
 
-@dataclass(frozen=True)
-class StoryResult:
+
+class StoryResult(_Record):
     segments: tuple[SegmentResult, ...]
+
+    def __init__(self, segments: tuple[SegmentResult, ...]):
+        self.__dict__["segments"] = segments
 
 
 class _SegmentOrder(NamedTuple):

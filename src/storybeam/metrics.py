@@ -11,19 +11,23 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
-from .corpus import SPECIAL_TOKENS
+from .corpus import SPECIAL_TOKENS, _Record
 
 
-@dataclass(frozen=True)
-class DiversityReport:
+class DiversityReport(_Record):
     distinct_1: float
     distinct_2: float
     mean_pairwise_jaccard: float
     repeated_segment_pairs: int
+
+    def __init__(self, distinct_1: float, distinct_2: float, mean_pairwise_jaccard: float,
+                 repeated_segment_pairs: int):
+        self.__dict__.update(distinct_1=distinct_1, distinct_2=distinct_2,
+                             mean_pairwise_jaccard=mean_pairwise_jaccard,
+                             repeated_segment_pairs=repeated_segment_pairs)
 
 
 def _distinct_n(segments: list[tuple[str, ...]], n: int) -> float:

@@ -34,7 +34,7 @@ from .corpus import (
     UNK_ID,
     Corpus,
     Vocabulary,
-    _raise_frozen,
+    _Record,
 )
 
 if TYPE_CHECKING:
@@ -57,7 +57,7 @@ def _check_step_args(condition: str, prefix: Sequence[int]) -> None:
         raise ValueError("prefix must not contain EOS; finished hypotheses are not scored")
 
 
-class NGramModel:
+class NGramModel(_Record):
     """Laplace-smoothed n-gram model over a fixed vocabulary.
 
     Contexts are the preceding ``order - 1`` token ids, left-padded with
@@ -90,6 +90,7 @@ class NGramModel:
     totals: dict[tuple[int, ...], int]
     # counted context, or None for every unseen one -> its summary
     _rows: dict[tuple[int, ...] | None, ScoreRow]
+    __hash__ = None
 
     def __init__(self, order: int, alpha: float, vocab: Vocabulary,
                  counts: dict[tuple[int, ...], dict[int, int]] | None = None):
@@ -129,24 +130,6 @@ class NGramModel:
         # past the frozen __setattr__
         self.__dict__.update(order=order, alpha=alpha, vocab=vocab, counts=own,
                              totals=totals, _rows={})
-
-    def __setattr__(self, name, value):
-        _raise_frozen(name, "assign to")
-
-    def __delattr__(self, name):
-        _raise_frozen(name, "delete")
-
-    def _fields(self) -> tuple:
-        return self.order, self.alpha, self.vocab, self.counts, self.totals
-
-    def __eq__(self, other: object):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __repr__(self) -> str:
-        return ("NGramModel(order={!r}, alpha={!r}, vocab={!r}, counts={!r}, totals={!r})"
-                .format(*self._fields()))
 
     def context_for(self, prefix: Sequence[int]) -> tuple[int, ...]:
         width = self.order - 1

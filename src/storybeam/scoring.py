@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from typing import Protocol, Sequence
 
 import numpy as np
@@ -41,6 +40,7 @@ from .corpus import (
     PAD_TOKEN,
     SPECIAL_TOKENS,
     Vocabulary,
+    _Record,
 )
 from .ngram import (NGramModel, _check_step_args, _is_token_list, _log_or_minus_inf,
                     _parse_document, ngram_from_dict)
@@ -69,8 +69,7 @@ def _number(value) -> float:
     return float(value)
 
 
-@dataclass(frozen=True, eq=False)
-class ScoreRow:
+class ScoreRow(_Record):
     """A score row as a selection step reads it: a floor plus exceptions.
 
     Every generable token scores ``floor`` except ``ids[i]``, which scores
@@ -81,21 +80,24 @@ class ScoreRow:
     and raises ``ValueError`` on mismatched lengths, an id that is PAD,
     BOS, out of range or repeated, a score that is not a number (a string
     or bytes is not parsed), or a NaN or ``+inf`` score (``-inf`` is
-    legal).
+    legal). A row equals only itself.
     """
 
     floor: float
     ids: tuple[int, ...]
     values: tuple[float, ...]
     vocab_size: int
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __post_init__(self):
-        vocab_size = operator.index(self.vocab_size)
+    def __init__(self, floor: float, ids: Sequence[int], values: Sequence[float],
+                 vocab_size: int):
+        vocab_size = operator.index(vocab_size)
         if vocab_size <= FIRST_GENERABLE_ID:
             raise ValueError(f"score row vocab_size must exceed {FIRST_GENERABLE_ID}, "
                              f"got {vocab_size}")
-        ids = _row_items(self.ids, operator.index, "ids", "integers")
-        values = _row_items(self.values, _number, "values", "numbers")
+        ids = _row_items(ids, operator.index, "ids", "integers")
+        values = _row_items(values, _number, "values", "numbers")
         if len(values) != len(ids):
             raise ValueError(f"score row has {len(ids)} ids but {len(values)} values")
         listed = set(ids)
@@ -104,14 +106,12 @@ class ScoreRow:
         if len(listed) != len(ids):
             raise ValueError("score row ids must be distinct")
         try:
-            floor = _number(self.floor)
+            floor = _number(floor)
         except TypeError:
-            raise ValueError(f"score row floor must be a number, got {self.floor!r}") from None
+            raise ValueError(f"score row floor must be a number, got {floor!r}") from None
         if not (floor < math.inf and all(value < math.inf for value in values)):
             raise ValueError("step scores contain NaN or +inf")
-        for name, value in (("floor", floor), ("ids", ids), ("values", values),
-                            ("vocab_size", vocab_size)):
-            object.__setattr__(self, name, value)
+        self.__dict__.update(floor=floor, ids=ids, values=values, vocab_size=vocab_size)
 
 
 Scores = ScoreRow | np.ndarray
@@ -153,13 +153,15 @@ def summarize(scores: Scores, vocab_size: int) -> ScoreRow:
 # Table scorer
 
 
-@dataclass(frozen=True)
-class TableRule:
+class TableRule(_Record):
     """One override row: applies when the condition and prefix suffix match."""
 
     condition: str | None
     context: tuple[int, ...]
     row: ScoreRow
+
+    def __init__(self, condition: str | None, context: tuple[int, ...], row: ScoreRow):
+        self.__dict__.update(condition=condition, context=context, row=row)
 
     def matches(self, condition: Condition, prefix: Sequence[int]) -> bool:
         if self.condition is not None and self.condition != condition:
@@ -170,8 +172,7 @@ class TableRule:
         return tuple(prefix[-n:]) == self.context
 
 
-@dataclass(frozen=True)
-class TableScorer:
+class TableScorer(_Record):
     """Deterministic scorer backed by explicit probability rows.
 
     Rows are tried in declaration order; the first whose condition and
@@ -182,7 +183,11 @@ class TableScorer:
 
     vocab: Vocabulary
     default_row: ScoreRow
-    rules: tuple[TableRule, ...] = ()
+    rules: tuple[TableRule, ...]
+
+    def __init__(self, vocab: Vocabulary, default_row: ScoreRow,
+                 rules: tuple[TableRule, ...] = ()):
+        self.__dict__.update(vocab=vocab, default_row=default_row, rules=rules)
 
     def score_step(self, condition: Condition, prefix: Sequence[int]) -> ScoreRow:
         _check_step_args(condition, prefix)
@@ -235,7 +240,7 @@ def table_from_dict(doc: dict) -> TableScorer:
         raise ValueError(f"table scorer document is missing field {missing}") from None
     if not isinstance(listed, list) or not listed:
         raise ValueError("vocab must be a non-empty list of token strings")
-    vocab = Vocabulary(t for t in listed if t not in SPECIAL_TOKENS)
+    vocab = Vocabulary([t for t in listed if t not in SPECIAL_TOKENS])
     # Vocabulary has vetted the tokens, so they hash
     if len(set(listed)) != len(listed):
         raise ValueError("vocab tokens must be unique")

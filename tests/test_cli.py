@@ -1263,6 +1263,32 @@ class TestBlasThreads:
         assert dict(os.environ) == before
 
 
+class TestExitFreeze:
+    """``main`` freezes the heap in an ``atexit`` handler, never while the caller runs."""
+
+    # atexit runs handlers last in, first out, so the script's own handler,
+    # registered before any main() call, reads the count after main's has run.
+    # gc.freeze is wrapped to count how often it runs at exit: once, however
+    # many times main() ran in the process
+    @pytest.mark.parametrize("model, code", [("table.yaml", 0), ("ghost.yaml", 2)])
+    def test_heap_frozen_once_at_exit(self, table_path, tmp_path, model, code):
+        out = tmp_path / "story.json"
+        argv = ["decode", "--model", str(tmp_path / model), "--conditions", "c1", "c2",
+                "--out", str(out)]
+        result = run_python(
+            "import atexit, gc, sys\n"
+            "from storybeam.cli import main\n"
+            "freeze, runs = gc.freeze, []\n"
+            "gc.freeze = lambda: (runs.append(1), freeze())[1]\n"
+            "atexit.register(lambda: print('at exit', len(runs), gc.get_freeze_count() > 0))\n"
+            f"codes = [main({argv!r}) for _ in range(3)]\n"
+            "print('after main', gc.get_freeze_count())\n"
+            "sys.exit(codes[0] if len(set(codes)) == 1 else 99)\n")
+        assert result.returncode == code, result.stderr
+        assert result.stdout.splitlines() == ["after main 0", "at exit 1 True"]
+        assert out.exists() == (code == 0)
+
+
 class TestEval:
     def decode_story(self, table_path, tmp_path, lam: str) -> Path:
         out = tmp_path / f"story_{lam}.json"
@@ -1344,7 +1370,8 @@ class TestUsage:
 
     # Each command imports what it runs, so --help and usage errors load
     # only argparse and storybeam.config, only decode loads numpy, and only
-    # --jobs above 1 loads a thread pool. Under
+    # --jobs above 1 loads a thread pool. No command loads dataclasses; numpy
+    # loads inspect, so only the rows without numpy can list inspect. Under
     # -S no site module loads pathlib first, so those rows see whether storybeam does.
     @pytest.mark.parametrize("flags, argv, code, absent, present", [
         ((), ["--help"], 0, STARTUP_ONLY, ()),
@@ -1356,12 +1383,14 @@ class TestUsage:
         ((), ["train-lm", "{corpus}", "--out", "{tmp}/new.json"], 0,
          ("numpy", "dataclasses", "storybeam.decoding", "storybeam.metrics",
           "concurrent.futures"), ()),
-        ((), ["eval", "{story}"], 0, ("numpy", "storybeam.decoding", "concurrent.futures"),
+        ((), ["eval", "{story}"], 0,
+         ("numpy", "dataclasses", "inspect", "storybeam.decoding", "concurrent.futures"),
          ("storybeam.metrics",)),
         ((), ["decode", "--model", "{model}", "--conditions", "c1", "c2", "--out",
-              "{tmp}/s.json"], 0, ("storybeam.metrics", "concurrent.futures"), ("numpy",)),
+              "{tmp}/s.json"], 0, ("dataclasses", "storybeam.metrics", "concurrent.futures"),
+         ("numpy",)),
         ((), ["decode", "--model", "{model}", "--batch", "{batch}", "--out", "{tmp}/stories"],
-         0, ("storybeam.metrics", "concurrent.futures"), ("numpy",)),
+         0, ("dataclasses", "storybeam.metrics", "concurrent.futures"), ("numpy",)),
         ((), ["decode", "--model", "{model}", "--batch", "{batch}", "--jobs", "2", "--out",
               "{tmp}/stories"], 0, ("storybeam.metrics",), ("numpy", "concurrent.futures")),
     ], ids=["help", "decode-help", "usage-error", "help-no-site", "decode-help-no-site",

@@ -140,6 +140,25 @@ class TestEncodeDecode:
         with pytest.raises(ValueError, match="invalid vocab token"):
             Vocabulary(["a", token])
 
+    # the tokens are checked in bulk; the first bad one is still named, after many good ones
+    @pytest.mark.parametrize("bad, message", [
+        ([3, ""], "invalid vocab token 3"),
+        (["", "<eos>"], "invalid vocab token ''"),
+        (["<eos>"], "special token '<eos>' cannot be re-added"),
+        (["<pad>", None], "special token '<pad>' cannot be re-added"),
+    ])
+    def test_first_bad_token_is_named(self, bad, message):
+        good = [f"w{i}" for i in range(5000)]
+        with pytest.raises(ValueError) as error:
+            Vocabulary([*good, *bad, *good])
+        assert str(error.value) == message
+
+    def test_str_subclass_token_accepted(self):
+        class Token(str):
+            pass
+
+        assert Vocabulary(["a", Token("b")]).tokens[-1] == "b"
+
     # no UTF-8 model document can hold a lone surrogate, so no model may be built over one
     @pytest.mark.parametrize("token", ["\ud800", "a\udfffb", "\udc80"])
     def test_token_must_be_valid_unicode(self, token):

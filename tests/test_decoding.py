@@ -3,7 +3,7 @@ import math
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import FrozenInstanceError, dataclass, make_dataclass, replace
 
 import numpy as np
 import pytest
@@ -23,14 +23,18 @@ from storybeam.corpus import (
 from storybeam.decoding import (
     DecodeConfig,
     Hypothesis,
+    SegmentResult,
+    StepTrace,
+    StoryResult,
     beam_search,
     expand_and_select,
     inter_sentence_dbs,
     story_to_json,
 )
 from storybeam.diversity import PENALTIES, zero_penalty
+from storybeam.metrics import DiversityReport
 from storybeam.ngram import train_ngram
-from storybeam.scoring import ScoreRow, summarize
+from storybeam.scoring import ScoreRow, TableRule, TableScorer, summarize
 
 from conftest import (
     INVALID_SETTINGS,
@@ -855,7 +859,8 @@ class TestInterSentenceDbs:
         assert story.segments[1].best.tokens == story.segments[0].best.tokens
         with pytest.raises(ValueError, match="overflows"):
             inter_sentence_dbs(table, ["c1", "c2"], table.vocab,
-                               replace(config, diversity_strength=2.0))
+                               DecodeConfig(beam_width=1, diversity_strength=2.0,
+                                            max_len=10**400))
 
     # Explicit penalties on both sides of float max. The check must reject
     # exactly when some step total, max_len (capped at float max) times one
@@ -977,9 +982,10 @@ class TestStoryJson:
         config = DecodeConfig(beam_width=1, diversity_strength=2.0, max_len=2)
         story = inter_sentence_dbs(skewed_table, ["img1"], vocab, config)
         segment = story.segments[0]
-        broken = replace(segment, best=replace(segment.best, **{field: value}))
+        best = Hypothesis(**{**vars(segment.best), field: value})
+        broken = SegmentResult(segment.condition, best, segment.trace)
         with pytest.raises(ValueError, match="non-finite"):
-            story_to_json(replace(story, segments=(broken,)), vocab)
+            story_to_json(StoryResult((broken,)), vocab)
 
     # one shared encoder writes what json.dumps(s, ensure_ascii=False) writes
     def test_strings_encode_as_json_dumps_does(self, monkeypatch):
@@ -1008,3 +1014,68 @@ class TestStoryJson:
         config = DecodeConfig(beam_width=2, diversity_strength=2.0, max_len=3)
         inter_sentence_dbs(wrapped, ["c1", "c2"], wrapped.vocab, config)
         assert wrapped.calls > 0
+
+
+def _outcome(call):
+    """What ``call()`` returns, or the type of the TypeError it raises."""
+    try:
+        return call()
+    except TypeError:
+        return TypeError
+
+
+class TestRecords:
+    """The records of a decode are plain classes that behave as frozen dataclasses."""
+
+    @staticmethod
+    def records():
+        row = ScoreRow(-1.5, (4,), (-0.5,), 6)
+        vocab = make_table(["a", "b", "<eos>"], [0.5, 0.3, 0.2]).vocab
+        rule = TableRule(None, (4,), row)
+        segment = SegmentResult("c1", Hypothesis((4, 2), -1.0, -2.0, (-0.5, -0.5), (0.0, -1.0)),
+                                (StepTrace(3),))
+        return {cls.__name__: (cls, fields, eq) for cls, fields, eq in [
+            (DecodeConfig, {"beam_width": 2, "diversity_strength": 0.5, "max_len": 7,
+                            "num_segments": 3}, True),
+            (Hypothesis, vars(segment.best), True),
+            (StepTrace, {"candidate_count": 3}, True),
+            (SegmentResult, vars(segment), True),
+            (StoryResult, {"segments": (segment,)}, True),
+            (ScoreRow, vars(row), False),
+            (TableRule, vars(rule), True),
+            (TableScorer, {"vocab": vocab, "default_row": row, "rules": (rule,)}, True),
+            (DiversityReport, {"distinct_1": 0.5, "distinct_2": 0.25,
+                               "mean_pairwise_jaccard": 0.125, "repeated_segment_pairs": 2},
+             True),
+        ]}
+
+    # each is compared with a frozen dataclass of the same fields, built here
+    @pytest.mark.parametrize("name", [
+        "DecodeConfig", "Hypothesis", "StepTrace", "SegmentResult", "StoryResult", "ScoreRow",
+        "TableRule", "TableScorer", "DiversityReport"])
+    def test_record_behaves_as_its_frozen_dataclass(self, name):
+        cls, fields, eq = self.records()[name]
+        reference = make_dataclass(cls.__name__, list(fields), frozen=True, eq=eq)
+        record, twin, ref, ref_twin = (cls(**fields), cls(*fields.values()),
+                                       reference(**fields), reference(*fields.values()))
+        assert vars(record) == vars(twin) == fields
+        assert repr(record) == repr(ref)
+        assert (record == twin, record == record, record != twin) == (
+            ref == ref_twin, ref == ref, ref != ref_twin)
+        assert record.__eq__(ref) is NotImplemented
+        assert _outcome(lambda: hash(record) == hash(twin)) == _outcome(
+            lambda: hash(ref) == hash(ref_twin))
+        for field in fields:
+            with pytest.raises(FrozenInstanceError, match=f"^cannot assign to field '{field}'$"):
+                setattr(record, field, None)
+            with pytest.raises(FrozenInstanceError, match=f"^cannot delete field '{field}'$"):
+                delattr(record, field)
+        with pytest.raises(FrozenInstanceError):
+            record.other = None
+        assert vars(record) == fields
+
+    def test_defaults(self):
+        assert Hypothesis() == Hypothesis((), 0.0, 0.0, (), ())
+        assert DecodeConfig() == DecodeConfig(3, 2.0, 20, None)
+        _, fields, _ = self.records()["TableScorer"]
+        assert TableScorer(fields["vocab"], fields["default_row"]).rules == ()

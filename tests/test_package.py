@@ -56,12 +56,31 @@ def test_test_references_are_not_shipped():
     assert not [name for name in MOVED if hasattr(scoring, name)]
 
 
+def _imported(node: ast.AST) -> list[str]:
+    return ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+            else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+
+
 def test_only_the_decoding_modules_import_numpy():
     importers = set()
     for path in Path(storybeam.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
-                     else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
-            if any(name.split(".")[0] == "numpy" for name in names):
+            if any(name.split(".")[0] == "numpy" for name in _imported(node)):
                 importers.add(path.stem)
     assert importers == {"decoding", "diversity", "scoring"}
+
+
+# the records raise dataclasses.FrozenInstanceError, so corpus._raise_frozen
+# imports dataclasses when it raises; no module imports it as it loads
+def test_dataclasses_is_imported_only_to_raise_a_frozen_instance_error():
+    importers = set()
+    for path in Path(storybeam.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        # ast.walk visits an outer function before an inner one, so the innermost names a node
+        owner = {node: func.name for func in ast.walk(tree)
+                 if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+                 for node in ast.walk(func)}
+        for node in ast.walk(tree):
+            if any(name.split(".")[0] == "dataclasses" for name in _imported(node)):
+                importers.add((path.stem, owner.get(node)))
+    assert importers == {("corpus", "_raise_frozen")}
