@@ -51,9 +51,9 @@ A selection step runs in this order:
 
 from __future__ import annotations
 
-import json
 import math
 import sys
+from json.encoder import encode_basestring
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -406,10 +406,6 @@ def _fmt(value: float) -> str:
     return format(value, ".9g")
 
 
-# the string encoder json.dumps(text, ensure_ascii=False) builds on every call
-_jstr = json.JSONEncoder(ensure_ascii=False).encode
-
-
 def story_to_json(result: StoryResult, vocab: Vocabulary) -> str:
     """Serialize a story with a fixed field order and 9-significant-digit floats.
 
@@ -424,14 +420,16 @@ def story_to_json(result: StoryResult, vocab: Vocabulary) -> str:
     for seg in result.segments:
         words = vocab.decode(seg.best.tokens)
         story_words.extend(w for w in words if w not in _STRUCTURAL_TOKENS)
+        # what json.dumps(w, ensure_ascii=False) writes
+        strings = [encode_basestring(w) for w in words]
         steps = ", ".join(
-            "{" + f'"token": {_jstr(w)}, "logprob": {_fmt(lp)}, "penalty": {_fmt(pen)}' + "}"
-            for w, lp, pen in zip(words, seg.best.step_logprobs, seg.best.step_penalties))
-        tokens = ", ".join(_jstr(w) for w in words)
+            "{" + f'"token": {w}, "logprob": {_fmt(lp)}, "penalty": {_fmt(pen)}' + "}"
+            for w, lp, pen in zip(strings, seg.best.step_logprobs, seg.best.step_penalties))
+        tokens = ", ".join(strings)
         segment_objs.append(
-            "{" + f'"condition": {_jstr(seg.condition)}, "tokens": [{tokens}], '
+            "{" + f'"condition": {encode_basestring(seg.condition)}, "tokens": [{tokens}], '
             f'"raw_score": {_fmt(seg.best.raw_score)}, '
             f'"aug_score": {_fmt(seg.best.aug_score)}, "steps": [{steps}]' + "}")
     segments = ", ".join(segment_objs)
-    story = _jstr(" ".join(story_words))
+    story = encode_basestring(" ".join(story_words))
     return "{" + f'"segments": [{segments}], "story": {story}' + "}\n"

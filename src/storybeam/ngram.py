@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import math
 import re
+from json.encoder import encode_basestring
 from typing import TYPE_CHECKING, Sequence
 
 from .config import _is_finite_number
@@ -214,37 +215,8 @@ def train_ngram(corpus: Corpus, vocab: Vocabulary, order: int, alpha: float) -> 
     return NGramModel(order=order, alpha=alpha, vocab=vocab, counts=counts)
 
 
-def ngram_to_dict(model: NGramModel) -> dict:
-    """The model as a document, its count entries in (context, token) string order."""
-    # construction checked every id, so they index the token list directly
-    tokens = model.vocab.tokens
-    size = len(tokens)
-    rank = [0] * size  # each id's place in string order
-    for place, token in enumerate(sorted(range(size), key=tokens.__getitem__)):
-        rank[token] = place
-    # every context holds order - 1 ids, so an entry's ranks read as one base-V
-    # numeral sort exactly as its strings do
-    entries = {}
-    for context, bucket in model.counts.items():
-        key = 0
-        context_tokens = []  # built here: a comprehension is a function call on Python 3.11
-        for i in context:
-            key = key * size + rank[i]
-            context_tokens.append(tokens[i])
-        key *= size
-        for token, count in bucket.items():
-            entries[key + rank[token]] = [context_tokens, tokens[token], count]
-    triples = [entries[key] for key in sorted(entries)]
-    return {
-        "order": model.order,
-        "alpha": model.alpha,
-        "vocab": list(model.vocab.tokens),
-        "counts": triples,
-    }
-
-
 # Characters a YAML 1.1 reader rejects raw (C1 controls, U+FFFE, U+FFFF) or
-# folds into a space (U+0085); json.dumps leaves them raw inside strings
+# folds into a space (U+0085); JSON leaves them raw inside strings
 _YAML_UNSAFE = re.compile("[\x7f-\x9f\ufffe\uffff]")
 
 
@@ -256,16 +228,40 @@ def _float_literal(value: float) -> str:
     return mantissa + e + exponent
 
 
+def _yaml_safe_string(token: str) -> str:
+    """The JSON string ``json.dumps(token, ensure_ascii=False)`` writes, YAML-safe."""
+    return _YAML_UNSAFE.sub(lambda char: f"\\u{ord(char.group()):04x}",
+                            encode_basestring(token))
+
+
 def dump_ngram(model: NGramModel) -> str:
     """Serialize to compact JSON, which is also YAML.
 
-    Deterministic, and loads back to identical scores.
+    Count entries are ``[context tokens, token, count]`` in (context, token)
+    string order. Deterministic, and loads back to identical scores.
     """
-    fields = {key: json.dumps(value, ensure_ascii=False, separators=(",", ":"))
-              for key, value in ngram_to_dict(model).items()}
-    fields["alpha"] = _float_literal(model.alpha)
-    text = "{" + ",".join(f'"{key}":{value}' for key, value in fields.items()) + "}\n"
-    return _YAML_UNSAFE.sub(lambda char: f"\\u{ord(char.group()):04x}", text)
+    # construction checked every id, so they index the token list directly
+    tokens = model.vocab.tokens
+    size = len(tokens)
+    # each token's JSON string, written once: only a token can hold a YAML-unsafe character
+    strings = [_yaml_safe_string(token) for token in tokens]
+    rank = [0] * size  # each id's place in string order
+    for place, token in enumerate(sorted(range(size), key=tokens.__getitem__)):
+        rank[token] = place
+    # every context holds order - 1 ids, so an entry's ranks read as one base-V
+    # numeral sort exactly as its strings do
+    entries = {}
+    for context, bucket in model.counts.items():
+        key = 0
+        for i in context:
+            key = key * size + rank[i]
+        key *= size
+        head = "[[" + ",".join(map(strings.__getitem__, context)) + "],"
+        for token, count in bucket.items():
+            entries[key + rank[token]] = f"{head}{strings[token]},{count}]"
+    counts = ",".join([entries[key] for key in sorted(entries)])
+    return (f'{{"order":{model.order},"alpha":{_float_literal(model.alpha)},'
+            f'"vocab":[{",".join(strings)}],"counts":[{counts}]}}\n')
 
 
 def _is_token_list(value) -> bool:

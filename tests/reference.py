@@ -9,10 +9,14 @@ performance is a non-goal. They expand each row with their own
 decoder's reading of rows is not shared with its reference.
 ``validate_step_scores`` checks that a row is a log-distribution, and
 ``ValidatingScorer`` applies it to every row a scorer returns.
+``reference_dump_ngram`` is an earlier model writer that builds the
+document as lists and serializes it with ``json.dumps``; the package's
+one-pass writer must write its bytes.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -22,6 +26,7 @@ import numpy as np
 from storybeam.config import check_count, check_strength
 from storybeam.corpus import BOS_ID, EOS_ID, FIRST_GENERABLE_ID, PAD_ID, Vocabulary
 from storybeam.diversity import validate_penalty
+from storybeam.ngram import _YAML_UNSAFE, NGramModel, _float_literal
 from storybeam.scoring import Condition, ScoreRow, Scorer, Scores
 
 LOGSUMEXP_TOLERANCE = 1e-9
@@ -167,3 +172,44 @@ def exhaustive_best(scorer: Scorer, condition: Condition, vocab: Vocabulary,
     visit((), 0.0)
     assert best_tokens is not None
     return OracleResult(best_tokens=best_tokens, best_score=best_score)
+
+
+def _ngram_to_dict(model: NGramModel) -> dict:
+    """The model as a document, its count entries in (context, token) string order."""
+    # construction checked every id, so they index the token list directly
+    tokens = model.vocab.tokens
+    size = len(tokens)
+    rank = [0] * size  # each id's place in string order
+    for place, token in enumerate(sorted(range(size), key=tokens.__getitem__)):
+        rank[token] = place
+    # every context holds order - 1 ids, so an entry's ranks read as one base-V
+    # numeral sort exactly as its strings do
+    entries = {}
+    for context, bucket in model.counts.items():
+        key = 0
+        context_tokens = []  # built here: a comprehension is a function call on Python 3.11
+        for i in context:
+            key = key * size + rank[i]
+            context_tokens.append(tokens[i])
+        key *= size
+        for token, count in bucket.items():
+            entries[key + rank[token]] = [context_tokens, tokens[token], count]
+    triples = [entries[key] for key in sorted(entries)]
+    return {
+        "order": model.order,
+        "alpha": model.alpha,
+        "vocab": list(model.vocab.tokens),
+        "counts": triples,
+    }
+
+
+def reference_dump_ngram(model: NGramModel) -> str:
+    """Serialize to compact JSON, which is also YAML.
+
+    Deterministic, and loads back to identical scores.
+    """
+    fields = {key: json.dumps(value, ensure_ascii=False, separators=(",", ":"))
+              for key, value in _ngram_to_dict(model).items()}
+    fields["alpha"] = _float_literal(model.alpha)
+    text = "{" + ",".join(f'"{key}":{value}' for key, value in fields.items()) + "}\n"
+    return _YAML_UNSAFE.sub(lambda char: f"\\u{ord(char.group()):04x}", text)

@@ -28,7 +28,7 @@ from storybeam.corpus import (
     build_vocabulary,
 )
 from storybeam.decoding import DecodeConfig
-from storybeam.ngram import MAX_ORDER, NGramModel, _check_order, load_ngram, ngram_to_dict
+from storybeam.ngram import MAX_ORDER, NGramModel, _check_order, dump_ngram, load_ngram
 from storybeam.scoring import load_scorer
 
 from conftest import run_python
@@ -1038,7 +1038,7 @@ class TestDecode:
         text = model.read_text(encoding="utf-8")
         assert text.startswith("{")
         old = tmp_path / "old.yaml"
-        old.write_text(yaml.dump(ngram_to_dict(load_ngram(text)), Dumper=yaml.SafeDumper,
+        old.write_text(yaml.dump(json.loads(dump_ngram(load_ngram(text))), Dumper=yaml.SafeDumper,
                                  sort_keys=False, allow_unicode=True), encoding="utf-8")
         stories = []
         for path in (model, old):

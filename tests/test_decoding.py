@@ -998,7 +998,8 @@ class TestStoryJson:
         story = decoding.StoryResult(tuple(decoding.SegmentResult(c, best, ())
                                            for c in conditions))
         text = story_to_json(story, vocab)
-        monkeypatch.setattr(decoding, "_jstr", lambda s: json.dumps(s, ensure_ascii=False))
+        monkeypatch.setattr(decoding, "encode_basestring",
+                            lambda s: json.dumps(s, ensure_ascii=False))
         assert story_to_json(story, vocab) == text
         doc = json.loads(text)
         assert [seg["condition"] for seg in doc["segments"]] == conditions
@@ -1007,7 +1008,7 @@ class TestStoryJson:
 
     @given(st.text())
     def test_any_string_encodes_as_json_dumps_does(self, text):
-        assert decoding._jstr(text) == json.dumps(text, ensure_ascii=False)
+        assert decoding.encode_basestring(text) == json.dumps(text, ensure_ascii=False)
 
     def test_validating_scorer_sees_every_step(self, skewed_table):
         wrapped = ValidatingScorer(skewed_table)

@@ -26,14 +26,19 @@ from storybeam.decoding import DecodeConfig, inter_sentence_dbs, story_to_json
 
 DATA = Path(__file__).parent / "data"
 
-# train-lm settings: the benchmark's, and README's
+# train-lm settings: the benchmark's, README's, and the benchmark's at orders 1
+# (every entry's context is empty, written [[],"tok",n]) and 4 (three tokens)
 MODEL_SETTINGS = {
     "benchmark": ["--order", "3", "--alpha", "0.01", "--min-count", "1"],
     "readme": ["--order", "2", "--alpha", "1.0", "--min-count", "4"],
+    "order-1": ["--order", "1", "--alpha", "0.01", "--min-count", "1"],
+    "order-4": ["--order", "4", "--alpha", "0.01", "--min-count", "1"],
 }
 MODEL_PINS = {
     "benchmark": "2212d550759512358a1f029edf524b2b33e5098109e97be5f5dcd36a573f487b",
     "readme": "5be25bd80b2377a886121f3a32210c91c8002241bcb876eff4d68d6ab7e9383f",
+    "order-1": "0235acefb57a3b754d28788ab5549c5d7dc9a122c63287bbc0d1375e539cf94d",
+    "order-4": "6c80a7074e37ba20d4ae66b34c07ca0f7e1b2c5bb4cdb9a612f7ffe47475bd72",
 }
 # single five-segment stories on the benchmark model, at the benchmark's width and length
 # (the two penalties differ at 0.5 only)

@@ -34,13 +34,18 @@ from storybeam.ngram import (
     dump_ngram,
     load_ngram,
     ngram_from_dict,
-    ngram_to_dict,
     train_ngram,
 )
 from storybeam.scoring import load_scorer, load_table_scorer, table_from_dict
 
 from conftest import make_table, random_table_scorer, run_python
-from reference import ValidatingScorer, dense_row, exhaustive_best, validate_step_scores
+from reference import (
+    ValidatingScorer,
+    dense_row,
+    exhaustive_best,
+    reference_dump_ngram,
+    validate_step_scores,
+)
 
 needs_libyaml = pytest.mark.skipif(
     not yaml.__with_libyaml__, reason="PyYAML is built without libyaml")
@@ -525,6 +530,28 @@ class TestFlatTableReader:
             "vocab": tokens, "default_row": [float(p) for p in probs]}
 
 
+# tokens whose string order is not their id order: prefixes, case, accents,
+# astral characters, the specials' spellings
+SORT_TOKENS = (
+    st.sampled_from(["a", "ab", "abc", "A", "Ab", "b", "B", "é", "e", "éa", "日", "日本",
+                     "\U0001F600", "a\x85", "<unk>", "<eos>"])
+    | st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=3))
+# characters JSON escapes, and those it leaves raw that YAML 1.1 rejects or folds
+ESCAPED_TOKENS = st.sampled_from(
+    ["\x00", "\x1f", '"', "\\", "\x7f", "\x85", "\x9f", "\xa0", "\u2028", "\ufffe", "\uffff",
+     "\U0001F680"])
+
+
+@st.composite
+def trained_models(draw, tokens, order: int, alpha: float) -> NGramModel:
+    """A model trained on up to five sentences over up to eight distinct tokens."""
+    pool = draw(st.lists(tokens, min_size=1, max_size=8, unique=True))
+    sentences = draw(st.lists(st.lists(st.sampled_from(pool), min_size=1, max_size=6),
+                              min_size=1, max_size=5))
+    corpus = Corpus(sentences=tuple(tuple(s) for s in sentences))
+    return train_ngram(corpus, build_vocabulary(corpus, min_count=1), order, alpha=alpha)
+
+
 def tiny_corpus(*lines: str) -> Corpus:
     return Corpus.from_text("\n".join(lines))
 
@@ -779,25 +806,26 @@ class TestNGramSerialization:
         assert loaded.vocab == vocab and loaded.counts == model.counts
         assert dump_ngram(loaded) == text
 
-    # ngram_to_dict sorts by one integer per entry; this is the order it stands for
+    # dump_ngram sorts by one integer per entry; this is the order it stands for
     @given(st.integers(min_value=1, max_value=4), st.data())
     def test_entries_sort_by_context_and_token_strings(self, order, data):
-        pool = data.draw(st.lists(
-            st.sampled_from(["a", "ab", "abc", "A", "Ab", "b", "B", "é", "e", "éa", "日", "日本",
-                             "\U0001F600", "a\x85", "<unk>", "<eos>"])
-            | st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=3),
-            min_size=1, max_size=8, unique=True))
-        sentences = data.draw(st.lists(st.lists(st.sampled_from(pool), min_size=1, max_size=6),
-                                       min_size=1, max_size=5))
-        corpus = Corpus(sentences=tuple(tuple(s) for s in sentences))
-        model = train_ngram(corpus, build_vocabulary(corpus, min_count=1), order, alpha=0.5)
+        model = data.draw(trained_models(SORT_TOKENS, order, alpha=0.5))
         tokens = model.vocab.tokens
         triples = [[[tokens[i] for i in context], tokens[token], count]
                    for context, bucket in model.counts.items()
                    for token, count in bucket.items()]
-        assert ngram_to_dict(model)["counts"] == sorted(triples, key=lambda t: (t[0], t[1]))
+        assert (json.loads(dump_ngram(model))["counts"]
+                == sorted(triples, key=lambda t: (t[0], t[1])))
         text = dump_ngram(model)
         assert dump_ngram(load_ngram(text)) == text
+
+    # the writer that built the document as lists for json.dumps; the alphas
+    # cover _float_literal's ".0" (5e-324, 1e-05, 1e+20) and plain reprs
+    @given(st.integers(min_value=1, max_value=4),
+           st.sampled_from([5e-324, 1e-05, 0.01, 1.0, 1e+20]), st.data())
+    def test_writes_the_reference_writers_bytes(self, order, alpha, data):
+        model = data.draw(trained_models(SORT_TOKENS | ESCAPED_TOKENS, order, alpha))
+        assert dump_ngram(model) == reference_dump_ngram(model)
 
     @given(st.integers(min_value=1, max_value=3),
            st.lists(st.lists(st.sampled_from(["a", "b", "c", "<unk>"]), min_size=1,
@@ -834,7 +862,7 @@ class TestNGramSerialization:
         corpus = tiny_corpus("the café sat", "the cat ran", "a cat \U0001F600")
         vocab = build_vocabulary(corpus, min_count=1)
         model = train_ngram(corpus, vocab, order=3, alpha=1e-05)
-        old = yaml.dump(ngram_to_dict(model), Dumper=yaml.SafeDumper,
+        old = yaml.dump(json.loads(dump_ngram(model)), Dumper=yaml.SafeDumper,
                         sort_keys=False, allow_unicode=True)
         assert old.startswith("order: 3\nalpha: 1.0e-05\n")
         loaded = load_ngram(old)
