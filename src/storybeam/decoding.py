@@ -16,12 +16,13 @@ identical results, byte for byte once serialized.
 
 The penalty is frozen and depends only on the token, so a selection step
 needs just each live hypothesis's augmented score and score row. A live
-hypothesis is a plain tuple ``(prefix tokens, aug, step logprobs, step
-contributions)``: a child extends its parent's three tuples by one entry
-and keeps no link to it, so a segment holds O(beam width x max_len) of
-history. After each step the finishers update the segment's single
-running best, and the next beam keeps the unfinished hypotheses scoring
-strictly above it. Only the segment's winner becomes a ``Hypothesis``. Rows
+hypothesis is a plain tuple ``(prefix tokens, aug, step logprobs)``: a
+child extends its parent's two tuples by one entry and keeps no link to
+it, so a segment holds O(beam width x max_len) of history. After each
+step the finishers update the segment's single running best, and the next
+beam keeps the unfinished hypotheses scoring strictly above it. Only the
+segment's winner becomes a ``Hypothesis``, whose step penalties are the
+segment's contributions at its tokens. Rows
 pass through ``scoring.summarize`` where they enter the decoder: the
 shipped scorers return ``ScoreRow``s (a floor plus exception ids and
 values), which it returns as they are, and a dense row from any other
@@ -30,13 +31,10 @@ scorer is summarized for each hypothesis that scores it.
 A selection step runs in this order:
 
 * ``_columns_that_can_win`` picks the columns that can still be
-  selected: every exception, plus each token ranked below ``B + E``
-  within its block of equal contribution, from ranks built once per
-  segment (``_segment_order``). The tokens of contribution zero (all of
-  them at strength 0, most of them otherwise) form one block, ranked by
-  id with one cumulative count; only the penalized tokens are sorted
-  into their blocks. The kept columns stay in id order, with PAD and BOS
-  first.
+  selected: PAD and BOS, every exception, every penalized token, and the
+  tokens of contribution zero (all of them at strength 0, most of them
+  otherwise) ranked by id below ``B + E``, from ranks built once per
+  segment (``_segment_order``). The kept columns stay in id order.
 * ``_select`` fills a matrix over those columns from the rows' floors
   and scatters the exceptions into it. It hands the kernel the kept
   columns' contributions at strength 1.0, so the kernel never multiplies.
@@ -124,12 +122,25 @@ class StepTrace(_Record):
         self.__dict__["candidate_count"] = candidate_count
 
 
+def _check_condition(condition: Condition) -> None:
+    """Raise ``ValueError`` unless ``condition`` is a non-empty ``str`` that encodes as UTF-8."""
+    if not (isinstance(condition, str) and condition):
+        raise ValueError("condition must be a non-empty string")
+    try:
+        condition.encode("utf-8")
+    except UnicodeEncodeError:  # a lone surrogate, as a non-UTF-8 argv byte becomes
+        raise ValueError(f"condition {condition!r} is not valid Unicode") from None
+
+
 class SegmentResult(_Record):
+    """A decoded segment. ``condition`` follows ``beam_search``'s rule, checked here too."""
+
     condition: str
     best: Hypothesis
     trace: tuple[StepTrace, ...]
 
     def __init__(self, condition: str, best: Hypothesis, trace: tuple[StepTrace, ...]):
+        _check_condition(condition)
         self.__dict__.update(condition=condition, best=best, trace=trace)
 
 
@@ -143,10 +154,10 @@ class StoryResult(_Record):
 class _SegmentOrder(NamedTuple):
     """A segment's frozen selection data, built once per penalty and strength.
 
-    ``ranks`` holds each token's rank within its block of equal
-    contribution (``strength * penalty``), ids ascending: the lowest
-    generable id of a block ranks 0, the next 1, and so on. PAD and BOS,
-    which the kernel expects, rank 0.
+    ``contributions`` is ``strength * penalty``. ``ranks`` ranks the
+    generable tokens of contribution zero by id: the lowest ranks 0, the
+    next 1, and so on. Every other token ranks 0, so it is always kept:
+    PAD and BOS, which the kernel expects, and each penalized token.
     """
 
     contributions: np.ndarray
@@ -163,20 +174,9 @@ def _segment_order(penalty: np.ndarray, strength: float) -> _SegmentOrder:
     strength = float(strength)
     with np.errstate(over="ignore"):  # -inf where it overflows; beam_search rejects that
         contributions = strength * penalty
-    generable = contributions[FIRST_GENERABLE_ID:]
-    zero = generable == 0  # -0.0 included: it equals 0.0, as in a full sort
+    zero = contributions[FIRST_GENERABLE_ID:] == 0  # -0.0 included: it equals 0.0
     ranks = np.zeros(len(penalty), dtype=np.int64)
-    # the zero block ranks by id; the other entries are overwritten below
-    ranks[FIRST_GENERABLE_ID:] = zero.cumsum() - 1
-    penalized = (~zero).nonzero()[0]
-    if len(penalized):
-        values = generable[penalized]
-        order = np.argsort(values, kind="stable")  # blocks of equal contribution, ids ascending
-        blocked = values[order]
-        position = np.arange(len(order))
-        starts = np.r_[True, blocked[1:] != blocked[:-1]]
-        ranks[penalized[order] + FIRST_GENERABLE_ID] = \
-            position - np.maximum.accumulate(position * starts)
+    ranks[FIRST_GENERABLE_ID:] = np.where(zero, zero.cumsum() - 1, 0)
     return _SegmentOrder(contributions, ranks)
 
 
@@ -250,12 +250,13 @@ def _columns_that_can_win(ids: list[int], most: int, segment: _SegmentOrder,
     """The columns that hold the exact top B, ascending.
 
     ``ids`` holds the exception ids of every row, and ``most`` the most
-    exceptions of one row, ``E``. A row's floor tokens of one block score
-    bit for bit alike, whatever the rounding, so ids break their ties. A
-    floor token ranked ``B + E`` or later in its block has at least ``B``
-    floor tokens of its own row ahead of it, and cannot be selected. So
-    every exception plus every token ranked below ``B + E`` holds the top
-    B, and extra columns change nothing.
+    exceptions of one row, ``E``. Kept are PAD and BOS, every exception,
+    every penalized token, and the zero-contribution tokens ranked below
+    ``B + E``. A row's floor tokens of contribution zero all score its
+    floor plus zero, one value, so ids break their ties: one ranked
+    ``B + E`` or later has at least ``B`` of them, with lower ids, in its
+    own row ahead of it, and cannot be selected. Extra columns change
+    nothing.
     """
     kept = segment.ranks < min(beam_width + most, len(segment.ranks))  # no int past int64
     kept[ids] = True
@@ -295,13 +296,14 @@ def expand_and_select(beam_aug: Sequence[float],
     return _select(beam_aug, rows, _segment_order(penalty, strength), beam_width)[:3]
 
 
-def _hypothesis(node: tuple) -> Hypothesis:
-    """A segment's result, built from the history its last live hypothesis carries."""
-    tokens, aug_score, logprobs, contributions = node
+def _hypothesis(node: tuple, contributions: np.ndarray) -> Hypothesis:
+    """A segment's result, built from its winner's tuple and the segment's contributions."""
+    tokens, aug_score, logprobs = node
     raw_score = 0.0
     for logprob in logprobs:
         raw_score += logprob
-    return Hypothesis(tokens, raw_score, aug_score, logprobs, contributions)
+    return Hypothesis(tokens, raw_score, aug_score, logprobs,
+                      tuple(contributions[list(tokens)].tolist()))
 
 
 def beam_search(scorer: Scorer, condition: Condition, vocab: Vocabulary,
@@ -324,12 +326,7 @@ def beam_search(scorer: Scorer, condition: Condition, vocab: Vocabulary,
     if penalty is None:
         penalty = zero_penalty(len(vocab))
     validate_penalty(penalty, len(vocab))  # once per segment: _select trusts it
-    if not (isinstance(condition, str) and condition):
-        raise ValueError("condition must be a non-empty string")
-    try:
-        condition.encode("utf-8")
-    except UnicodeEncodeError:  # a lone surrogate, as a non-UTF-8 argv byte becomes
-        raise ValueError(f"condition {condition!r} is not valid Unicode") from None
+    _check_condition(condition)
     beam_width = config.beam_width
     strength = config.diversity_strength
     # a hypothesis collects at most max_len penalty contributions; their total
@@ -342,8 +339,8 @@ def beam_search(scorer: Scorer, condition: Condition, vocab: Vocabulary,
             f"diversity strength {strength} overflows this segment's penalty "
             f"total over {config.max_len} steps")
 
-    # live hypotheses: (prefix tokens, aug, step logprobs, step contributions)
-    beam: list[tuple] = [((), 0.0, (), ())]
+    # live hypotheses: (prefix tokens, aug, step logprobs)
+    beam: list[tuple] = [((), 0.0, ())]
     best: tuple | None = None
     trace: list[StepTrace] = []
     vocab_size = len(vocab)
@@ -355,9 +352,8 @@ def beam_search(scorer: Scorer, condition: Condition, vocab: Vocabulary,
         selected = _select([node[1] for node in beam], rows, segment, beam_width)
         live = []
         for pos, token, aug, logprob in zip(*(a.tolist() for a in selected)):
-            prefix, _, logprobs, penalties = beam[pos]
-            node = (prefix + (token,), aug, logprobs + (logprob,),
-                    penalties + (float(contributions[token]),))
+            prefix, _, logprobs = beam[pos]
+            node = (prefix + (token,), aug, logprobs + (logprob,))
             if token != EOS_ID:
                 live.append(node)
             elif best is None or aug > best[1]:  # strict: the earlier finisher wins ties
@@ -367,7 +363,8 @@ def beam_search(scorer: Scorer, condition: Condition, vocab: Vocabulary,
     for node in beam:  # force-finish what max_len cut off
         if best is None or node[1] > best[1]:
             best = node
-    return SegmentResult(condition=condition, best=_hypothesis(best), trace=tuple(trace))
+    return SegmentResult(condition=condition, best=_hypothesis(best, contributions),
+                         trace=tuple(trace))
 
 
 def inter_sentence_dbs(scorer: Scorer, conditions: Sequence[Condition],

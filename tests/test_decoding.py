@@ -17,7 +17,9 @@ from storybeam.corpus import (
     FIRST_GENERABLE_ID,
     NUM_SPECIALS,
     PAD_ID,
+    UNK_ID,
     Corpus,
+    Vocabulary,
     build_vocabulary,
 )
 from storybeam.decoding import (
@@ -263,21 +265,22 @@ class TestColumnReduction:
         corpus = Corpus.from_text("\n".join(lines))
         model = train_ngram(corpus, build_vocabulary(corpus, min_count=1), order=2, alpha=0.1)
         kept = self.decode_both(monkeypatch, model, strength)
-        # the block rule needs no fallback where the penalty rounds away (1e-20)
+        # the column rule keeps fewer than all columns, even where the penalty rounds away (1e-20)
         assert kept["reduced"] > 0 and kept["all"] == 0
 
 
-def full_sort_ranks(penalty: np.ndarray, strength: float) -> np.ndarray:
-    """Block ranks from one stable sort over every generable token: the reference."""
-    with np.errstate(over="ignore"):
-        contributions = float(strength) * penalty
-    generable = contributions[FIRST_GENERABLE_ID:]
-    order = np.argsort(generable, kind="stable")
-    blocked = generable[order]
-    position = np.arange(len(order))
-    starts = np.r_[True, blocked[1:] != blocked[:-1]]
-    ranks = np.zeros(len(penalty), dtype=np.int64)
-    ranks[order + FIRST_GENERABLE_ID] = position - np.maximum.accumulate(position * starts)
+def zero_block_ranks(penalty: np.ndarray, strength: float) -> list[int]:
+    """The reference ranks, one token at a time in Python floats.
+
+    A generable token of contribution zero ranks by id among those tokens;
+    every other token ranks 0.
+    """
+    ranks = [0] * len(penalty)
+    count = 0
+    for token in range(FIRST_GENERABLE_ID, len(penalty)):
+        if float(strength) * float(penalty[token]) == 0:  # -0.0 too
+            ranks[token] = count
+            count += 1
     return ranks
 
 
@@ -311,40 +314,63 @@ def segment_penalties(draw) -> tuple[np.ndarray, float]:
 
 
 class TestSegmentOrder:
-    """``_segment_order`` ranks every token as one stable sort over all of them does."""
+    """``_segment_order`` ranks the zero-contribution tokens by id and every other token 0."""
 
     @staticmethod
-    def assert_ranks_like_the_full_sort(penalty, strength):
+    def assert_ranks_like_the_reference(penalty, strength):
         segment = decoding._segment_order(penalty, strength)
         assert segment.ranks.dtype == np.int64
-        assert segment.ranks.tolist() == full_sort_ranks(penalty, strength).tolist()
+        assert segment.ranks.tolist() == zero_block_ranks(penalty, strength)
         return segment
 
     @settings(max_examples=300, deadline=None)
     @given(segment_penalties())
-    def test_ranks_like_the_full_sort(self, case):
-        self.assert_ranks_like_the_full_sort(*case)
+    def test_ranks_like_the_zero_block_reference(self, case):
+        self.assert_ranks_like_the_reference(*case)
+
+    # PAD, BOS, every penalized token, every exception, and the zero block's
+    # tokens ranked by id below B + E, where E is the most exceptions of one row
+    @settings(max_examples=200, deadline=None)
+    @given(segment_penalties(), st.data())
+    def test_kept_columns_follow_the_rule(self, case, data):
+        penalty, strength = case
+        generable = st.integers(FIRST_GENERABLE_ID, len(penalty) - 1)
+        rows = data.draw(st.lists(st.lists(generable, unique=True, max_size=6),
+                                  min_size=1, max_size=4))
+        beam_width = data.draw(st.one_of(st.integers(1, 40), st.just(10 ** 30)))
+        ids = [token for row in rows for token in row]
+        most = max(map(len, rows))
+        columns = decoding._columns_that_can_win(
+            ids, most, decoding._segment_order(penalty, strength), beam_width)
+        want, zero_rank = [], 0
+        for token in range(len(penalty)):
+            zero = token >= FIRST_GENERABLE_ID and float(strength) * float(penalty[token]) == 0
+            if not zero or token in ids or zero_rank < beam_width + most:
+                want.append(token)
+            zero_rank += zero
+        assert columns.tolist() == want
 
     def test_zero_strength_gives_negative_zeros_in_the_zero_block(self):
         penalty = zero_penalty(20)
         penalty[[5, 9, 12]] = [-1.0, -2.0, -1.0]
-        segment = self.assert_ranks_like_the_full_sort(penalty, 0.0)
+        segment = self.assert_ranks_like_the_reference(penalty, 0.0)
         assert np.signbit(segment.contributions[[5, 9, 12]]).all()
         assert segment.ranks[FIRST_GENERABLE_ID:].tolist() == list(range(18))
 
-    # 5e-324 * -1 is the smallest subnormal, 5e-324 * -0.25 rounds to -0.0,
-    # which joins the zero block
+    # 5e-324 * -1 is the smallest subnormal, a penalized token that ranks 0;
+    # 5e-324 * -0.25 rounds to -0.0, which joins the zero block
     def test_contributions_that_underflow(self):
         penalty = zero_penalty(12)
         penalty[[4, 6, 8, 10]] = [-1.0, -0.25, -1.0, -0.25]
-        segment = self.assert_ranks_like_the_full_sort(penalty, 5e-324)
+        segment = self.assert_ranks_like_the_reference(penalty, 5e-324)
         assert segment.contributions[4] == -5e-324 and segment.contributions[6] == 0.0
-        assert segment.ranks[[4, 8]].tolist() == [0, 1]
+        assert np.signbit(segment.contributions[[6, 10]]).all()
+        assert segment.ranks[[4, 8]].tolist() == [0, 0]
         assert segment.ranks[[2, 3, 5, 6, 7, 9, 10, 11]].tolist() == list(range(8))
 
     @pytest.mark.parametrize("size", [NUM_SPECIALS, NUM_SPECIALS + 1, 8004])
     def test_all_zero_penalty_ranks_by_id(self, size):
-        segment = self.assert_ranks_like_the_full_sort(zero_penalty(size), 2.0)
+        segment = self.assert_ranks_like_the_reference(zero_penalty(size), 2.0)
         assert segment.ranks.tolist() == [0] * FIRST_GENERABLE_ID + list(
             range(size - FIRST_GENERABLE_ID))
 
@@ -352,7 +378,7 @@ class TestSegmentOrder:
     def test_a_single_penalized_token(self, token):
         penalty = zero_penalty(8004)
         penalty[token] = -1.0
-        segment = self.assert_ranks_like_the_full_sort(penalty, 2.0)
+        segment = self.assert_ranks_like_the_reference(penalty, 2.0)
         assert segment.ranks[token] == 0
         assert segment.ranks[8003 if token < 8003 else 8002] == 8000
 
@@ -594,6 +620,50 @@ class TestBeamSearch:
                 other_orders.add("raw plus penalty total")
         # this story tells those summation orders apart from the one replayed
         assert other_orders == {"right to left", "raw plus penalty total"}
+
+
+class DenseRowScorer:
+    """Dense rows from a formula: nearly every token is an exception.
+
+    EOS and ``<unk>``, which no penalty touches, are all but impossible.
+    """
+
+    vocab = Vocabulary(f"w{i}" for i in range(4))
+
+    def score_step(self, condition, prefix):
+        last = prefix[-1] if prefix else 0
+        weights = [1.0 + (5 * token + 3 * len(prefix) + last) % 7
+                   for token in range(FIRST_GENERABLE_ID, len(self.vocab))]
+        weights[EOS_ID - FIRST_GENERABLE_ID] = weights[UNK_ID - FIRST_GENERABLE_ID] = 1e-9
+        return log_row(weights)
+
+
+class TestStepPenalties:
+    """A winner's step penalties are ``strength * penalty`` at its tokens, bit for bit."""
+
+    @pytest.mark.parametrize("strength", [0.0, 5e-324, 2.0])
+    @pytest.mark.parametrize("penalty_name", ["hamming", "presence"])
+    @pytest.mark.parametrize("scorer", [
+        make_table(["a", "b", "c", "<eos>"], [0.4, 0.3, 0.3 - 1e-6, 1e-6]), DenseRowScorer()],
+        ids=["table", "dense"])
+    def test_step_penalties_are_the_contributions_at_the_tokens(self, scorer, penalty_name,
+                                                                 strength):
+        penalty_fn = PENALTIES[penalty_name]
+        # more segments than words: later winners pay a penalty even at strength 2
+        config = DecodeConfig(beam_width=3, diversity_strength=strength, max_len=4)
+        story = inter_sentence_dbs(scorer, ["c1", "c2", "c3", "c4", "c5"], scorer.vocab, config,
+                                   penalty_fn)
+        penalized = 0
+        for i, segment in enumerate(story.segments):
+            earlier = [seg.best.tokens for seg in story.segments[:i]]
+            penalty = penalty_fn(earlier, scorer.vocab) if i else zero_penalty(len(scorer.vocab))
+            want = [strength * float(penalty[token]) for token in segment.best.tokens]
+            got = segment.best.step_penalties
+            assert type(got) is tuple and all(type(value) is float for value in got)
+            # float.hex tells -0.0 from 0.0 and shows every subnormal bit
+            assert [value.hex() for value in got] == [value.hex() for value in want]
+            penalized += any(want)
+        assert (penalized > 0) == (strength > 0)
 
 
 @dataclass(frozen=True)
@@ -1009,6 +1079,19 @@ class TestStoryJson:
     @given(st.text())
     def test_any_string_encodes_as_json_dumps_does(self, text):
         assert decoding.encode_basestring(text) == json.dumps(text, ensure_ascii=False)
+
+    # a hand-built record meets beam_search's rule and messages where it is built,
+    # not a TypeError inside story_to_json
+    @pytest.mark.parametrize("condition, match", [
+        (7, "non-empty string"), (None, "non-empty string"), ("", "non-empty string"),
+        (b"c1", "non-empty string"), ("c\udc801", "not valid Unicode")],
+        ids=["int", "none", "empty", "bytes", "lone-surrogate"])
+    def test_segment_result_condition_follows_beam_search(self, skewed_table, condition, match):
+        best = Hypothesis((FIRST_GENERABLE_ID,), -1.0, -1.0, (-1.0,), (0.0,))
+        with pytest.raises(ValueError, match=match):
+            SegmentResult(condition, best, ())
+        with pytest.raises(ValueError, match=match):
+            beam_search(skewed_table, condition, skewed_table.vocab, DecodeConfig(max_len=1))
 
     def test_validating_scorer_sees_every_step(self, skewed_table):
         wrapped = ValidatingScorer(skewed_table)
