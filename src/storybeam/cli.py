@@ -130,10 +130,6 @@ def _read_lines(path: str) -> list[str]:
     return split_lines(read_text(path))
 
 
-def _read_conditions_file(path: str) -> list[str]:
-    return [line.strip() for line in _read_lines(path) if line.strip()]
-
-
 def _cmd_decode(args: argparse.Namespace) -> int:
     # Decoding does no linear algebra, yet importing numpy starts OpenBLAS's
     # thread pool, 60-70 ms on a 2-core host. A value the caller set stands,
@@ -209,10 +205,9 @@ def _cmd_decode(args: argparse.Namespace) -> int:
         print(f"decoded {len(stories)} stories into {out_dir}")
         return EXIT_OK
 
-    if args.conditions is not None:
-        conditions = args.conditions
-    else:
-        conditions = _read_conditions_file(args.conditions_file)
+    conditions = args.conditions
+    if conditions is None:  # a blank line of --conditions-file names no segment
+        conditions = [line.strip() for line in _read_lines(args.conditions_file) if line.strip()]
     text = decode_one(conditions)
     if args.out:
         _atomic_write(args.out, text)

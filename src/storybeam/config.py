@@ -1,9 +1,11 @@
-"""Defaults, count and strength rules, and penalty names, as plain constants.
+"""Defaults, the count, strength and condition rules, and penalty names.
 
 The CLI parser takes its defaults and ``--penalty`` choices from here, so
 building it (and ``--help``) imports only this module: no dataclass, no
 corpus and none of the decoder. Every entry point that takes a count or a
-strength checks it with ``check_count`` or ``check_strength``.
+strength checks it with ``check_count`` or ``check_strength``, and every
+one that takes a condition key (the decoder, ``SegmentResult``, both
+scorers' ``score_step`` and a table row) checks it with ``check_condition``.
 """
 
 from __future__ import annotations
@@ -40,3 +42,13 @@ def check_strength(name: str, value) -> None:
     """Raise ``ValueError`` unless ``value`` is a finite int or float, not a bool, >= 0."""
     if not (_is_finite_number(value) and value >= 0):
         raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+
+
+def check_condition(condition) -> None:
+    """Raise ``ValueError`` unless ``condition`` is a non-empty ``str`` that encodes as UTF-8."""
+    if not (isinstance(condition, str) and condition):
+        raise ValueError("condition must be a non-empty string")
+    try:
+        condition.encode("utf-8")
+    except UnicodeEncodeError:  # a lone surrogate, as a non-UTF-8 argv byte becomes
+        raise ValueError(f"condition {condition!r} is not valid Unicode") from None

@@ -56,7 +56,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .config import BEAM_WIDTH, DIVERSITY_STRENGTH, MAX_LEN, check_count, check_strength
+from .config import (BEAM_WIDTH, DIVERSITY_STRENGTH, MAX_LEN, check_condition, check_count,
+                     check_strength)
 from .corpus import (BOS_TOKEN, EOS_ID, EOS_TOKEN, FIRST_GENERABLE_ID, PAD_TOKEN, Vocabulary,
                      _Record)
 from .diversity import PenaltyFn, hamming_diversity, validate_penalty, zero_penalty
@@ -122,16 +123,6 @@ class StepTrace(_Record):
         self.__dict__["candidate_count"] = candidate_count
 
 
-def _check_condition(condition: Condition) -> None:
-    """Raise ``ValueError`` unless ``condition`` is a non-empty ``str`` that encodes as UTF-8."""
-    if not (isinstance(condition, str) and condition):
-        raise ValueError("condition must be a non-empty string")
-    try:
-        condition.encode("utf-8")
-    except UnicodeEncodeError:  # a lone surrogate, as a non-UTF-8 argv byte becomes
-        raise ValueError(f"condition {condition!r} is not valid Unicode") from None
-
-
 class SegmentResult(_Record):
     """A decoded segment. ``condition`` follows ``beam_search``'s rule, checked here too."""
 
@@ -140,7 +131,7 @@ class SegmentResult(_Record):
     trace: tuple[StepTrace, ...]
 
     def __init__(self, condition: str, best: Hypothesis, trace: tuple[StepTrace, ...]):
-        _check_condition(condition)
+        check_condition(condition)
         self.__dict__.update(condition=condition, best=best, trace=trace)
 
 
@@ -326,7 +317,7 @@ def beam_search(scorer: Scorer, condition: Condition, vocab: Vocabulary,
     if penalty is None:
         penalty = zero_penalty(len(vocab))
     validate_penalty(penalty, len(vocab))  # once per segment: _select trusts it
-    _check_condition(condition)
+    check_condition(condition)
     beam_width = config.beam_width
     strength = config.diversity_strength
     # a hypothesis collects at most max_len penalty contributions; their total

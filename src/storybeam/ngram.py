@@ -25,7 +25,7 @@ import re
 from json.encoder import encode_basestring
 from typing import TYPE_CHECKING, Sequence
 
-from .config import _is_finite_number
+from .config import _is_finite_number, check_condition
 from .corpus import (
     BOS_ID,
     EOS_ID,
@@ -52,8 +52,7 @@ MAX_ORDER = 1024
 
 
 def _check_step_args(condition: str, prefix: Sequence[int]) -> None:
-    if not condition:
-        raise ValueError("condition must be a non-empty string")
+    check_condition(condition)
     if EOS_ID in prefix:
         raise ValueError("prefix must not contain EOS; finished hypotheses are not scored")
 

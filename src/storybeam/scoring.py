@@ -19,9 +19,9 @@ Two concrete scorers ship, and both return ``ScoreRow``s: a
 Laplace-smoothed n-gram model trained from a corpus (``ngram``, which
 counts and reads models without numpy), and the table scorer defined
 here, driven by explicit probability rows (useful for tests, demos, and
-hand-constructed fixtures). The condition argument is an opaque
-non-empty string naming the conditioning input of one segment; the
-n-gram model ignores it, the table scorer may dispatch on it.
+hand-constructed fixtures). Both scorers apply the decoder's rule to
+the condition argument, an opaque key (``config.check_condition``); the
+n-gram model then ignores it, the table scorer may dispatch on it.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from .config import _is_finite_number
+from .config import _is_finite_number, check_condition
 from .corpus import (
     BOS_TOKEN,
     EOS_TOKEN,
@@ -259,8 +259,11 @@ def table_from_dict(doc: dict) -> TableScorer:
         if not isinstance(raw, dict) or "probs" not in raw:
             raise ValueError(f"{label}: each row needs at least a probs field")
         condition = raw.get("condition")
-        if condition is not None and (not isinstance(condition, str) or not condition):
-            raise ValueError(f"{label}: condition must be a non-empty string or null")
+        if condition is not None:
+            try:
+                check_condition(condition)
+            except ValueError as error:
+                raise ValueError(f"{label}: {error}") from None
         context_tokens = [] if raw.get("context") is None else raw["context"]
         if not _is_token_list(context_tokens):
             raise ValueError(

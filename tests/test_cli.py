@@ -3,9 +3,11 @@ import codecs
 import contextlib
 import importlib.util
 import io
+import itertools
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -1175,15 +1177,54 @@ class TestDecode:
                      "--batch", str(batch)]) == 2
 
     @staticmethod
-    def decode_peak_kib(*args: str) -> int:
-        """Run ``decode`` with ``args`` in a child; return the child's own peak RSS in KiB."""
+    def peak_kib(*argv: str) -> int:
+        """Run the CLI with ``argv`` in a child; return the child's own peak RSS in KiB."""
         result = run_python(
             "from storybeam.cli import main\n"
-            f"assert main(['decode', *{list(args)!r}]) == 0\n"
+            f"assert main({list(argv)!r}) == 0\n"
             "print(next(line.split()[1] for line in open('/proc/self/status')"
             " if line.startswith('VmHWM:')))\n")
         assert result.returncode == 0, result.stderr
-        return int(result.stdout)
+        return int(result.stdout.split()[-1])  # train-lm prints its summary first
+
+    @classmethod
+    def decode_peak_kib(cls, *args: str) -> int:
+        """Run ``decode`` with ``args`` in a child; return the child's own peak RSS in KiB."""
+        return cls.peak_kib("decode", *args)
+
+    # A model's load and its training both hold memory in proportion to the
+    # model. The slope between two seeded corpora (25k and 100k tokens, Zipf
+    # weights over 2000 words, lines of 6-15 words) cancels the interpreter's
+    # fixed size: about 24 B of decode peak and 18 B of train-lm peak per byte
+    # of model JSON, for models of 0.71 and 2.55 MB (x86_64 Linux, Python 3.11,
+    # numpy 2.4). A change that doubles either slope fails.
+    @needs_vmhwm
+    def test_memory_per_model_byte(self, tmp_path):
+        cum_weights = list(itertools.accumulate(1 / rank ** 1.05 for rank in range(1, 2001)))
+        words = [f"w{i:04d}" for i in range(2000)]
+        peaks = {"decode": [], "train-lm": []}
+        sizes = []
+        for tokens in (25_000, 100_000):
+            rng = random.Random(tokens)
+            lines, count = [], 0
+            while count < tokens:
+                length = rng.randint(6, 15)
+                lines.append(" ".join(rng.choices(words, cum_weights=cum_weights, k=length)))
+                count += length
+            corpus, model = tmp_path / f"corpus{tokens}.txt", tmp_path / f"model{tokens}.json"
+            corpus.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            peaks["train-lm"].append(self.peak_kib(
+                "train-lm", str(corpus), "--order", "3", "--alpha", "0.01", "--min-count", "1",
+                "--out", str(model)))
+            sizes.append(model.stat().st_size)
+            out = tmp_path / f"story{tokens}.json"
+            peaks["decode"].append(self.decode_peak_kib(
+                "--model", str(model), "--conditions", "c1", "c2", "c3", "c4", "c5",
+                "--out", str(out)))
+            assert len(json.loads(out.read_text(encoding="utf-8"))["segments"]) == 5
+        slope = {command: (peak[1] - peak[0]) * 1024 / (sizes[1] - sizes[0])
+                 for command, peak in peaks.items()}
+        assert slope["decode"] <= 45 and slope["train-lm"] <= 32, (slope, peaks, sizes)
 
     # a segment holds O(beam width x max-len) of history, so the peak of a
     # width-1 decode grows by a few MiB from 500 to 4000 steps, not by tens

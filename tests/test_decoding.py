@@ -52,6 +52,11 @@ from reference import ValidatingScorer, dense_row, exhaustive_best, exhaustive_s
 LN = math.log
 
 
+def _small_model():
+    corpus = Corpus.from_text("a b a\nb a")
+    return train_ngram(corpus, build_vocabulary(corpus, min_count=1), order=2, alpha=0.5)
+
+
 class TestDecodeConfig:
     def test_defaults(self):
         config = DecodeConfig()
@@ -1081,7 +1086,8 @@ class TestStoryJson:
         assert decoding.encode_basestring(text) == json.dumps(text, ensure_ascii=False)
 
     # a hand-built record meets beam_search's rule and messages where it is built,
-    # not a TypeError inside story_to_json
+    # not a TypeError inside story_to_json; both scorers and a table's rows apply
+    # the same rule, so a scorer called directly rejects what the decoder rejects
     @pytest.mark.parametrize("condition, match", [
         (7, "non-empty string"), (None, "non-empty string"), ("", "non-empty string"),
         (b"c1", "non-empty string"), ("c\udc801", "not valid Unicode")],
@@ -1092,6 +1098,37 @@ class TestStoryJson:
             SegmentResult(condition, best, ())
         with pytest.raises(ValueError, match=match):
             beam_search(skewed_table, condition, skewed_table.vocab, DecodeConfig(max_len=1))
+        for scorer in (skewed_table, _small_model()):
+            with pytest.raises(ValueError, match=match):
+                scorer.score_step(condition, [])
+        row = {"condition": condition, "probs": [0.2, 0.3, 0.5]}
+        if condition is None:  # a null row condition is the row for every condition
+            assert make_table(["a", "b", "<eos>"], [0.5, 0.3, 0.2], [row]).rules[0].condition is None
+        else:
+            with pytest.raises(ValueError, match=rf"^rows\[0\]: .*{match}"):
+                make_table(["a", "b", "<eos>"], [0.5, 0.3, 0.2], [row])
+
+    # st.text() draws no lone surrogate, so two are listed
+    @given(st.one_of(st.text(), st.sampled_from(
+        ["c\udc80", "\ud800", None, 0, 7, 1.5, b"c1", ("c1",), ["c1"]])))
+    @settings(max_examples=200)
+    def test_decoder_and_scorers_accept_and_reject_the_same_conditions(self, condition):
+        scorers = (make_table(["a", "b", "<eos>"], [0.5, 0.3, 0.2]), _small_model())
+        best = Hypothesis((FIRST_GENERABLE_ID,), -1.0, -1.0, (-1.0,), (0.0,))
+        calls = [lambda: SegmentResult(condition, best, ())]
+        for scorer in scorers:
+            calls.append(lambda scorer=scorer: beam_search(
+                scorer, condition, scorer.vocab, DecodeConfig(beam_width=1, max_len=1)))
+            calls.append(lambda scorer=scorer: scorer.score_step(condition, []))
+        outcomes = set()
+        for call in calls:
+            try:
+                call()
+            except ValueError as error:
+                outcomes.add(str(error))
+            else:
+                outcomes.add(None)
+        assert len(outcomes) == 1
 
     def test_validating_scorer_sees_every_step(self, skewed_table):
         wrapped = ValidatingScorer(skewed_table)

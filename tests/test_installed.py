@@ -88,6 +88,17 @@ def test_readme_table_decodes_to_a_file_and_to_stdout(bare):
     assert len(json.loads(stdout)["segments"]) == 3
 
 
+def test_conditions_file_decodes_one_segment_per_non_blank_line(bare):
+    # README's five conditions with a blank line among them: the blank line
+    # names no segment, so the story is the one --conditions decodes
+    (bare / "conditions.txt").write_text("c1\nc2\n\nc3\nc4\nc5\n", encoding="utf-8")
+    storybeam_ok(bare, "decode", "--model", "bare-table.yaml", "--conditions-file",
+                 "conditions.txt", "--beam-width", "1", "--max-len", "2", "--out", "file.json")
+    text = (bare / "file.json").read_bytes()
+    assert [seg["condition"] for seg in json.loads(text)["segments"]] == FIVE
+    assert hashlib.sha256(text).hexdigest() == README_TABLE_PINS["default"]
+
+
 def test_batch_decode_and_eval(bare):
     (bare / "stories.txt").write_text("c1 c2\nc3\n", encoding="utf-8")
     storybeam_ok(bare, "decode", "--model", "bare-table.yaml", "--batch", "stories.txt",

@@ -84,3 +84,19 @@ def test_dataclasses_is_imported_only_to_raise_a_frozen_instance_error():
             if any(name.split(".")[0] == "dataclasses" for name in _imported(node)):
                 importers.add((path.stem, owner.get(node)))
     assert importers == {("corpus", "_raise_frozen")}
+
+
+# beam_search, SegmentResult, both scorers' score_step and a table's rows share
+# one condition rule, config.check_condition; a raise of either of its messages
+# anywhere else is a second copy of the rule, free to drift from the first
+def test_the_condition_messages_are_raised_only_in_config():
+    raised = []
+    for path in sorted(Path(storybeam.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                text = ast.unparse(node.exc)
+                if "condition must be a non-empty string" in text:
+                    raised.append((path.stem, "non-empty"))
+                elif "condition {" in text and "is not valid Unicode" in text:
+                    raised.append((path.stem, "unicode"))
+    assert raised == [("config", "non-empty"), ("config", "unicode")]
